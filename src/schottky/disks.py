@@ -12,41 +12,54 @@ center, and this makes semantic disk equality plain ``==``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import CoefficientTooLarge, ConstantPolynomial, PointInsideDisk
-from .padic import (
-    Exponent,
-    PrimeContext,
-    abs_exponent,
-    unit_residue,
-    valuation,
-)
+from .padic import Exponent, PrimeContext, abs_exponent, valuation
 from .proj import Homography, ProjPoint
 
 
-def _canonical_center(center: Fraction, min_valuation, p: int) -> Fraction:
-    """Smallest-|.|-representative of center modulo {v >= min_valuation}."""
-    w = valuation(center, p)
+def _admitted_valuation(e: Fraction, open_boundary: bool) -> int:
+    """Smallest valuation of x - center admitted by a bounded disk of
+    radius p**e: v > -e when open, v >= -e when closed."""
+    n, d = e.numerator, e.denominator
+    if open_boundary or d != 1:
+        return -n // d + 1
+    return -n
+
+
+def _canonical_center(center: Fraction, min_valuation: int, p: int) -> Tuple[int, int]:
+    """Smallest-|.|-representative cn / p**k of center modulo {v >= min_valuation}."""
+    num, den = center.numerator, center.denominator
+    if num == 0:
+        return 0, 0
+    vn, vd = valuation(num, p), valuation(den, p)
+    w = vn - vd
     if w >= min_valuation:
-        return Fraction(0)
-    k = min_valuation - w  # >= 1, an integer since both are... see below
-    k = int(k)
-    r = unit_residue(center, p, k)
-    m = p**k
+        return 0, 0
+    m = p ** (min_valuation - w)
+    r = num // p**vn * pow(den // p**vd, -1, m) % m
     rep = r if r <= m - r else r - m
-    return Fraction(rep) * Fraction(p) ** w
+    if w >= 0:
+        return rep * p**w, 0
+    return rep, -w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disk:
     """An ultrametric disk in P^1 with exact p-power radius p**radius_exp.
 
     For ``bounded=False`` the (center, radius_exp, openness) describe the
     *complementary* bounded disk, which has the opposite openness.
+
+    Beside the public ``Fraction`` fields a disk keeps its canonical center
+    as integers ``_cn / _pk`` with ``_pk = p**_k``, the smallest valuation
+    ``_m`` of x - center admitted by the (complementary) bounded disk, and
+    ``_s = max(0, |center|, radius)``, the exponent of sup max(1, |y|) over
+    the bounded disk.  Since ``_cn`` is prime to p when ``_k > 0``,
+    ``_s = max(_k, radius_exp)``.
     """
 
     bounded: bool
@@ -54,25 +67,38 @@ class Disk:
     center: Fraction
     radius_exp: Fraction
     p: int
+    _m: int = field(init=False, repr=False, compare=False)
+    _cn: int = field(init=False, repr=False, compare=False)
+    _k: int = field(init=False, repr=False, compare=False)
+    _pk: int = field(init=False, repr=False, compare=False)
+    _s: Fraction = field(init=False, repr=False, compare=False)
 
     def __init__(self, bounded, is_open, center, radius_exp, p):
-        object.__setattr__(self, "bounded", bool(bounded))
-        object.__setattr__(self, "is_open", bool(is_open))
-        object.__setattr__(self, "radius_exp", Fraction(radius_exp))
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(
-            self, "center", _canonical_center(Fraction(center), self._min_valuation(), p)
-        )
-
-    def _min_valuation(self):
-        """Smallest valuation of x - center admitted by the boundary rule."""
+        bounded, is_open, p = bool(bounded), bool(is_open), int(p)
+        e = radius_exp if type(radius_exp) is Fraction else Fraction(radius_exp)
+        center = center if type(center) is Fraction else Fraction(center)
         # Complement openness flips, but the admitted valuations of the
         # complementary bounded disk are what the canonical center uses.
-        open_boundary = self.is_open if self.bounded else not self.is_open
-        e = self.radius_exp
-        if open_boundary:
-            return math.floor(-e) + 1
-        return math.ceil(-e)
+        m = _admitted_valuation(e, is_open if bounded else not is_open)
+        cn, k = _canonical_center(center, m, p)
+        pk = p**k
+        if cn != center.numerator or pk != center.denominator:
+            center = Fraction(cn, pk)
+        set_ = object.__setattr__
+        set_(self, "bounded", bounded)
+        set_(self, "is_open", is_open)
+        set_(self, "center", center)
+        set_(self, "radius_exp", e)
+        set_(self, "p", p)
+        set_(self, "_m", m)
+        set_(self, "_cn", cn)
+        set_(self, "_k", k)
+        set_(self, "_pk", pk)
+        set_(self, "_s", k if k * e.denominator > e.numerator else e)
+
+    def _min_valuation(self) -> int:
+        """Smallest valuation of x - center admitted by the boundary rule."""
+        return self._m
 
     @staticmethod
     def open_disk(center, radius_exp, p: int) -> "Disk":
@@ -86,19 +112,21 @@ class Disk:
         return Disk(not self.bounded, not self.is_open, self.center, self.radius_exp, self.p)
 
     def closure(self) -> "Disk":
-        """The closed disk with the same points plus its boundary sphere."""
-        if self.bounded:
-            return Disk(True, False, self.center, self.radius_exp, self.p)
-        # closure of P^1 - E(a, r) is P^1 - B(a, r)
-        return Disk(False, False, self.center, self.radius_exp, self.p)
+        """The closed disk with the same points plus its boundary sphere;
+        the closure of P^1 - E(a, r) is P^1 - B(a, r)."""
+        if not self.is_open:
+            return self
+        return Disk(self.bounded, False, self.center, self.radius_exp, self.p)
 
     def contains(self, x: ProjPoint) -> bool:
-        if not self.bounded:
-            return x.is_infinity or not self.complement().contains(x)
-        if x.is_infinity:
-            return False
-        d = abs_exponent(x.value - self.center, self.p)
-        return d < self.radius_exp if self.is_open else d <= self.radius_exp
+        y = x.den
+        if y == 0:
+            return not self.bounded
+        # x - center = (num * p^k - den * cn) / (den * p^k) has valuation
+        # >= m iff the numerator vanishes modulo p^(m + v(den) + k).
+        t = self._m + self._k + valuation(y, self.p)
+        inside = t <= 0 or (x.num * self._pk - y * self._cn) % self.p**t == 0
+        return inside if self.bounded else not inside
 
     def center_point(self) -> ProjPoint:
         return ProjPoint(self.center)
@@ -113,10 +141,6 @@ class Disk:
         kind = "B" if self.is_open else "E"
         body = f"{kind}({self.center}, {self.p}^{self.radius_exp})"
         return body if self.bounded else f"P1-{body}"
-
-
-def contains(D: Disk, x: ProjPoint) -> bool:
-    return D.contains(x)
 
 
 def contains_disk(D1: Disk, D2: Disk) -> bool:
@@ -146,65 +170,61 @@ def disjoint(D1: Disk, D2: Disk) -> bool:
     return not (D1.contains(D2.center_point()) or D2.contains(D1.center_point()))
 
 
-def _translate(D: Disk, t: Fraction) -> Disk:
-    return Disk(D.bounded, D.is_open, D.center + t, D.radius_exp, D.p)
-
-
-def _scale(D: Disk, s: Fraction) -> Disk:
-    return Disk(D.bounded, D.is_open, D.center * s, D.radius_exp + abs_exponent(s, D.p), D.p)
-
-
-def _invert(D: Disk) -> Disk:
-    """Image of D under z -> 1/z."""
-    if not D.bounded:
-        return _invert(D.complement()).complement()
-    e, al, p = D.radius_exp, D.center, D.p
-    ea = abs_exponent(al, p)
-    if (D.is_open and ea >= e) or (not D.is_open and ea > e):
-        # 0 is not in the disk and |y| = |center| throughout: an isometry
-        # up to the factor |center|^-2.
-        return Disk(True, D.is_open, 1 / al, e - 2 * ea, p)
-    # The disk is centered at 0; inversion swaps it with an unbounded disk.
-    return Disk(False, D.is_open, Fraction(0), -e, p)
-
-
 def image(g: Homography, D: Disk) -> Disk:
     """The exact image disk g(D).
 
     g factors as affine maps and the inversion z -> 1/z; each piece sends
-    disks to disks, preserving openness and strictness.
+    disks to disks, preserving openness and strictness.  Any point of a
+    disk is a valid center, so the pieces carry a raw (center, radius)
+    pair and only the final disk is canonicalized.
     """
     a, b, c, d = g.entries
+    p = D.p
+    bounded, center, e = D.bounded, D.center, D.radius_exp
     if c == 0:
-        return _translate(_scale(D, Fraction(a, d)), Fraction(b, d))
+        scale_exp = valuation(d, p) - valuation(a, p)
+        return Disk(bounded, D.is_open, center * Fraction(a, d) + Fraction(b, d), e + scale_exp, p)
     # (az + b)/(cz + d) = a/c - (det/c^2) / (z + d/c)
-    out = _translate(D, Fraction(d, c))
-    out = _invert(out)
-    out = _scale(out, Fraction(-g.det, c * c))
-    return _translate(out, Fraction(a, c))
+    center += Fraction(d, c)
+    # Invert the bounded disk, or the complementary hole of an unbounded one.
+    hole_open = D.is_open if bounded else not D.is_open
+    ea = abs_exponent(center, p)
+    if ea > e or (hole_open and ea == e):
+        # 0 is outside the hole and |z| = |center| on it: an isometry up to
+        # the factor |center|^-2.
+        center, e = 1 / center, e - 2 * ea
+    else:
+        # The hole is centered at 0; inversion swaps it with an unbounded disk.
+        bounded, center, e = not bounded, Fraction(0), -e
+    det = a * d - b * c
+    scale_exp = 2 * valuation(c, p) - valuation(det, p)
+    return Disk(
+        bounded, D.is_open, center * Fraction(-det, c * c) + Fraction(a, c), e + scale_exp, p
+    )
 
 
 def point_to_disk_delta(x: ProjPoint, D: Disk, ctx: PrimeContext) -> Exponent:
     """Exponent of inf over y in D of delta(x, y), for x outside D.
 
     For x outside a disk, |x - y| is the constant |x - center|, so the
-    infimum is reached by maximizing max(1, |y|) over the disk.
+    infimum is reached by maximizing max(1, |y|) over the disk.  On the
+    primitive vector x = num/den, max(1, |x|) = p**v(den) and
+    |x - center| = p**(v(den) + k - v(num * p^k - den * cn)).
     """
-    if D.contains(x):
-        raise PointInsideDisk(f"{x} lies in {D}")
     p = ctx.p
+    y = x.den
+    if y == 0:
+        if not D.bounded:
+            raise PointInsideDisk(f"{x} lies in {D}")
+        return -D._s
+    vy = valuation(y, p)
+    vn = valuation(x.num * D._pk - y * D._cn, p)
+    if (vn - vy - D._k >= D._m) == D.bounded:
+        raise PointInsideDisk(f"{x} lies in {D}")
     if D.bounded:
-        s = max(0, D.sup_abs_exponent())
-        if x.is_infinity:
-            return -s
-        return abs_exponent(x.value - D.center, p) - max(0, abs_exponent(x.value, p)) - s
-    # x is finite and lies in the complementary bounded disk.
-    h = D.radius_exp
-    return (
-        h
-        - max(0, abs_exponent(D.center, p), h)
-        - max(0, abs_exponent(x.value, p))
-    )
+        return D._k - vn - D._s
+    # x lies in the complementary bounded disk.
+    return D.radius_exp - D._s - vy
 
 
 def min_delta_disjoint_disks(D1: Disk, D2: Disk, ctx: PrimeContext) -> Exponent:

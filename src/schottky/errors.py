@@ -59,3 +59,7 @@ class CyclicLinks(SchottkyError):
 
 class FormatError(SchottkyError):
     """Malformed input file; message carries field context."""
+
+
+class InvalidArgument(SchottkyError, ValueError):
+    """An argument outside its documented range (a depth or length)."""

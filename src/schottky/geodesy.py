@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .errors import CyclicLinks, SchottkyError
+from .errors import CyclicLinks, InvalidArgument, SchottkyError
 from .groups import SchottkyGroup
 from .padic import valuation
 from .proj import INFINITY, Homography, ProjPoint
@@ -278,7 +278,7 @@ def double_coset_scan(
     G1.ensure_verified()
     G2.ensure_verified()
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InvalidArgument("depth must be >= 1")
     if window is None:
         window = math.ceil(depth / 3)
     forward = _coset_counts(G1, g, G2, depth, max_steps)

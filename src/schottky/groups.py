@@ -32,6 +32,7 @@ from .disks import (
 from .errors import (
     AxiomViolation,
     DepthExceeded,
+    InvalidArgument,
     MaxStepsExceeded,
     PointInsideDisk,
     PointNearLimitSet,
@@ -151,6 +152,13 @@ class SchottkyGroup:
         self._bdisk_cache = {}
         self._cover_cache = {}
         self._inverses = tuple(g.inverse() for g in generators)
+        # closures B_i^+ and C_i^+, used by boundary tests and word disks
+        self._closed_B = tuple(D.closure() for D in B)
+        self._closed_C = tuple(D.closure() for D in C)
+        self._base_complements = {}
+        for i in range(len(generators)):
+            self._base_complements[i + 1] = self._closed_B[i].complement()
+            self._base_complements[-(i + 1)] = self._closed_C[i].complement()
 
     @property
     def rank(self) -> int:
@@ -178,9 +186,8 @@ class SchottkyGroup:
         if self._report is not None:
             return self._report
         checks: List[AxiomCheck] = []
-        named = [(f"B{i + 1}", D) for i, D in enumerate(self.B)]
-        named += [(f"C{i + 1}", D) for i, D in enumerate(self.C)]
-        closed = [(name, D.closure()) for name, D in named]
+        closed = [(f"B{i + 1}", D) for i, D in enumerate(self._closed_B)]
+        closed += [(f"C{i + 1}", D) for i, D in enumerate(self._closed_C)]
         for i in range(len(closed)):
             for j in range(i + 1, len(closed)):
                 (n1, D1), (n2, D2) = closed[i], closed[j]
@@ -194,7 +201,7 @@ class SchottkyGroup:
                 )
         for i, g in enumerate(self.generators):
             got_closed = image(g, self.B[i].complement())
-            want_closed = self.C[i].closure()
+            want_closed = self._closed_C[i]
             ok = got_closed == want_closed
             checks.append(
                 AxiomCheck(
@@ -203,7 +210,7 @@ class SchottkyGroup:
                     "" if ok else f"got {got_closed}, want {want_closed}",
                 )
             )
-            got_open = image(g, self.B[i].closure().complement())
+            got_open = image(g, self.base_complement(i + 1))
             ok = got_open == self.C[i]
             checks.append(
                 AxiomCheck(
@@ -263,8 +270,7 @@ class SchottkyGroup:
 
     def base_complement(self, letter: int) -> Disk:
         """P^1 minus B_i^+ (letter +i) or minus C_i^+ (letter -i)."""
-        D = self.B[letter - 1] if letter > 0 else self.C[-letter - 1]
-        return D.closure().complement()
+        return self._base_complements[letter]
 
     def b_disk(self, word: Word) -> Disk:
         """The bounded open disk attached to a nonempty reduced word."""
@@ -283,7 +289,7 @@ class SchottkyGroup:
     def limit_cover(self, depth: int) -> LimitCover:
         self.ensure_verified()
         if depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise InvalidArgument("depth must be >= 1")
         entries = []
         max_exp = NEG_INF
         for length, word, h in self.iter_words_with_matrices(depth):
@@ -338,7 +344,7 @@ class SchottkyGroup:
         """
         self.ensure_verified()
         if depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise InvalidArgument("depth must be >= 1")
 
         def bound_of(disk):
             try:
@@ -411,11 +417,11 @@ class SchottkyGroup:
         either one domain representative (interior) or exactly the pair
         x, generator(l)(x).
         """
-        for i, D in enumerate(self.B):
-            if D.closure().contains(x) and not D.contains(x):
+        for i, (D, K) in enumerate(zip(self.B, self._closed_B)):
+            if K.contains(x) and not D.contains(x):
                 return i + 1
-        for i, D in enumerate(self.C):
-            if D.closure().contains(x) and not D.contains(x):
+        for i, (D, K) in enumerate(zip(self.C, self._closed_C)):
+            if K.contains(x) and not D.contains(x):
                 return -(i + 1)
         return None
 
@@ -432,9 +438,7 @@ class SchottkyGroup:
         return Membership(False, None)
 
     def in_domain(self, x: ProjPoint, interior: bool = False) -> bool:
-        disks = self.B + self.C
-        if interior:
-            disks = tuple(D.closure() for D in disks)
+        disks = self._closed_B + self._closed_C if interior else self.B + self.C
         return not any(D.contains(x) for D in disks)
 
     def fundamental_domain(self) -> Affinoid:

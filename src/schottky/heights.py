@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
+from .errors import InvalidArgument
 from .proj import Homography
 from .words import Word
 
@@ -122,7 +123,7 @@ def upsilon_scan(G, max_length: int, workers: Optional[int] = None) -> CountingS
     """
     G.ensure_verified()
     if max_length < 1:
-        raise ValueError("max_length must be >= 1")
+        raise InvalidArgument("max_length must be >= 1")
     q = G.rank
     if workers and workers > 1 and q > 1:
         from .serialize import group_to_dict

@@ -54,21 +54,20 @@ class PrimeContext:
             raise ValueError("precision must be >= 1")
 
 
-def _int_valuation(n: int, p: int) -> int:
-    # n != 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def valuation(x: Rational, p: int) -> Exponent:
     """p-adic valuation of an exact rational; +inf for 0."""
-    x = Fraction(x)
+    if type(x) is not int:
+        x = Fraction(x)
+        if x == 0:
+            return POS_INF
+        return valuation(x.numerator, p) - valuation(x.denominator, p)
     if x == 0:
         return POS_INF
-    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 def abs_exponent(x: Rational, p: int) -> Exponent:
@@ -180,7 +179,7 @@ class PadicApprox:
         total = (self.unit * p**self.valuation + r.numerator * pow(r.denominator, -1, m)) % m
         if total == 0:
             raise PrecisionExhausted("all known digits cancelled in addition")
-        v = _int_valuation(total, p)
+        v = valuation(total, p)
         unit = total // p**v % p ** (k - v)
         return PadicApprox(v, unit, PrimeContext(p, k - v))
 

@@ -15,26 +15,25 @@ from typing import Optional, Union
 
 from . import padic
 from .errors import NotASquare, NotASquareInQp, OddValuation
-from .padic import NEG_INF, Exponent, PadicApprox, PrimeContext, abs_exponent, valuation
+from .padic import Exponent, PadicApprox, PrimeContext, valuation
 
 
 class ProjPoint:
-    """A point of P^1 in normalized homogeneous coordinates (x : y).
+    """A point of P^1 as a primitive integer vector (num : den), den >= 0.
 
-    Finite points are stored as (value : 1), infinity as (1 : 0); two
-    equal points always have identical representations.
+    Finite points x = num/den have den > 0 and gcd(num, den) = 1; infinity
+    is (1 : 0).  Two equal points always have identical representations.
+    ``x``, ``y`` and ``value`` give the normalized rational coordinates
+    (value : 1) or (1 : 0).
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("num", "den")
 
-    def __init__(self, x, y=Fraction(1)):
+    def __init__(self, x, y=1):
         x, y = Fraction(x), Fraction(y)
         if x == 0 and y == 0:
             raise ValueError("(0 : 0) is not a projective point")
-        if y == 0:
-            self.x, self.y = Fraction(1), Fraction(0)
-        else:
-            self.x, self.y = x / y, Fraction(1)
+        _set_primitive(self, x.numerator * y.denominator, y.numerator * x.denominator)
 
     @staticmethod
     def infinity() -> "ProjPoint":
@@ -42,26 +41,49 @@ class ProjPoint:
 
     @property
     def is_infinity(self) -> bool:
-        return self.y == 0
+        return self.den == 0
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(1) if self.den == 0 else Fraction(self.num, self.den)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(0) if self.den == 0 else Fraction(1)
 
     @property
     def value(self) -> Fraction:
-        if self.is_infinity:
+        if self.den == 0:
             raise ValueError("the point at infinity has no affine value")
-        return self.x
+        return Fraction(self.num, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.x == other.x and self.y == other.y
+        return isinstance(other, ProjPoint) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return hash((self.num, self.den))
 
     def __repr__(self):
-        return "ProjPoint(inf)" if self.is_infinity else f"ProjPoint({self.x})"
+        return "ProjPoint(inf)" if self.is_infinity else f"ProjPoint({self.value})"
 
     def __str__(self):
-        return "inf" if self.is_infinity else str(self.x)
+        return "inf" if self.is_infinity else str(self.value)
 
+
+def _set_primitive(point: ProjPoint, num: int, den: int) -> ProjPoint:
+    """Store (num : den), not both zero, as its primitive representative."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    if den < 0 or (den == 0 and num < 0):
+        num, den = -num, -den
+    point.num = num
+    point.den = den
+    return point
+
+
+_new_point = object.__new__
 
 INFINITY = ProjPoint.infinity()
 
@@ -131,7 +153,8 @@ class Homography:
 
     def apply(self, point: ProjPoint) -> ProjPoint:
         a, b, c, d = self.entries
-        return ProjPoint(a * point.x + b * point.y, c * point.x + d * point.y)
+        x, y = point.num, point.den
+        return _set_primitive(_new_point(ProjPoint), a * x + b * y, c * x + d * y)
 
     def __call__(self, point: ProjPoint) -> ProjPoint:
         return self.apply(point)
@@ -150,14 +173,12 @@ def _canonical_entries(a, b, c, d) -> tuple:
         a, b, c, d = int(a * lcm), int(b * lcm), int(c * lcm), int(d * lcm)
     if a * d - b * c == 0:
         raise ValueError("matrix is singular")
-    content = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
+    content = gcd(a, b, c, d)
     if content != 1:
         a, b, c, d = a // content, b // content, c // content, d // content
-    for x in (a, b, c, d):
-        if x != 0:
-            if x < 0:
-                return (-a, -b, -c, -d)
-            break
+    # a nonsingular matrix with a = 0 has b != 0
+    if a < 0 or (a == 0 and b < 0):
+        return (-a, -b, -c, -d)
     return (a, b, c, d)
 
 
@@ -200,18 +221,9 @@ def delta(x: ProjPoint, y: ProjPoint, ctx: PrimeContext) -> Exponent:
     extended to infinity by delta(x, inf) = 1 / max(1, |x|).  Equal
     points give the exponent -inf.
     """
-    if x == y:
-        return NEG_INF
-    p = ctx.p
-    if x.is_infinity:
-        return -max(0, abs_exponent(y.value, p))
-    if y.is_infinity:
-        return -max(0, abs_exponent(x.value, p))
-    return (
-        abs_exponent(x.value - y.value, p)
-        - max(0, abs_exponent(x.value, p))
-        - max(0, abs_exponent(y.value, p))
-    )
+    # For primitive integer vectors the chordal distance is |x1 y2 - x2 y1|:
+    # max(1, |num/den|) = 1/|den| cancels the denominators.
+    return -valuation(x.num * y.den - y.num * x.den, ctx.p)
 
 
 def lipschitz_exponent(g: Homography, ctx: PrimeContext) -> Exponent:

@@ -130,7 +130,10 @@ def group_from_dict(data: dict) -> SchottkyGroup:
     version = data.get("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise FormatError(f"group.version: unsupported version {version}")
-    precision = int(data.get("precision", default_precision()))
+    try:
+        precision = int(data.get("precision", default_precision()))
+    except (TypeError, ValueError):
+        raise FormatError("group.precision: expected an integer")
     try:
         ctx = PrimeContext(p, precision)
     except ValueError as exc:

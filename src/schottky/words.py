@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from typing import Iterator, Tuple
 
+from .errors import InvalidArgument
+
 
 def letter_key(letter: int):
     return (abs(letter), 0 if letter > 0 else 1)
@@ -125,7 +127,7 @@ def alphabet(rank: int) -> Tuple[int, ...]:
 def reduced_words(rank: int, length: int) -> Iterator[Word]:
     """All reduced words of the exact length, in lexicographic order."""
     if length < 0:
-        raise ValueError("length must be >= 0")
+        raise InvalidArgument("length must be >= 0")
     if length == 0:
         yield Word(())
         return

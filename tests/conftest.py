@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from schottky import PrimeContext, sample_group
+
+# Derandomized examples make every run check the same inputs, and no
+# deadline keeps slow or throttled hosts from failing correct code.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

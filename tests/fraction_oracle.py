@@ -1,0 +1,211 @@
+"""Reference implementations of the point and disk kernel in Fraction arithmetic.
+
+These are the straightforward rational versions that the integer kernel
+in ``schottky.proj`` and ``schottky.disks`` replaced: points normalized
+to (value : 1) or (1 : 0), homographies applied to rational coordinates,
+disks canonicalized through ``Fraction`` and imaged by composing
+translations, scalings and the inversion, each with its own canonical
+intermediate disk.  They import nothing from the library, so the
+property tests in ``test_kernel_oracle.py`` compare two independent
+computations.
+
+Points are pairs ``(x, y)`` of ``Fraction``; homographies are integer
+4-tuples ``(a, b, c, d)``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+POS_INF = float("inf")
+NEG_INF = float("-inf")
+
+
+class Inside(Exception):
+    """The point lies in the disk, so it has no positive distance to it."""
+
+
+def _int_valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def valuation(x, p: int):
+    x = Fraction(x)
+    if x == 0:
+        return POS_INF
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+
+
+def abs_exponent(x, p: int):
+    v = valuation(x, p)
+    return NEG_INF if v == POS_INF else -v
+
+
+def unit_residue(x, p: int, k: int) -> int:
+    x = Fraction(x)
+    u = x / Fraction(p) ** valuation(x, p)
+    m = p**k
+    return u.numerator * pow(u.denominator, -1, m) % m
+
+
+# -- points and homographies ---------------------------------------------------
+
+
+def point(x, y=Fraction(1)):
+    """Normalized homogeneous coordinates: (value, 1) or (1, 0)."""
+    x, y = Fraction(x), Fraction(y)
+    if x == 0 and y == 0:
+        raise ValueError("(0 : 0) is not a projective point")
+    if y == 0:
+        return Fraction(1), Fraction(0)
+    return x / y, Fraction(1)
+
+
+INFINITY = point(1, 0)
+
+
+def canonical_entries(a, b, c, d) -> tuple:
+    """Content-1 integer matrix whose first nonzero entry is positive."""
+    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    lcm = 1
+    for x in (a, b, c, d):
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    a, b, c, d = int(a * lcm), int(b * lcm), int(c * lcm), int(d * lcm)
+    if a * d - b * c == 0:
+        raise ValueError("matrix is singular")
+    content = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
+    a, b, c, d = a // content, b // content, c // content, d // content
+    for x in (a, b, c, d):
+        if x != 0:
+            if x < 0:
+                return (-a, -b, -c, -d)
+            break
+    return (a, b, c, d)
+
+
+def apply(entries, pt):
+    a, b, c, d = entries
+    x, y = pt
+    return point(a * x + b * y, c * x + d * y)
+
+
+def delta(x, y, p: int):
+    """Exponent of |x - y| / (max(1, |x|) max(1, |y|)), with infinity."""
+    if x == y:
+        return NEG_INF
+    if x[1] == 0:
+        return -max(0, abs_exponent(y[0], p))
+    if y[1] == 0:
+        return -max(0, abs_exponent(x[0], p))
+    return (
+        abs_exponent(x[0] - y[0], p)
+        - max(0, abs_exponent(x[0], p))
+        - max(0, abs_exponent(y[0], p))
+    )
+
+
+# -- disks -------------------------------------------------------------------
+
+
+def _canonical_center(center: Fraction, min_valuation, p: int) -> Fraction:
+    w = valuation(center, p)
+    if w >= min_valuation:
+        return Fraction(0)
+    k = int(min_valuation - w)
+    r = unit_residue(center, p, k)
+    m = p**k
+    rep = r if r <= m - r else r - m
+    return Fraction(rep) * Fraction(p) ** w
+
+
+@dataclass(frozen=True)
+class Disk:
+    """A bounded disk, or for ``bounded=False`` the complement of the
+    bounded disk with the opposite openness."""
+
+    bounded: bool
+    is_open: bool
+    center: Fraction
+    radius_exp: Fraction
+    p: int
+
+    def __init__(self, bounded, is_open, center, radius_exp, p):
+        object.__setattr__(self, "bounded", bool(bounded))
+        object.__setattr__(self, "is_open", bool(is_open))
+        object.__setattr__(self, "radius_exp", Fraction(radius_exp))
+        object.__setattr__(self, "p", int(p))
+        object.__setattr__(
+            self, "center", _canonical_center(Fraction(center), self.min_valuation(), p)
+        )
+
+    def min_valuation(self):
+        open_boundary = self.is_open if self.bounded else not self.is_open
+        e = self.radius_exp
+        if open_boundary:
+            return math.floor(-e) + 1
+        return math.ceil(-e)
+
+    def fields(self) -> tuple:
+        return (self.bounded, self.is_open, self.center, self.radius_exp, self.p)
+
+    def complement(self) -> "Disk":
+        return Disk(not self.bounded, not self.is_open, self.center, self.radius_exp, self.p)
+
+    def contains(self, pt) -> bool:
+        if not self.bounded:
+            return pt[1] == 0 or not self.complement().contains(pt)
+        if pt[1] == 0:
+            return False
+        d = abs_exponent(pt[0] - self.center, self.p)
+        return d < self.radius_exp if self.is_open else d <= self.radius_exp
+
+    def sup_abs_exponent(self):
+        return max(abs_exponent(self.center, self.p), self.radius_exp)
+
+
+def _translate(D: Disk, t: Fraction) -> Disk:
+    return Disk(D.bounded, D.is_open, D.center + t, D.radius_exp, D.p)
+
+
+def _scale(D: Disk, s: Fraction) -> Disk:
+    return Disk(D.bounded, D.is_open, D.center * s, D.radius_exp + abs_exponent(s, D.p), D.p)
+
+
+def _invert(D: Disk) -> Disk:
+    if not D.bounded:
+        return _invert(D.complement()).complement()
+    e, al, p = D.radius_exp, D.center, D.p
+    ea = abs_exponent(al, p)
+    if (D.is_open and ea >= e) or (not D.is_open and ea > e):
+        return Disk(True, D.is_open, 1 / al, e - 2 * ea, p)
+    return Disk(False, D.is_open, Fraction(0), -e, p)
+
+
+def image(entries, D: Disk) -> Disk:
+    a, b, c, d = entries
+    if c == 0:
+        return _translate(_scale(D, Fraction(a, d)), Fraction(b, d))
+    out = _translate(D, Fraction(d, c))
+    out = _invert(out)
+    out = _scale(out, Fraction(-(a * d - b * c), c * c))
+    return _translate(out, Fraction(a, c))
+
+
+def point_to_disk_delta(pt, D: Disk, p: int):
+    """Exponent of inf over y in D of delta(x, y); raises Inside for x in D."""
+    if D.contains(pt):
+        raise Inside
+    if D.bounded:
+        s = max(0, D.sup_abs_exponent())
+        if pt[1] == 0:
+            return -s
+        return abs_exponent(pt[0] - D.center, p) - max(0, abs_exponent(pt[0], p)) - s
+    h = D.radius_exp
+    return h - max(0, abs_exponent(D.center, p), h) - max(0, abs_exponent(pt[0], p))

@@ -203,3 +203,45 @@ def test_console_entry_point(g5_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"point": "inf", "word": "id"}
+
+
+def assert_single_error_line(code, out):
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert list(json.loads(lines[0])) == ["error"]
+
+
+def test_limit_cover_depth_zero_is_an_error_line(capsys, g5_file):
+    assert_single_error_line(*run_cli(capsys, "limit-cover", g5_file, "--depth", "0"))
+
+
+def test_delta_depth_zero_is_an_error_line(capsys, g5_file):
+    assert_single_error_line(*run_cli(capsys, "delta", g5_file, "--point", "inf", "--depth", "0"))
+
+
+def test_enumerate_negative_length_is_an_error_line(capsys, g5_file):
+    assert_single_error_line(*run_cli(capsys, "enumerate", g5_file, "--length", "-1"))
+
+
+def test_upsilon_length_zero_is_an_error_line(capsys, g5_file):
+    assert_single_error_line(*run_cli(capsys, "upsilon", g5_file, "--max-length", "0"))
+
+
+def test_geodesic_probe_depth_zero_is_an_error_line(capsys, g5_file, tmp_path):
+    pair = tmp_path / "pair.json"
+    identity = [["1", "0"], ["0", "1"]]
+    pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": 0}))
+    assert_single_error_line(*run_cli(capsys, "geodesic-probe", str(pair)))
+
+
+def test_non_integer_precision_is_an_error_line(capsys, g5, tmp_path):
+    from schottky.serialize import canonical_json, group_to_dict
+
+    data = group_to_dict(g5)
+    data["precision"] = "x"
+    path = tmp_path / "bad_precision.json"
+    path.write_text(canonical_json(data))
+    code, out = run_cli(capsys, "verify", str(path))
+    assert_single_error_line(code, out)
+    assert "precision" in json.loads(out)["error"]
