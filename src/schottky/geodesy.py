@@ -145,7 +145,9 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     G.ensure_verified()
     x, y = pair
     if x == y:
-        raise ValueError("need two distinct points")
+        raise InvalidArgument("need two distinct points")
+    if depth < 1:
+        raise InvalidArgument("depth must be >= 1")
     conj = _pair_to_zero_infinity(x, y)
     conj_inv = conj.inverse()
     best = None
@@ -241,7 +243,7 @@ def _coset_counts(
     account(g)
     counts.append(len(seen))
     last = 0
-    for length, _, h in G1.iter_words_with_matrices(depth):
+    for length, _, h in G1._walk(depth):
         if length != last and last != 0:
             counts.append(len(seen))
         last = length

@@ -39,9 +39,9 @@ from .errors import (
 )
 from .padic import NEG_INF, POS_INF, Exponent, PrimeContext, valuation
 from .proj import INFINITY, Homography, ProjPoint, delta
-from .words import Word, alphabet, count_reduced_words, reduced_words
+from .words import Word, alphabet, extensions, reduced_words, walk
 
-_BDISK_CACHE_CAP = 1 << 15
+_COVER_CACHE_CAP = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,15 @@ class SchottkyGroup:
         self.B = B
         self.C = C
         self._report: Optional[AxiomReport] = None
-        self._bdisk_cache = {}
+        # letters -> (homography, closed word disk): the one word-disk memo
         self._cover_cache = {}
-        self._inverses = tuple(g.inverse() for g in generators)
+        # always empty; perfbench/tracer.py still reports its size
+        self._bdisk_cache = {}
+        # letter -> generator or inverse, in alphabet order: the step of every walk
+        self._steps = {}
+        for i, g in enumerate(generators, 1):
+            self._steps[i], self._steps[-i] = g, g.inverse()
+        self._after = extensions(self._steps)
         # closures B_i^+ and C_i^+, used by boundary tests and word disks
         self._closed_B = tuple(D.closure() for D in B)
         self._closed_C = tuple(D.closure() for D in C)
@@ -175,9 +181,7 @@ class SchottkyGroup:
         return alphabet(self.rank)
 
     def generator(self, letter: int) -> Homography:
-        if letter > 0:
-            return self.generators[letter - 1]
-        return self._inverses[-letter - 1]
+        return self._steps[letter]
 
     # -- verification ---------------------------------------------------
 
@@ -237,34 +241,22 @@ class SchottkyGroup:
     def enumerate_words(self, length: int) -> Iterator[Word]:
         return reduced_words(self.rank, length)
 
-    def word_count(self, length: int) -> int:
-        return count_reduced_words(self.rank, length)
-
     def word_homography(self, word: Word) -> Homography:
         h = Homography.identity()
         for letter in word:
             h = h * self.generator(letter)
         return h
 
+    def _walk(self, max_length: int):
+        """``iter_words_with_matrices`` over letter tuples, building no words."""
+        return walk([((l,), g) for l, g in self._steps.items()], self._steps, max_length)
+
     def iter_words_with_matrices(self, max_length: int):
         """(length, word, homography) for all reduced words of length
         1..max_length, by length then lexicographically, with incremental
         products."""
-        level = [((l,), self.generator(l)) for l in self.letters()]
-        length = 1
-        while length <= max_length:
-            for letters, h in level:
-                yield length, Word(letters), h
-            length += 1
-            if length > max_length:
-                break
-            nxt = []
-            for letters, h in level:
-                for l in self.letters():
-                    if l == -letters[-1]:
-                        continue
-                    nxt.append((letters + (l,), h * self.generator(l)))
-            level = nxt
+        for length, letters, h in self._walk(max_length):
+            yield length, Word(letters), h
 
     # -- word disks and covers -------------------------------------------
 
@@ -272,19 +264,16 @@ class SchottkyGroup:
         """P^1 minus B_i^+ (letter +i) or minus C_i^+ (letter -i)."""
         return self._base_complements[letter]
 
+    def _word_disk(self, h: Homography, last: int) -> Disk:
+        """The open word disk of a word with homography h and last letter."""
+        return image(h, self._base_complements[last])
+
     def b_disk(self, word: Word) -> Disk:
         """The bounded open disk attached to a nonempty reduced word."""
         self.ensure_verified()
         if not word:
-            raise ValueError("the identity has no word disk")
-        cached = self._bdisk_cache.get(word.letters)
-        if cached is not None:
-            return cached
-        disk = image(self.word_homography(word), self.base_complement(word.letters[-1]))
-        if len(self._bdisk_cache) >= _BDISK_CACHE_CAP:
-            self._bdisk_cache.clear()  # recomputation is exact, eviction is safe
-        self._bdisk_cache[word.letters] = disk
-        return disk
+            raise InvalidArgument("the identity has no word disk")
+        return self._word_disk(self.word_homography(word), word.letters[-1])
 
     def limit_cover(self, depth: int) -> LimitCover:
         self.ensure_verified()
@@ -292,43 +281,25 @@ class SchottkyGroup:
             raise InvalidArgument("depth must be >= 1")
         entries = []
         max_exp = NEG_INF
-        for length, word, h in self.iter_words_with_matrices(depth):
+        for length, letters, h in self._walk(depth):
             if length < depth:
                 continue
-            disk = image(h, self.base_complement(word.letters[-1])).closure()
-            entries.append((word, disk))
+            disk = self._word_disk(h, letters[-1]).closure()
+            entries.append((Word(letters), disk))
             if disk.radius_exp > max_exp:
                 max_exp = disk.radius_exp
         return LimitCover(depth, tuple(entries), max_exp)
 
     def _cover_node(self, letters, parent_h: Optional[Homography]):
-        """(homography, closed word disk) for a word, memoized across queries."""
-        node = self._cover_cache.get(letters)
-        if node is None:
-            h = (
-                self.generator(letters[0])
-                if parent_h is None
-                else parent_h * self.generator(letters[-1])
-            )
-            node = (h, image(h, self.base_complement(letters[-1])).closure())
-            if len(self._cover_cache) >= _BDISK_CACHE_CAP:
-                self._cover_cache.clear()  # values are deterministic, recompute freely
-            self._cover_cache[letters] = node
+        """Compute and memoize (homography, closed word disk) for a word
+        whose parent word has the homography parent_h (None for a letter)."""
+        step = self._steps[letters[-1]]
+        h = step if parent_h is None else parent_h * step
+        node = (h, self._word_disk(h, letters[-1]).closure())
+        if len(self._cover_cache) >= _COVER_CACHE_CAP:
+            self._cover_cache.clear()  # values are deterministic, recompute freely
+        self._cover_cache[letters] = node
         return node
-
-    def _cover_roots(self):
-        for l in self.letters():
-            word = Word((l,))
-            h, disk = self._cover_node(word.letters, None)
-            yield word, h, disk
-
-    def _cover_children(self, word: Word, h: Homography):
-        for l in self.letters():
-            if l == -word.letters[-1]:
-                continue
-            w2 = word.append(l)
-            h2, disk = self._cover_node(w2.letters, h)
-            yield w2, h2, disk
 
     # -- distance to the limit set ----------------------------------------
 
@@ -341,6 +312,10 @@ class SchottkyGroup:
         because every cover disk contains limit points and canonical
         centers minimize |center| within their disk.  Both are computed by
         exact branch-and-bound over the word tree.
+
+        Bounds only grow from a word to its children and the cover disks
+        of one depth are disjoint, so the result, and the word named when
+        x lies in a cover disk, do not depend on how ties are popped.
         """
         self.ensure_verified()
         if depth < 1:
@@ -352,24 +327,32 @@ class SchottkyGroup:
             except PointInsideDisk:
                 return NEG_INF
 
+        cache = self._cover_cache
         heap = []
-        for word, h, disk in self._cover_roots():
-            heapq.heappush(heap, (bound_of(disk), word.sort_key(), word, h, disk))
+
+        def push_children(letters, h):
+            for l in self._after[letters[-1] if letters else 0]:
+                child = letters + (l,)
+                h2, d2 = cache.get(child) or self._cover_node(child, h)
+                heapq.heappush(heap, (bound_of(d2), child, h2, d2))
+
+        push_children((), None)
         lower = None
         upper = POS_INF
         while heap and (lower is None or heap[0][0] < upper):
-            b, _, word, h, disk = heapq.heappop(heap)
-            if len(word) == depth:
+            b, letters, h, disk = heapq.heappop(heap)
+            if len(letters) == depth:
                 if b == NEG_INF:
-                    raise PointNearLimitSet(f"{x} lies in the depth-{depth} cover disk of {word}")
+                    raise PointNearLimitSet(
+                        f"{x} lies in the depth-{depth} cover disk of {Word(letters)}"
+                    )
                 if lower is None:
                     lower = b
                 d = delta(x, disk.center_point(), self.ctx)
                 if d < upper:
                     upper = d
                 continue
-            for w2, h2, d2 in self._cover_children(word, h):
-                heapq.heappush(heap, (bound_of(d2), w2.sort_key(), w2, h2, d2))
+            push_children(letters, h)
         return DeltaGammaBound(lower, upper, depth)
 
     # -- reduction and membership ------------------------------------------
@@ -583,11 +566,6 @@ class SchottkyGroup:
         return TranslateScan(tuple(hits), depth, certified, length_bound, floor)
 
 
-def verify_good_domain(G: SchottkyGroup) -> AxiomReport:
-    """Run the good-domain axiom checks and return the full report."""
-    return G.verify()
-
-
 def sample_group(
     p: int, rank: int, multiplier_exponent: int = 2, precision: Optional[int] = None
 ) -> SchottkyGroup:
@@ -600,9 +578,9 @@ def sample_group(
     offset by multiples of 1/p, which restores distance > p^-k exactly.
     """
     if rank < 1:
-        raise ValueError("rank must be >= 1")
+        raise InvalidArgument("rank must be >= 1")
     if multiplier_exponent < 2 or multiplier_exponent % 2 != 0:
-        raise ValueError("multiplier exponent must be an even integer >= 2")
+        raise InvalidArgument("multiplier exponent must be an even integer >= 2")
     k = multiplier_exponent // 2
     ctx = PrimeContext(p, precision) if precision else PrimeContext(p)
 
@@ -617,7 +595,7 @@ def sample_group(
     if not separated(flat):
         per_layer = p // 2
         if per_layer < 1 or rank > per_layer * p:
-            raise ValueError(f"cannot place {rank} disk pairs at p = {p}")
+            raise InvalidArgument(f"cannot place {rank} disk pairs at p = {p}")
         centers = []
         for i in range(rank):
             layer, slot = divmod(i, per_layer)

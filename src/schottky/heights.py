@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Tuple
 
 from .errors import InvalidArgument
 from .proj import Homography
-from .words import Word
+from .words import Word, walk
 
 
 def height_rational(x) -> int:
@@ -45,7 +45,7 @@ def growth_base(G) -> int:
 @dataclass(frozen=True)
 class CountRow:
     length_exponent: int
-    threshold: float
+    threshold: Optional[float]  # None when peak**(l/L) is beyond float range
     count: int
 
 
@@ -91,19 +91,11 @@ class CountingScan:
 
 
 def _positive_branch(G, first: int, max_length: int):
-    out = []
-    level = [((first,), G.generators[first - 1])]
-    length = 1
-    while True:
-        out.extend((length, letters, height_matrix(h)) for letters, h in level)
-        if length == max_length:
-            return out
-        length += 1
-        level = [
-            (letters + (i,), h * G.generators[i - 1])
-            for letters, h in level
-            for i in range(1, G.rank + 1)
-        ]
+    step = {i: g for i, g in enumerate(G.generators, 1)}
+    roots = [((first,), step[first])]
+    return [
+        (length, letters, height_matrix(h)) for length, letters, h in walk(roots, step, max_length)
+    ]
 
 
 def _branch_worker(payload):
@@ -139,19 +131,19 @@ def upsilon_scan(G, max_length: int, workers: Optional[int] = None) -> CountingS
     raw.sort(key=lambda row: (row[0], row[1]))
     entries = tuple((length, Word(letters), h) for length, letters, h in raw)
 
-    peak = max(h for length, _, h in entries if length == max_length)
-    growth = peak ** (1.0 / max_length)
+    L = max_length
+    peak = max(h for length, _, h in entries if length == L)
+    huge = peak >= _FLOAT_OVERFLOW  # then its powers are taken in the log domain
+    growth = math.exp(math.log(peak) / L) if huge else peak ** (1.0 / L)
     heights = sorted(h for _, _, h in entries)
     rows = []
-    for l in range(1, max_length + 1):
-        # exact comparison H <= peak**(l/L):  H**L <= peak**l
-        bound = peak**l
-        count = _count_below(heights, bound, max_length)
-        rows.append(CountRow(l, peak ** (l / max_length), count))
-
-    pts = [
-        (math.log(r.threshold), math.log(r.count)) for r in rows if r.count > 0
-    ]
+    pts = []
+    for l in range(1, L + 1):
+        count = _count_below(heights, peak, l, L)
+        log_t = l / L * math.log(peak) if huge else math.log(peak ** (l / L))
+        rows.append(CountRow(l, _exp_or_none(log_t) if huge else peak ** (l / L), count))
+        if count > 0:
+            pts.append((log_t, math.log(count)))
     slope = _ls_slope(pts)
     reference = math.log(q) / math.log(growth) if q > 1 and growth > 1 else 0.0
     return CountingScan(
@@ -159,11 +151,31 @@ def upsilon_scan(G, max_length: int, workers: Optional[int] = None) -> CountingS
     )
 
 
-def _count_below(sorted_heights, bound, L):
+# the least integer that float() rejects: 2**1024 less half an ulp of the largest float
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _exp_or_none(x: float) -> Optional[float]:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return None
+
+
+def _count_below(sorted_heights, peak: int, l: int, L: int) -> int:
+    """The number of heights H with H**L <= peak**l, decided exactly: by
+    logarithms, or by the integers where the logarithms nearly tie."""
+    log_bound = l * math.log(peak)
     lo, hi = 0, len(sorted_heights)
     while lo < hi:
         mid = (lo + hi) // 2
-        if sorted_heights[mid] ** L <= bound:
+        h = sorted_heights[mid]
+        gap = L * math.log(h) - log_bound
+        if abs(gap) > 1e-9 * (1 + log_bound):  # far beyond the rounding of math.log
+            below = gap < 0
+        else:
+            below = h**L <= peak**l
+        if below:
             lo = mid + 1
         else:
             hi = mid

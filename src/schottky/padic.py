@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import NotASquare, OddValuation, PrecisionExhausted, UnsupportedPrime
+from .errors import InvalidArgument, NotASquare, OddValuation, PrecisionExhausted, UnsupportedPrime
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -49,9 +49,9 @@ class PrimeContext:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+            raise InvalidArgument(f"p = {self.p} is not prime")
         if self.precision < 1:
-            raise ValueError("precision must be >= 1")
+            raise InvalidArgument("precision must be >= 1")
 
 
 def valuation(x: Rational, p: int) -> Exponent:

@@ -9,6 +9,7 @@ identity on canonical files and outputs diff cleanly.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .errors import FormatError
 from .groups import SchottkyGroup
 from .padic import DEFAULT_PRECISION, PadicApprox, PrimeContext
 from .proj import Homography, ProjPoint
+from .words import Word
 
 FORMAT_VERSION = 1
 
@@ -152,23 +154,15 @@ def group_from_dict(data: dict) -> SchottkyGroup:
         raise FormatError(f"group: {exc}") from exc
 
 
-class GroupSpecFile:
-    """A parsed group spec file: path, group, and format version."""
-
-    __slots__ = ("path", "group", "version")
-
-    def __init__(self, path):
-        self.path = Path(path)
-        try:
-            data = json.loads(self.path.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{self.path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        self.group = group_from_dict(data)
-        self.version = data.get("version", FORMAT_VERSION) if isinstance(data, dict) else None
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def load_group(path) -> SchottkyGroup:
-    return GroupSpecFile(path).group
+    return group_from_dict(_read_json(Path(path)))
 
 
 def save_group(G: SchottkyGroup, path):
@@ -202,11 +196,7 @@ def pair_from_dict(data: dict, base_dir=None) -> Tuple[SchottkyGroup, Homography
 
 def load_pair(path) -> Tuple[SchottkyGroup, Homography, SchottkyGroup, int]:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return pair_from_dict(data, base_dir=path.parent)
+    return pair_from_dict(_read_json(path), base_dir=path.parent)
 
 
 def canonical_json(obj) -> str:
@@ -215,10 +205,6 @@ def canonical_json(obj) -> str:
 
 def load_cover_csv(path):
     """Rows of a limit-cover export: (word, center, radius exponent)."""
-    import csv
-
-    from .words import Word
-
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["word", "center", "radius_exp"]:
@@ -235,10 +221,6 @@ def load_cover_csv(path):
 
 def load_scan_csv(path):
     """Rows of a height-scan export: (length, word, height, threshold bin)."""
-    import csv
-
-    from .words import Word
-
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["length", "word", "height", "threshold_bin"]:

@@ -8,7 +8,7 @@ compare lexicographically in that order.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .errors import InvalidArgument
 
@@ -51,14 +51,6 @@ class Word:
                 out.append(int(l))
         return Word(out)
 
-    @staticmethod
-    def identity() -> "Word":
-        return Word(())
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
     def __len__(self):
         return len(self.letters)
 
@@ -75,10 +67,7 @@ class Word:
         return hash(self.letters)
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def sort_key(self):
-        return tuple(letter_key(l) for l in self.letters)
+        return list(map(letter_key, self.letters)) < list(map(letter_key, other.letters))
 
     def inverse(self) -> "Word":
         return Word(tuple(-l for l in reversed(self.letters)))
@@ -124,25 +113,60 @@ def alphabet(rank: int) -> Tuple[int, ...]:
     return tuple(letters)
 
 
+def extensions(letters) -> Dict[int, Tuple[int, ...]]:
+    """The child rule of the word tree: last letter of a reduced word (0
+    for the empty word) -> the letters extending it, in alphabet order."""
+    letters = tuple(letters)
+    table = {0: letters}
+    for last in letters:
+        table[last] = tuple(l for l in letters if l != -last)
+    return table
+
+
+def walk(roots, step, max_length: int) -> Iterator[Tuple[int, Tuple[int, ...], object]]:
+    """Level-order walk of the word tree below the roots.
+
+    ``roots`` are ``(letters, value)`` pairs of one nonempty length in
+    lexicographic order; ``step`` maps the alphabet, in order, to right
+    factors: the child by letter l has the value ``value * step[l]``.
+    Yields ``(length, letters, value)`` up to ``max_length``, by length,
+    then lexicographically.
+    """
+    after = extensions(step)
+    level = list(roots)
+    length = len(level[0][0]) if level else 0
+    while level and length <= max_length:
+        for letters, value in level:
+            yield length, letters, value
+        if length == max_length:
+            return
+        length += 1
+        level = [
+            (letters + (l,), value * step[l])
+            for letters, value in level
+            for l in after[letters[-1]]
+        ]
+
+
 def reduced_words(rank: int, length: int) -> Iterator[Word]:
-    """All reduced words of the exact length, in lexicographic order."""
+    """All reduced words of the exact length, in lexicographic order,
+    streamed depth first: one path of the tree is held, never a level."""
     if length < 0:
         raise InvalidArgument("length must be >= 0")
     if length == 0:
         yield Word(())
         return
-    letters = alphabet(rank)
+    after = extensions(alphabet(rank))
 
-    def rec(prefix):
-        if len(prefix) == length:
-            yield Word(prefix)
-            return
-        for l in letters:
-            if prefix and prefix[-1] == -l:
-                continue
-            yield from rec(prefix + (l,))
+    def below(prefix, last):
+        for l in after[last]:
+            word = prefix + (l,)
+            if len(word) == length:
+                yield Word(word)
+            else:
+                yield from below(word, l)
 
-    yield from rec(())
+    yield from below((), 0)
 
 
 def count_reduced_words(rank: int, length: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -245,3 +246,52 @@ def test_non_integer_precision_is_an_error_line(capsys, g5, tmp_path):
     code, out = run_cli(capsys, "verify", str(path))
     assert_single_error_line(code, out)
     assert "precision" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (
+        ["--p", "5", "--rank", "0"],
+        ["--p", "4", "--rank", "2"],
+        ["--p", "5", "--rank", "2", "--multiplier-exponent", "3"],
+    ),
+    ids=("rank_0", "p_4", "odd_multiplier_exponent"),
+)
+def test_sample_group_bad_argument_is_an_error_line(capsys, flags):
+    assert_single_error_line(*run_cli(capsys, "sample-group", *flags))
+
+
+def test_stabilizer_equal_points_is_an_error_line(capsys, g5_file):
+    assert_single_error_line(
+        *run_cli(capsys, "stabilizer", g5_file, "--pair", "0,0", "--depth", "2")
+    )
+
+
+def test_stabilizer_negative_depth_is_an_error_line(capsys, g5_file):
+    assert_single_error_line(
+        *run_cli(capsys, "stabilizer", g5_file, "--pair", "0,1", "--depth", "-1")
+    )
+
+
+def test_upsilon_past_float_range_prints_one_json_line(capsys, tmp_path):
+    from schottky.groups import sample_group
+
+    path = tmp_path / "g5r1.json"
+    save_group(sample_group(5, 1), path)
+    code, out = run_cli(capsys, "upsilon", str(path), "--max-length", "300", "--threads", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    summary = json.loads(lines[0], parse_constant=lambda name: pytest.fail(f"bare {name}"))
+    assert summary["max_length"] == 300
+    log_peak = math.log(int(summary["peak_height"]))
+    assert log_peak > math.log(2.0) * 1024  # the peak is past float range
+    assert summary["growth"] == pytest.approx(math.exp(log_peak / 300))
+    assert [row["count"] for row in summary["rows"]] == list(range(1, 301))
+    for row in summary["rows"]:
+        log_t = row["length_exponent"] / 300 * log_peak
+        if log_t < math.log(2.0) * 1023:
+            assert row["threshold"] == pytest.approx(math.exp(log_t))
+        elif log_t > math.log(2.0) * 1024:
+            assert row["threshold"] is None
+    assert math.isfinite(summary["slope"])

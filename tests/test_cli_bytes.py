@@ -1,10 +1,13 @@
-"""CLI stdout is byte-identical to digests recorded from the Fraction kernel.
+"""CLI stdout is byte-identical to digests recorded from earlier designs.
 
 Each command runs on the worked p = 5 example group (and, for the probe,
-the multiplier-4 group at the same prime).  The digests were recorded
-from the implementation that computed points and disks in ``Fraction``
-arithmetic; the integer kernel must reproduce every byte, including the
-error line of a ``delta`` query that lands inside the cover.
+the multiplier-4 group at the same prime).  The digests in ``COMMANDS``
+were recorded from the implementation that computed points and disks in
+``Fraction`` arithmetic; the integer kernel must reproduce every byte,
+including the error line of a ``delta`` query that lands inside the
+cover.  The digests in ``WALK_COMMANDS`` were recorded before the word
+scans shared one walker over the word tree; they pin every command that
+walks it, on the rank-2 group and on the rank-3 group ``{g3}``.
 """
 
 import hashlib
@@ -81,14 +84,64 @@ COMMANDS = {
     ),
 }
 
+# the image of infinity under g2*g1^-1*g1^-1*g2, inside a depth-3 cover disk
+WALK_POINT = "2846063/1437696"
+
+WALK_COMMANDS = {
+    "enumerate_7": (
+        ["enumerate", "{g}", "--length", "7"],
+        0,
+        "2f89560cbdd1394122a91310e5eb506b7874dd4a6dacd03fd449cf7a2a577da0",
+    ),
+    "enumerate_0": (
+        ["enumerate", "{g}", "--length", "0"],
+        0,
+        "984a644ec3b56d32b0404777e1eb73390c4b0742a6a0e183f07861056b6746de",
+    ),
+    "upsilon_rank3": (
+        ["upsilon", "{g3}", "--max-length", "7", "--threads", "1"],
+        0,
+        "dad1babc101dfc7c078ac3fe9644187bd50eae72d9376e38b4b49e0fe25df874",
+    ),
+    "heights_scan_rank3": (
+        ["heights-scan", "{g3}", "--max-length", "6", "--out", "{scan}", "--threads", "1"],
+        0,
+        "882445e284231597eb7a13b94348c74029c6245c0832d5f119f31aaa4f140c0c",
+    ),
+    "stabilizer": (
+        ["stabilizer", "{g}", "--pair", "0,1/3", "--depth", "4"],
+        0,
+        "5345d69528e5245d80c5f5ca6a9a83e60ebc29a171c3cedc4de59ef1a88fbcb9",
+    ),
+    "limit_cover_7": (
+        ["limit-cover", "{g}", "--depth", "7"],
+        0,
+        "94da4364a97af299e40412d80cbdce55073b41efbe6f7f5d508ad5ce72f06d81",
+    ),
+    "delta_in_word_disk": (
+        ["delta", "{g}", f"--point={WALK_POINT}", "--depth", "3"],
+        2,
+        "d1297a7f6101be3d7fbf850d1f8cd7fb88a2cc6901e0e82b69c326c2d1fa56a0",
+    ),
+}
+
+# sha256 of the CSV that heights_scan_rank3 writes
+SCAN_CSV_DIGEST = "81c7ffecdcce9d90304f63aafd5ab3faae27c65f171d4fedbd8179b6348f655d"
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("bytes")
     save_group(sample_group(5, 2), root / "g5.json")
     save_group(sample_group(5, 2, 4), root / "g5m4.json")
+    save_group(sample_group(5, 3), root / "g5r3.json")
     (root / "pair.json").write_text(PAIR)
-    return {"g": str(root / "g5.json"), "pair": str(root / "pair.json")}
+    return {
+        "g": str(root / "g5.json"),
+        "g3": str(root / "g5r3.json"),
+        "pair": str(root / "pair.json"),
+        "scan": str(root / "scan.csv"),
+    }
 
 
 def run(capsys, argv, files):
@@ -102,3 +155,14 @@ def test_stdout_bytes_unchanged(capsys, files, name):
     code, out = run(capsys, argv, files)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+@pytest.mark.parametrize("name", sorted(WALK_COMMANDS))
+def test_word_tree_commands_unchanged(capsys, files, name):
+    argv, want_code, want_digest = WALK_COMMANDS[name]
+    code, out = run(capsys, argv, files)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+    if name == "heights_scan_rank3":
+        with open(files["scan"]) as fh:
+            assert hashlib.sha256(fh.read().encode()).hexdigest() == SCAN_CSV_DIGEST

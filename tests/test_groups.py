@@ -333,3 +333,17 @@ def test_unverified_group_rejects_operations(g5):
     bad = SchottkyGroup(g5.ctx, g5.generators, g5.B, [g5.C[0], g5.B[1]])
     with pytest.raises(AxiomViolation):
         bad.reduce_point(INFINITY)
+
+
+def test_invalid_arguments_raise_invalid_argument(g5):
+    from schottky import InvalidArgument, PrimeContext
+
+    with pytest.raises(InvalidArgument):
+        g5.b_disk(Word(()))
+    with pytest.raises(InvalidArgument):
+        PrimeContext(4)
+    with pytest.raises(InvalidArgument):
+        PrimeContext(5, 0)
+    for args in ((5, 0), (5, 2, 3), (5, 2, 0), (3, 4)):
+        with pytest.raises(InvalidArgument):
+            sample_group(*args)
