@@ -12,27 +12,18 @@ center, and this makes semantic disk equality plain ``==``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import CoefficientTooLarge, ConstantPolynomial, PointInsideDisk
 from .padic import Exponent, PrimeContext, abs_exponent, valuation
-from .proj import Homography, ProjPoint
+from .proj import Homography, ProjPoint, _new_point
 
 
-def _admitted_valuation(e: Fraction, open_boundary: bool) -> int:
-    """Smallest valuation of x - center admitted by a bounded disk of
-    radius p**e: v > -e when open, v >= -e when closed."""
-    n, d = e.numerator, e.denominator
-    if open_boundary or d != 1:
-        return -n // d + 1
-    return -n
-
-
-def _canonical_center(center: Fraction, min_valuation: int, p: int) -> Tuple[int, int]:
-    """Smallest-|.|-representative cn / p**k of center modulo {v >= min_valuation}."""
-    num, den = center.numerator, center.denominator
+def _canonical_center(num: int, den: int, min_valuation: int, p: int) -> Tuple[int, int]:
+    """Smallest-|.|-representative cn / p**k of num / den (den != 0) modulo
+    {v >= min_valuation}."""
     if num == 0:
         return 0, 0
     vn, vd = valuation(num, p), valuation(den, p)
@@ -54,51 +45,34 @@ class Disk:
     For ``bounded=False`` the (center, radius_exp, openness) describe the
     *complementary* bounded disk, which has the opposite openness.
 
-    Beside the public ``Fraction`` fields a disk keeps its canonical center
-    as integers ``_cn / _pk`` with ``_pk = p**_k``, the smallest valuation
-    ``_m`` of x - center admitted by the (complementary) bounded disk, and
-    ``_s = max(0, |center|, radius)``, the exponent of sup max(1, |y|) over
-    the bounded disk.  Since ``_cn`` is prime to p when ``_k > 0``,
-    ``_s = max(_k, radius_exp)``.
+    The canonical center is stored only as integers ``_cn / p**_k``, with
+    ``_cn`` prime to p when ``_k > 0``; ``center`` derives the ``Fraction``
+    for I/O.  Derived fields: ``_pk = p**_k``, the smallest valuation ``_m``
+    of x - center admitted by the (complementary) bounded disk, and
+    ``_s = max(0, |center|, radius) = max(_k, radius_exp)``, the exponent
+    of sup max(1, |y|) over the bounded disk.
     """
 
     bounded: bool
     is_open: bool
-    center: Fraction
+    _cn: int
+    _k: int
     radius_exp: Fraction
     p: int
-    _m: int = field(init=False, repr=False, compare=False)
-    _cn: int = field(init=False, repr=False, compare=False)
-    _k: int = field(init=False, repr=False, compare=False)
-    _pk: int = field(init=False, repr=False, compare=False)
-    _s: Fraction = field(init=False, repr=False, compare=False)
+    _m: int = field(compare=False, repr=False)
+    _pk: int = field(compare=False, repr=False)
+    _s: Exponent = field(compare=False, repr=False)
 
     def __init__(self, bounded, is_open, center, radius_exp, p):
-        bounded, is_open, p = bool(bounded), bool(is_open), int(p)
         e = radius_exp if type(radius_exp) is Fraction else Fraction(radius_exp)
         center = center if type(center) is Fraction else Fraction(center)
-        # Complement openness flips, but the admitted valuations of the
-        # complementary bounded disk are what the canonical center uses.
-        m = _admitted_valuation(e, is_open if bounded else not is_open)
-        cn, k = _canonical_center(center, m, p)
-        pk = p**k
-        if cn != center.numerator or pk != center.denominator:
-            center = Fraction(cn, pk)
-        set_ = object.__setattr__
-        set_(self, "bounded", bounded)
-        set_(self, "is_open", is_open)
-        set_(self, "center", center)
-        set_(self, "radius_exp", e)
-        set_(self, "p", p)
-        set_(self, "_m", m)
-        set_(self, "_cn", cn)
-        set_(self, "_k", k)
-        set_(self, "_pk", pk)
-        set_(self, "_s", k if k * e.denominator > e.numerator else e)
+        _set_canonical(
+            self, bool(bounded), bool(is_open), center.numerator, center.denominator, e, int(p)
+        )
 
-    def _min_valuation(self) -> int:
-        """Smallest valuation of x - center admitted by the boundary rule."""
-        return self._m
+    @property
+    def center(self) -> Fraction:
+        return Fraction(self._cn, self._pk)
 
     @staticmethod
     def open_disk(center, radius_exp, p: int) -> "Disk":
@@ -109,14 +83,21 @@ class Disk:
         return Disk(True, False, center, radius_exp, p)
 
     def complement(self) -> "Disk":
-        return Disk(not self.bounded, not self.is_open, self.center, self.radius_exp, self.p)
+        # Both openness and boundedness flip, so the admitted valuations of
+        # the complementary bounded disk, and with them the center, stay.
+        return _set_fields(
+            _new_disk(Disk), not self.bounded, not self.is_open, self._cn, self._k,
+            self.radius_exp, self.p, self._m, self._pk, self._s,
+        )
 
     def closure(self) -> "Disk":
         """The closed disk with the same points plus its boundary sphere;
         the closure of P^1 - E(a, r) is P^1 - B(a, r)."""
         if not self.is_open:
             return self
-        return Disk(self.bounded, False, self.center, self.radius_exp, self.p)
+        return _set_canonical(
+            _new_disk(Disk), self.bounded, False, self._cn, self._pk, self.radius_exp, self.p
+        )
 
     def contains(self, x: ProjPoint) -> bool:
         y = x.den
@@ -129,18 +110,40 @@ class Disk:
         return inside if self.bounded else not inside
 
     def center_point(self) -> ProjPoint:
-        return ProjPoint(self.center)
-
-    def sup_abs_exponent(self) -> Exponent:
-        """sup of |y| over the disk (bounded disks only)."""
-        if not self.bounded:
-            raise ValueError("unbounded disks have unbounded |y|")
-        return max(abs_exponent(self.center, self.p), self.radius_exp)
+        # (cn : p^k) is already primitive with a positive second entry.
+        x = _new_point(ProjPoint)
+        x.num, x.den = self._cn, self._pk
+        return x
 
     def __str__(self):
         kind = "B" if self.is_open else "E"
         body = f"{kind}({self.center}, {self.p}^{self.radius_exp})"
         return body if self.bounded else f"P1-{body}"
+
+
+_new_disk = object.__new__
+_FIELDS = tuple(f.name for f in fields(Disk))
+
+
+def _set_fields(D: Disk, *values) -> Disk:
+    """Fill a new disk with the values of all its fields, in field order."""
+    for name, value in zip(_FIELDS, values):
+        object.__setattr__(D, name, value)
+    return D
+
+
+def _set_canonical(
+    D: Disk, bounded: bool, is_open: bool, num: int, den: int, e: Fraction, p: int
+) -> Disk:
+    """Store the disk with raw center num / den (den != 0) and radius
+    exponent e in canonical form."""
+    # The admitted valuations v of x - center are those of the
+    # (complementary) bounded disk, whose openness is is_open == bounded:
+    # v > -e when it is open, v >= -e when it is closed.
+    n, d = e.numerator, e.denominator
+    m = -n // d + 1 if is_open == bounded or d != 1 else -n
+    cn, k = _canonical_center(num, den, m, p)
+    return _set_fields(D, bounded, is_open, cn, k, e, p, m, p**k, k if k * d > n else e)
 
 
 def contains_disk(D1: Disk, D2: Disk) -> bool:
@@ -175,31 +178,34 @@ def image(g: Homography, D: Disk) -> Disk:
 
     g factors as affine maps and the inversion z -> 1/z; each piece sends
     disks to disks, preserving openness and strictness.  Any point of a
-    disk is a valid center, so the pieces carry a raw (center, radius)
-    pair and only the final disk is canonicalized.
+    disk is a valid center, so the pieces carry a raw center num / den
+    in integers and only the final disk is canonicalized.
     """
     a, b, c, d = g.entries
     p = D.p
-    bounded, center, e = D.bounded, D.center, D.radius_exp
+    bounded, num, den, e = D.bounded, D._cn, D._pk, D.radius_exp
     if c == 0:
         scale_exp = valuation(d, p) - valuation(a, p)
-        return Disk(bounded, D.is_open, center * Fraction(a, d) + Fraction(b, d), e + scale_exp, p)
+        return _set_canonical(
+            _new_disk(Disk), bounded, D.is_open, a * num + b * den, d * den, e + scale_exp, p
+        )
     # (az + b)/(cz + d) = a/c - (det/c^2) / (z + d/c)
-    center += Fraction(d, c)
+    num, den = c * num + d * den, c * den
     # Invert the bounded disk, or the complementary hole of an unbounded one.
-    hole_open = D.is_open if bounded else not D.is_open
-    ea = abs_exponent(center, p)
-    if ea > e or (hole_open and ea == e):
+    hole_open = D.is_open == bounded
+    ea = valuation(den, p) - valuation(num, p)  # |center|; -inf when num = 0
+    en, ed = e.numerator, e.denominator
+    if ea * ed > en or (hole_open and ea * ed == en):
         # 0 is outside the hole and |z| = |center| on it: an isometry up to
         # the factor |center|^-2.
-        center, e = 1 / center, e - 2 * ea
+        num, den, e = den, num, e - 2 * ea
     else:
         # The hole is centered at 0; inversion swaps it with an unbounded disk.
-        bounded, center, e = not bounded, Fraction(0), -e
+        bounded, num, den, e = not bounded, 0, 1, -e
     det = a * d - b * c
     scale_exp = 2 * valuation(c, p) - valuation(det, p)
-    return Disk(
-        bounded, D.is_open, center * Fraction(-det, c * c) + Fraction(a, c), e + scale_exp, p
+    return _set_canonical(
+        _new_disk(Disk), bounded, D.is_open, a * c * den - det * num, c * c * den, e + scale_exp, p
     )
 
 
@@ -215,12 +221,12 @@ def point_to_disk_delta(x: ProjPoint, D: Disk, ctx: PrimeContext) -> Exponent:
     y = x.den
     if y == 0:
         if not D.bounded:
-            raise PointInsideDisk(f"{x} lies in {D}")
+            raise PointInsideDisk(x, D)
         return -D._s
     vy = valuation(y, p)
     vn = valuation(x.num * D._pk - y * D._cn, p)
     if (vn - vy - D._k >= D._m) == D.bounded:
-        raise PointInsideDisk(f"{x} lies in {D}")
+        raise PointInsideDisk(x, D)
     if D.bounded:
         return D._k - vn - D._s
     # x lies in the complementary bounded disk.
@@ -238,12 +244,11 @@ def min_delta_disjoint_disks(D1: Disk, D2: Disk, ctx: PrimeContext) -> Exponent:
         raise ValueError("disks intersect; the distance is zero")
     if not D2.bounded:
         D1, D2 = D2, D1
-    s2 = max(0, D2.sup_abs_exponent())
-    p = ctx.p
     if D1.bounded:
-        return abs_exponent(D1.center - D2.center, p) - max(0, D1.sup_abs_exponent()) - s2
-    h = D1.radius_exp
-    return h - max(0, abs_exponent(D1.center, p), h) - s2
+        # |center1 - center2| = |cn1 p^k2 - cn2 p^k1| * p^(k1 + k2)
+        v = valuation(D1._cn * D2._pk - D2._cn * D1._pk, ctx.p)
+        return D1._k + D2._k - v - D1._s - D2._s
+    return D1.radius_exp - D1._s - D2._s
 
 
 def poly_distance_exponent(

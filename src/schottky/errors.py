@@ -26,7 +26,15 @@ class PrecisionExhausted(SchottkyError):
 
 
 class PointInsideDisk(SchottkyError):
-    """Distance-to-disk requested for a point lying in the disk."""
+    """Distance-to-disk requested for a point lying in the disk.
+
+    Raised with the point and the disk; the message is formatted only when
+    read, because the distance search catches most of these.
+    """
+
+    def __str__(self):
+        x, D = self.args
+        return f"{x} lies in {D}"
 
 
 class ConstantPolynomial(SchottkyError):

@@ -214,7 +214,7 @@ class SchottkyGroup:
                     "" if ok else f"got {got_closed}, want {want_closed}",
                 )
             )
-            got_open = image(g, self.base_complement(i + 1))
+            got_open = image(g, self._base_complements[i + 1])
             ok = got_open == self.C[i]
             checks.append(
                 AxiomCheck(
@@ -259,10 +259,6 @@ class SchottkyGroup:
             yield length, Word(letters), h
 
     # -- word disks and covers -------------------------------------------
-
-    def base_complement(self, letter: int) -> Disk:
-        """P^1 minus B_i^+ (letter +i) or minus C_i^+ (letter -i)."""
-        return self._base_complements[letter]
 
     def _word_disk(self, h: Homography, last: int) -> Disk:
         """The open word disk of a word with homography h and last letter."""

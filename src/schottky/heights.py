@@ -68,12 +68,15 @@ class CountingScan:
     entries: Tuple[Tuple[int, Word, int], ...]
 
     def threshold_bin(self, height: int) -> int:
-        l = 1
-        while height**self.max_length > self.peak_height**l:
+        """The least l in 1 .. 4L with H**L <= peak**l, or -1 if none."""
+        L, peak = self.max_length, self.peak_height
+        # Start from the logarithmic estimate, then settle the exact bin.
+        l = min(max(1, math.ceil(L * math.log(height) / math.log(peak))), 4 * L + 1)
+        while l > 1 and _height_at_most(height, peak, l - 1, L):
+            l -= 1
+        while l <= 4 * L and not _height_at_most(height, peak, l, L):
             l += 1
-            if l > 4 * self.max_length:
-                return -1
-        return l
+        return l if l <= 4 * L else -1
 
     def summary_dict(self):
         return {
@@ -162,20 +165,23 @@ def _exp_or_none(x: float) -> Optional[float]:
         return None
 
 
-def _count_below(sorted_heights, peak: int, l: int, L: int) -> int:
-    """The number of heights H with H**L <= peak**l, decided exactly: by
-    logarithms, or by the integers where the logarithms nearly tie."""
+def _height_at_most(h: int, peak: int, l: int, L: int) -> bool:
+    """H**L <= peak**l, decided exactly: by logarithms, or by the integers
+    where the logarithms nearly tie."""
     log_bound = l * math.log(peak)
+    gap = L * math.log(h) - log_bound
+    if abs(gap) > 1e-9 * (1 + log_bound):  # far beyond the rounding of math.log
+        return gap < 0
+    g = math.gcd(l, L)  # x -> x**g is increasing, so compare the g-th roots
+    return h ** (L // g) <= peak ** (l // g)
+
+
+def _count_below(sorted_heights, peak: int, l: int, L: int) -> int:
+    """The number of heights H with H**L <= peak**l."""
     lo, hi = 0, len(sorted_heights)
     while lo < hi:
         mid = (lo + hi) // 2
-        h = sorted_heights[mid]
-        gap = L * math.log(h) - log_bound
-        if abs(gap) > 1e-9 * (1 + log_bound):  # far beyond the rounding of math.log
-            below = gap < 0
-        else:
-            below = h**L <= peak**l
-        if below:
+        if _height_at_most(sorted_heights[mid], peak, l, L):
             lo = mid + 1
         else:
             hi = mid

@@ -93,30 +93,6 @@ def unit_residue(x: Rational, p: int, k: int = 1) -> int:
 
 
 @dataclass(frozen=True)
-class PadicScalar:
-    """An exact rational read p-adically.
-
-    ``Fraction`` keeps the value reduced with positive denominator, which
-    is exactly the canonical form required here.
-    """
-
-    value: Fraction
-    context: PrimeContext
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    def valuation(self) -> Exponent:
-        return valuation(self.value, self.context.p)
-
-    def abs_exponent(self) -> Exponent:
-        return abs_exponent(self.value, self.context.p)
-
-    def __str__(self):
-        return str(self.value)
-
-
-@dataclass(frozen=True)
 class PadicApprox:
     """A p-adic number known modulo p**(valuation + precision).
 

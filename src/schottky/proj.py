@@ -101,16 +101,6 @@ class Homography:
     def identity() -> "Homography":
         return Homography(1, 0, 0, 1)
 
-    @staticmethod
-    def scaling(s) -> "Homography":
-        s = Fraction(s)
-        return Homography(s.numerator, 0, 0, s.denominator)
-
-    @staticmethod
-    def translation(t) -> "Homography":
-        t = Fraction(t)
-        return Homography(t.denominator, t.numerator, 0, t.denominator)
-
     @property
     def a(self):
         return self.entries[0]
@@ -155,9 +145,6 @@ class Homography:
         a, b, c, d = self.entries
         x, y = point.num, point.den
         return _set_primitive(_new_point(ProjPoint), a * x + b * y, c * x + d * y)
-
-    def __call__(self, point: ProjPoint) -> ProjPoint:
-        return self.apply(point)
 
     def __repr__(self):
         a, b, c, d = self.entries

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Tuple
@@ -24,22 +23,6 @@ from .proj import Homography, ProjPoint
 from .words import Word
 
 FORMAT_VERSION = 1
-
-PRECISION_ENV = "SCHOTTKY_PRECISION"
-
-
-def default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise FormatError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise FormatError(f"{PRECISION_ENV} must be >= 1")
-    return value
-
 
 def rational_str(x) -> str:
     x = Fraction(x)
@@ -133,7 +116,7 @@ def group_from_dict(data: dict) -> SchottkyGroup:
     if version != FORMAT_VERSION:
         raise FormatError(f"group.version: unsupported version {version}")
     try:
-        precision = int(data.get("precision", default_precision()))
+        precision = int(data.get("precision", DEFAULT_PRECISION))
     except (TypeError, ValueError):
         raise FormatError("group.precision: expected an integer")
     try:

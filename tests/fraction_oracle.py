@@ -198,6 +198,53 @@ def image(entries, D: Disk) -> Disk:
     return _translate(out, Fraction(a, c))
 
 
+def closure(D: Disk) -> Disk:
+    """The closed disk with the same radius; P^1 - E(a, r) closes to P^1 - B(a, r)."""
+    if not D.is_open:
+        return D
+    return Disk(D.bounded, False, D.center, D.radius_exp, D.p)
+
+
+def contains_disk(D1: Disk, D2: Disk) -> bool:
+    """D2 is a subset of D1."""
+    if D1.bounded and not D2.bounded:
+        return False
+    if not D1.bounded and not D2.bounded:
+        return contains_disk(D2.complement(), D1.complement())
+    if not D1.bounded and D2.bounded:
+        return disjoint(D2, D1.complement())
+    if not D1.contains(point(D2.center)):
+        return False
+    e1, e2 = D1.radius_exp, D2.radius_exp
+    if e2 != e1:
+        return e2 < e1
+    return D1.is_open == D2.is_open or D1.is_open is False
+
+
+def disjoint(D1: Disk, D2: Disk) -> bool:
+    """Two disks are nested or disjoint; two unbounded ones share infinity."""
+    if not D1.bounded and not D2.bounded:
+        return False
+    if not D1.bounded:
+        return contains_disk(D1.complement(), D2)
+    if not D2.bounded:
+        return contains_disk(D2.complement(), D1)
+    return not (D1.contains(point(D2.center)) or D2.contains(point(D1.center)))
+
+
+def min_delta_disjoint_disks(D1: Disk, D2: Disk, p: int):
+    """Exponent of inf delta(x, y) over x in D1, y in D2; ValueError if they meet."""
+    if not disjoint(D1, D2):
+        raise ValueError("disks intersect")
+    if not D2.bounded:
+        D1, D2 = D2, D1
+    s2 = max(0, D2.sup_abs_exponent())
+    if D1.bounded:
+        return abs_exponent(D1.center - D2.center, p) - max(0, D1.sup_abs_exponent()) - s2
+    h = D1.radius_exp
+    return h - max(0, abs_exponent(D1.center, p), h) - s2
+
+
 def point_to_disk_delta(pt, D: Disk, p: int):
     """Exponent of inf over y in D of delta(x, y); raises Inside for x in D."""
     if D.contains(pt):

@@ -2,11 +2,14 @@
 
 ``perfbench/tracer.py`` patches entry points by identity and reads two
 group caches by attribute name, so a rename in the library would only
-show as a failed self-check of a traced benchmark run.  This test loads
-the tracer from its file and runs its hooks once.
+show as a failed self-check of a traced benchmark run.  One test loads
+the tracer from its file and runs its hooks once; the other runs the
+benchmark's own self-test, which checks every workload's output.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from schottky.groups import sample_group
@@ -32,3 +35,13 @@ def test_tracer_reaches_every_traced_name():
         tracer.uninstall()
     assert tracer.maxima["groups.cover_cache.entries"] == 0
     assert tracer.maxima["groups.bdisk_cache.entries"] == 0
+
+
+def test_benchmark_selftest_passes():
+    # every workload's output check and traced entry point, at reduced sizes
+    root = TRACER.parent.parent
+    run = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -295,3 +295,20 @@ def test_upsilon_past_float_range_prints_one_json_line(capsys, tmp_path):
         elif log_t > math.log(2.0) * 1024:
             assert row["threshold"] is None
     assert math.isfinite(summary["slope"])
+
+
+def test_heights_scan_rank_one_finishes(capsys, tmp_path):
+    from schottky.groups import sample_group
+
+    path = tmp_path / "g5r1.json"
+    save_group(sample_group(5, 1), path)
+    csv_path = tmp_path / "scan.csv"
+    code, out = run_cli(
+        capsys, "heights-scan", str(path), "--max-length", "300", "--out", str(csv_path),
+        "--threads", "1",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 300
+    # g1^l lands in bin l, though its height ties peak^(l/300) past float precision
+    assert all(row[0] == row[3] for row in rows)

@@ -127,7 +127,7 @@ def _disk_rational_samples(D, count=400, seed=3):
     rng = random.Random(seed)
     out = [ProjPoint(D.center)]
     for _ in range(count):
-        v = rng.randint(D._min_valuation(), D._min_valuation() + 5)
+        v = rng.randint(D._m, D._m + 5)
         k = rng.randint(-40, 40)
         x = D.center + Fraction(k) * Fraction(P) ** v
         pt = ProjPoint(x)
@@ -170,7 +170,7 @@ def test_min_delta_disjoint_disks_brute_force():
             xs = [INFINITY] + [
                 ProjPoint(D1.center + Fraction(k) * Fraction(P) ** v)
                 for k in range(-20, 21)
-                for v in range(-3, D1._min_valuation() + 1)
+                for v in range(-3, D1._m + 1)
                 if k != 0 or v == 0
             ]
             xs = [x for x in xs if D1.contains(x)]

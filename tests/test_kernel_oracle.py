@@ -3,8 +3,9 @@
 Every predicate of ``schottky.proj`` and ``schottky.disks`` that moved to
 primitive integer pairs is compared with ``fraction_oracle`` on random
 inputs: p in {2, 3, 5}, infinity and 0, unbounded disks, fractional
-radius exponents, centers and points with p-power denominators, and
-images under random nonsingular integer matrices.
+radius exponents, centers and points with p-power denominators, images
+under random nonsingular integer matrices, and pairs of disks that are
+independent, near each other or the same disk with another center.
 """
 
 from fractions import Fraction
@@ -14,7 +15,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fraction_oracle as oracle
-from schottky.disks import Disk, image, point_to_disk_delta
+from schottky.disks import (
+    Disk,
+    contains_disk,
+    disjoint,
+    image,
+    min_delta_disjoint_disks,
+    point_to_disk_delta,
+)
 from schottky.errors import PointInsideDisk
 from schottky.padic import PrimeContext
 from schottky.proj import Homography, ProjPoint, delta
@@ -57,10 +65,29 @@ def disks(draw, p):
 @st.composite
 def points_near(draw, D):
     """Points on, inside or just outside a bounded disk's boundary."""
-    v = D._min_valuation() + draw(st.integers(-2, 2))
+    v = D._m + draw(st.integers(-2, 2))
     unit = draw(st.integers(1, 10**3))
     x = D.center + Fraction(unit, draw(st.sampled_from([1, 7, 11]))) * Fraction(D.p) ** v
     return ProjPoint(x), oracle.point(x)
+
+
+@st.composite
+def disk_pairs(draw, p):
+    """Two disks: independent, or the second centered near the first's
+    boundary, either with new data or recentered with the first's."""
+    first = draw(disks(p))
+    shape = draw(st.sampled_from(["independent", "near", "recentered"]))
+    if shape == "independent":
+        return first, draw(disks(p))
+    D = first[0]
+    unit = Fraction(draw(st.integers(-10**3, 10**3)), draw(st.sampled_from([1, 7, 11])))
+    center = D.center + unit * Fraction(p) ** (D._m + draw(st.integers(-2, 2)))
+    if shape == "recentered":
+        args = (D.bounded, D.is_open, center, D.radius_exp, p)
+    else:
+        shift = draw(st.sampled_from([-1, Fraction(-1, 2), 0, 0, Fraction(1, 3), 1]))
+        args = (draw(st.booleans()), draw(st.booleans()), center, D.radius_exp + shift, p)
+    return first, (Disk(*args), oracle.Disk(*args))
 
 
 entries = st.one_of(st.just(0), st.integers(-60, 60))
@@ -103,7 +130,7 @@ def test_homography_apply(m, p, data):
 def test_disk_construction(p, data):
     D, O = data.draw(disks(p))
     assert disk_fields(D) == O.fields()
-    assert D._min_valuation() == O.min_valuation()
+    assert D._m == O.min_valuation()
     assert D.center == Fraction(D._cn, D._pk) and D._pk == p**D._k
 
 
@@ -143,3 +170,50 @@ def test_delta(p, data):
     ctx = PrimeContext(p)
     assert delta(x, y, ctx) == oracle.delta(ox, oy, p)
     assert delta(x, x, ctx) == oracle.delta(ox, ox, p)
+
+
+@given(p=primes, data=st.data())
+def test_closure_and_complement(p, data):
+    D, O = data.draw(disks(p))
+    for got, want in ((D.closure(), oracle.closure(O)), (D.complement(), O.complement())):
+        assert disk_fields(got) == want.fields()
+        assert got._m == want.min_valuation()
+
+
+@given(p=primes, data=st.data())
+def test_center_point(p, data):
+    D, _ = data.draw(disks(p))
+    x = D.center_point()
+    coordinates(x)  # checks that the pair is primitive
+    assert x == ProjPoint(D.center)
+
+
+@given(p=primes, data=st.data())
+def test_nesting_and_disjointness(p, data):
+    (D1, O1), (D2, O2) = data.draw(disk_pairs(p))
+    assert contains_disk(D1, D2) == oracle.contains_disk(O1, O2)
+    assert contains_disk(D2, D1) == oracle.contains_disk(O2, O1)
+    assert disjoint(D1, D2) == oracle.disjoint(O1, O2)
+
+
+@given(p=primes, data=st.data())
+def test_min_delta_disjoint_disks(p, data):
+    (D1, O1), (D2, O2) = data.draw(disk_pairs(p))
+    ctx = PrimeContext(p)
+    try:
+        want = oracle.min_delta_disjoint_disks(O1, O2, p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            min_delta_disjoint_disks(D1, D2, ctx)
+    else:
+        assert min_delta_disjoint_disks(D1, D2, ctx) == want
+
+
+@given(p=primes, data=st.data())
+def test_equality_and_hash(p, data):
+    (D1, O1), (D2, O2) = data.draw(disk_pairs(p))
+    same = O1.fields() == O2.fields()
+    assert (D1 == D2) == same
+    if same:
+        # unequal disks may still collide: hash(-1) == hash(-2)
+        assert hash(D1) == hash(D2)

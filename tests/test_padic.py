@@ -8,7 +8,6 @@ from schottky.padic import (
     NEG_INF,
     POS_INF,
     PadicApprox,
-    PadicScalar,
     PrimeContext,
     abs_exponent,
     approx_from_rational,
@@ -40,13 +39,6 @@ def test_prime_context_validation():
     with pytest.raises(ValueError):
         PrimeContext(5, 0)
     PrimeContext(2)  # p = 2 is fine outside hensel_sqrt
-
-
-def test_padic_scalar_reduced():
-    x = PadicScalar(Fraction(4, 6), PrimeContext(3))
-    assert x.value == Fraction(2, 3)
-    assert x.valuation() == -1
-    assert str(x) == "2/3"
 
 
 @given(x=rationals, y=rationals)

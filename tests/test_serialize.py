@@ -110,11 +110,7 @@ def test_approx_serialization():
     assert approx_to_dict(x) == {"valuation": 2, "unit": 16, "precision": 3}
 
 
-def test_precision_env(monkeypatch, g5):
+def test_missing_precision_defaults_to_64(g5):
     d = group_to_dict(g5)
     del d["precision"]
-    monkeypatch.setenv("SCHOTTKY_PRECISION", "7")
-    assert group_from_dict(d).ctx.precision == 7
-    monkeypatch.setenv("SCHOTTKY_PRECISION", "x")
-    with pytest.raises(FormatError):
-        group_from_dict(d)
+    assert group_from_dict(d).ctx.precision == 64
