@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple, Union
 from .errors import CyclicLinks, InvalidArgument, SchottkyError
 from .groups import SchottkyGroup
 from .padic import valuation
-from .proj import INFINITY, Homography, ProjPoint
+from .proj import Homography, ProjPoint
 from .words import Word
 
 
@@ -71,7 +71,7 @@ class NormalizedFlat:
         return len(self.free_indices)
 
 
-def normalize_flat(spec: FlatSpec, check_fixed: bool = True) -> NormalizedFlat:
+def normalize_flat(spec: FlatSpec) -> NormalizedFlat:
     """Compose link chains down to their roots.
 
     Chains ending at a fixed coordinate fold into fixed points; cycles
@@ -97,10 +97,9 @@ def normalize_flat(spec: FlatSpec, check_fixed: bool = True) -> NormalizedFlat:
         else:
             resolved[i] = Linked(j, h)
 
-    if check_fixed:
-        for i, c in enumerate(resolved):
-            if isinstance(c, Fixed):
-                spec.groups[i].reduce_point(c.point)  # raises near the limit set
+    for i, c in enumerate(resolved):
+        if isinstance(c, Fixed):
+            spec.groups[i].reduce_point(c.point)  # raises near the limit set
     free = tuple(i for i, c in enumerate(resolved) if isinstance(c, Free))
     return NormalizedFlat(tuple(resolved), spec.groups, free)
 
@@ -215,43 +214,15 @@ class CommensurabilityReport:
 
 
 def _coset_counts(
-    G1: SchottkyGroup, g: Homography, G2: SchottkyGroup, depth: int, max_steps: int
+    G1: SchottkyGroup, g: Homography, G2: SchottkyGroup, depth: int
 ) -> Tuple[int, ...]:
-    """Distinct cosets G2 * (g * w) over words w of G1, cumulative by length.
-
-    Each candidate y is keyed by an exact canonical coset representative
-    m^-1 * y, where m tiles y(infinity) into the fundamental domain of G2.
-    An interior landing makes the tile unique; a boundary landing admits
-    exactly one alternative tile, and the entrywise-smaller of the two
-    representatives is the canonical one.  Coset identity is therefore
-    decided exactly, with one reduction per candidate.
-    """
-    seen = set()
-
-    def account(y: Homography):
-        x = y.apply(INFINITY)
-        _, t, m = G2._reduce_with_matrix(x, max_steps)
-        key = m.inverse() * y
-        letter = G2.boundary_letter(t)
-        if letter is not None:
-            alt = G2.generator(letter) * key
-            if alt.entries < key.entries:
-                key = alt
-        seen.add(key)
-
-    counts = []
-    account(g)
-    counts.append(len(seen))
-    last = 0
+    """Distinct cosets G2 * (g * w) over words w of G1, cumulative by length,
+    told apart exactly by their coset keys in G2."""
+    seen = {G2.coset_key(g)[1]}
+    counts = [1] * (depth + 1)
     for length, _, h in G1._walk(depth):
-        if length != last and last != 0:
-            counts.append(len(seen))
-        last = length
-        account(g * h)
-    if last != 0:
-        counts.append(len(seen))
-    while len(counts) < depth + 1:
-        counts.append(counts[-1])
+        seen.add(G2.coset_key(g * h)[1])
+        counts[length] = len(seen)
     return tuple(counts)
 
 
@@ -269,13 +240,13 @@ def double_coset_scan(
     G2: SchottkyGroup,
     depth: int,
     window: Optional[int] = None,
-    max_steps: int = 96,
 ) -> CommensurabilityReport:
     """Probe finiteness of both orbit sets of the double coset of g.
 
     Scans words of G1 against cosets of G2 (and symmetrically for the
     inverse); Stabilized means the cumulative coset counts are constant
-    over the trailing window (default: the last third of depths).
+    over the trailing window of at least one length (default: the last
+    third of depths).
     """
     G1.ensure_verified()
     G2.ensure_verified()
@@ -283,8 +254,10 @@ def double_coset_scan(
         raise InvalidArgument("depth must be >= 1")
     if window is None:
         window = math.ceil(depth / 3)
-    forward = _coset_counts(G1, g, G2, depth, max_steps)
-    reverse = _coset_counts(G2, g.inverse(), G1, depth, max_steps)
+    if window < 1:
+        raise InvalidArgument("window must be >= 1")
+    forward = _coset_counts(G1, g, G2, depth)
+    reverse = _coset_counts(G2, g.inverse(), G1, depth)
     return CommensurabilityReport(
         depth,
         forward,

@@ -158,13 +158,11 @@ class SchottkyGroup:
         for i, g in enumerate(generators, 1):
             self._steps[i], self._steps[-i] = g, g.inverse()
         self._after = extensions(self._steps)
-        # closures B_i^+ and C_i^+, used by boundary tests and word disks
-        self._closed_B = tuple(D.closure() for D in B)
-        self._closed_C = tuple(D.closure() for D in C)
-        self._base_complements = {}
-        for i in range(len(generators)):
-            self._base_complements[i + 1] = self._closed_B[i].complement()
-            self._base_complements[-(i + 1)] = self._closed_C[i].complement()
+        # (letter, open disk, closed disk): B_1..B_g as -1..-g, then C_1..C_g
+        # as 1..g; generator(l) maps P1 minus closed disk -l onto open disk l
+        self._domain = tuple((-i, D, D.closure()) for i, D in enumerate(B, 1))
+        self._domain += tuple((i, D, D.closure()) for i, D in enumerate(C, 1))
+        self._base_complements = {-l: K.complement() for l, _, K in self._domain}
 
     @property
     def rank(self) -> int:
@@ -190,8 +188,7 @@ class SchottkyGroup:
         if self._report is not None:
             return self._report
         checks: List[AxiomCheck] = []
-        closed = [(f"B{i + 1}", D) for i, D in enumerate(self._closed_B)]
-        closed += [(f"C{i + 1}", D) for i, D in enumerate(self._closed_C)]
+        closed = [(f"B{-l}" if l < 0 else f"C{l}", K) for l, _, K in self._domain]
         for i in range(len(closed)):
             for j in range(i + 1, len(closed)):
                 (n1, D1), (n2, D2) = closed[i], closed[j]
@@ -203,24 +200,23 @@ class SchottkyGroup:
                         "" if ok else f"{D1} meets {D2}",
                     )
                 )
-        for i, g in enumerate(self.generators):
-            got_closed = image(g, self.B[i].complement())
-            want_closed = self._closed_C[i]
-            ok = got_closed == want_closed
+        for g, B, (l, C, K) in zip(self.generators, self.B, self._domain[self.rank :]):
+            got_closed = image(g, B.complement())
+            ok = got_closed == K
             checks.append(
                 AxiomCheck(
-                    f"image:g{i + 1}(P1-B{i + 1})=C{i + 1}+",
+                    f"image:g{l}(P1-B{l})=C{l}+",
                     ok,
-                    "" if ok else f"got {got_closed}, want {want_closed}",
+                    "" if ok else f"got {got_closed}, want {K}",
                 )
             )
-            got_open = image(g, self._base_complements[i + 1])
-            ok = got_open == self.C[i]
+            got_open = image(g, self._base_complements[l])
+            ok = got_open == C
             checks.append(
                 AxiomCheck(
-                    f"image:g{i + 1}(P1-B{i + 1}+)=C{i + 1}",
+                    f"image:g{l}(P1-B{l}+)=C{l}",
                     ok,
-                    "" if ok else f"got {got_open}, want {self.C[i]}",
+                    "" if ok else f"got {got_open}, want {C}",
                 )
             )
         self._report = AxiomReport(tuple(checks))
@@ -354,12 +350,9 @@ class SchottkyGroup:
     # -- reduction and membership ------------------------------------------
 
     def _containing_letter(self, x: ProjPoint) -> Optional[int]:
-        for i, D in enumerate(self.B):
+        for l, D, _ in self._domain:
             if D.contains(x):
-                return -(i + 1)
-        for i, D in enumerate(self.C):
-            if D.contains(x):
-                return i + 1
+                return l
         return None
 
     def _reduce_with_matrix(
@@ -396,29 +389,40 @@ class SchottkyGroup:
         either one domain representative (interior) or exactly the pair
         x, generator(l)(x).
         """
-        for i, (D, K) in enumerate(zip(self.B, self._closed_B)):
+        for l, D, K in self._domain:
             if K.contains(x) and not D.contains(x):
-                return i + 1
-        for i, (D, K) in enumerate(zip(self.C, self._closed_C)):
-            if K.contains(x) and not D.contains(x):
-                return -(i + 1)
+                return -l
         return None
 
-    def is_member(self, g: Homography, max_steps: int = 64) -> Membership:
-        """Exact membership with a word certificate.
+    def coset_key(self, g: Homography, max_steps: int = 96) -> Tuple[Word, Homography]:
+        """(m, key): the word m tiling g(infinity) into the fundamental domain
+        and a canonical representative key of the coset G * g.
 
-        Reduces g(infinity) and compares the resulting word's homography
-        with g; infinity is interior to the fundamental domain, so members
-        are always recovered and false positives are impossible.
+        The key is m^-1 * g; a boundary landing at letter l has one other
+        tile, giving generator(l) * key, and the entrywise-smaller is kept.
+        Two homographies lie in one coset exactly when their keys are equal.
         """
-        word, _, h = self._reduce_with_matrix(g.apply(INFINITY), max_steps)
-        if h == g:
+        word, t, m = self._reduce_with_matrix(g.apply(INFINITY), max_steps)
+        key = m.inverse() * g
+        letter = self.boundary_letter(t)
+        if letter is not None:
+            alt = self.generator(letter) * key
+            if alt.entries < key.entries:
+                key = alt
+        return word, key
+
+    def is_member(self, g: Homography, max_steps: int = 64) -> Membership:
+        """Exact membership with a word certificate: g is a member exactly
+        when its coset key is the identity, and g is then the homography of
+        the tiling word (members land on infinity, where no tie-break fires).
+        """
+        word, key = self.coset_key(g, max_steps)
+        if key.is_identity:
             return Membership(True, word)
         return Membership(False, None)
 
     def in_domain(self, x: ProjPoint, interior: bool = False) -> bool:
-        disks = self._closed_B + self._closed_C if interior else self.B + self.C
-        return not any(D.contains(x) for D in disks)
+        return not any((K if interior else D).contains(x) for _, D, K in self._domain)
 
     def fundamental_domain(self) -> Affinoid:
         return Affinoid(None, self.B + self.C)
@@ -528,21 +532,14 @@ class SchottkyGroup:
             bounds.append(max(candidates))
         return min(bounds)
 
-    def intersecting_translates(
-        self,
-        A: Affinoid,
-        A2: Affinoid,
-        depth: int,
-        fit_depth: int = 4,
-        cover_depth: int = 2,
-    ) -> TranslateScan:
+    def intersecting_translates(self, A: Affinoid, A2: Affinoid, depth: int) -> TranslateScan:
         """All words w up to the depth with w(A) meeting A2, decided exactly.
 
-        The completeness certificate applies the fitted properness
-        envelope to the distance floor of A2: if a + b * (-log_p floor)
-        does not exceed the scanned depth, no longer word can produce an
-        intersection witness inside A2 (empirically, since (a, b) are
-        envelope constants over orbit samples).
+        The completeness certificate applies the properness envelope fitted
+        at depth 4 to the distance floor of A2 over the depth-2 cover: if
+        a + b * (-log_p floor) does not exceed the scanned depth, no longer
+        word can produce an intersection witness inside A2 (empirically,
+        since (a, b) are envelope constants over orbit samples).
         """
         self.ensure_verified()
         hits = []
@@ -551,20 +548,18 @@ class SchottkyGroup:
         for _, word, h in self.iter_words_with_matrices(depth):
             if A.transform(h).intersects(A2):
                 hits.append(word)
-        floor = self._delta_floor(A2, cover_depth)
+        floor = self._delta_floor(A2, 2)
         length_bound = None
         certified = False
         if floor is not None and floor != NEG_INF:
-            fit = self.fit_proper_constants(fit_depth)
+            fit = self.fit_proper_constants(4)
             length_bound = fit.a + fit.b * (-Fraction(floor))
             longest_hit = max((len(w) for w in hits), default=0)
             certified = length_bound <= depth and longest_hit <= length_bound
         return TranslateScan(tuple(hits), depth, certified, length_bound, floor)
 
 
-def sample_group(
-    p: int, rank: int, multiplier_exponent: int = 2, precision: Optional[int] = None
-) -> SchottkyGroup:
+def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGroup:
     """A verified rank-g group built from conjugates of diag(1, p^(2k)).
 
     Generator i conjugates the scaling by the matrix sending (0, inf) to
@@ -578,7 +573,7 @@ def sample_group(
     if multiplier_exponent < 2 or multiplier_exponent % 2 != 0:
         raise InvalidArgument("multiplier exponent must be an even integer >= 2")
     k = multiplier_exponent // 2
-    ctx = PrimeContext(p, precision) if precision else PrimeContext(p)
+    ctx = PrimeContext(p)
 
     centers = [(Fraction(2 * i), Fraction(2 * i + 1)) for i in range(rank)]
     flat = [c for pair in centers for c in pair]

@@ -74,6 +74,8 @@ def disk_to_dict(D: Disk) -> dict:
 
 
 def parse_disk(data: dict, p: int, field: str = "disk") -> Disk:
+    if not isinstance(data, dict):
+        raise FormatError(f"{field}: expected a JSON object")
     try:
         kind = data["kind"]
         is_open = data["open"]
@@ -110,14 +112,14 @@ def group_from_dict(data: dict) -> SchottkyGroup:
         raise FormatError("group: expected a JSON object")
     try:
         p = int(data["p"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise FormatError("group.p: missing or not an integer")
     version = data.get("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise FormatError(f"group.version: unsupported version {version}")
     try:
         precision = int(data.get("precision", DEFAULT_PRECISION))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FormatError("group.precision: expected an integer")
     try:
         ctx = PrimeContext(p, precision)
@@ -126,6 +128,8 @@ def group_from_dict(data: dict) -> SchottkyGroup:
     for key in ("generators", "B", "C"):
         if key not in data:
             raise FormatError(f"group.{key}: missing")
+        if not isinstance(data[key], list):
+            raise FormatError(f"group.{key}: expected a list")
     generators = [
         parse_homography(m, f"group.generators[{i}]") for i, m in enumerate(data["generators"])
     ]
@@ -142,6 +146,8 @@ def _read_json(path: Path):
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not text, or a NUL in the path
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_group(path) -> SchottkyGroup:
@@ -172,7 +178,7 @@ def pair_from_dict(data: dict, base_dir=None) -> Tuple[SchottkyGroup, Homography
     g = parse_homography(data["g"], "pair.g")
     try:
         depth = int(data["depth"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FormatError("pair.depth: expected an integer")
     return G1, g, G2, depth
 
@@ -186,29 +192,46 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load_cover_csv(path):
-    """Rows of a limit-cover export: (word, center, radius exponent)."""
+def _load_csv(path, kind, header, parse_row):
+    """parse_row applied to the fields of each row of a CSV export; a row
+    that does not parse raises FormatError with the path and line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != ["word", "center", "radius_exp"]:
-            raise FormatError(f"{path}: unexpected cover CSV header {reader.fieldnames}")
-        return [
-            (
-                Word.parse(row["word"]),
-                parse_rational(row["center"], "center"),
-                parse_rational(row["radius_exp"], "radius_exp"),
-            )
-            for row in reader
-        ]
+        try:
+            if reader.fieldnames != header:
+                raise FormatError(f"{path}: unexpected {kind} CSV header {reader.fieldnames}")
+            rows = []
+            for row in reader:
+                fields = [row[name] for name in header]
+                if None in fields:
+                    raise FormatError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+                rows.append(parse_row(*fields))
+            return rows
+        except (csv.Error, ValueError) as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def load_cover_csv(path):
+    """Rows of a limit-cover export: (word, center, radius exponent)."""
+    return _load_csv(
+        path,
+        "cover",
+        ["word", "center", "radius_exp"],
+        lambda word, center, radius_exp: (
+            Word.parse(word),
+            parse_rational(center, "center"),
+            parse_rational(radius_exp, "radius_exp"),
+        ),
+    )
 
 
 def load_scan_csv(path):
     """Rows of a height-scan export: (length, word, height, threshold bin)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["length", "word", "height", "threshold_bin"]:
-            raise FormatError(f"{path}: unexpected scan CSV header {reader.fieldnames}")
-        return [
-            (int(row["length"]), Word.parse(row["word"]), int(row["height"]), int(row["threshold_bin"]))
-            for row in reader
-        ]
+    return _load_csv(
+        path,
+        "scan",
+        ["length", "word", "height", "threshold_bin"],
+        lambda length, word, height, threshold_bin: (
+            int(length), Word.parse(word), int(height), int(threshold_bin)
+        ),
+    )

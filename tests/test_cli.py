@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import schottky
 from schottky.cli import main
 from schottky.serialize import save_group
 
@@ -197,10 +200,14 @@ def test_machine_readable_errors(capsys, tmp_path):
 
 
 def test_console_entry_point(g5_file):
+    # the child imports the package from where this process found it
+    src = str(Path(schottky.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "schottky.cli", "reduce", g5_file, "--point", "inf"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"point": "inf", "word": "id"}
@@ -234,6 +241,39 @@ def test_geodesic_probe_depth_zero_is_an_error_line(capsys, g5_file, tmp_path):
     identity = [["1", "0"], ["0", "1"]]
     pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": 0}))
     assert_single_error_line(*run_cli(capsys, "geodesic-probe", str(pair)))
+
+
+@pytest.mark.parametrize("window", ("0", "-2"))
+def test_geodesic_probe_window_below_one_is_an_error_line(capsys, g5_file, tmp_path, window):
+    from schottky.groups import sample_group
+
+    # the cross counts grow strictly, [1, 3, 7, 19, 55]; a 0-wide window
+    # compares a count with itself, and a negative one runs off the counts
+    g25 = tmp_path / "g25.json"
+    save_group(sample_group(5, 2, multiplier_exponent=4), g25)
+    pair = tmp_path / "pair.json"
+    identity = [["1", "0"], ["0", "1"]]
+    pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": str(g25), "depth": 4}))
+    code, out = run_cli(capsys, "geodesic-probe", str(pair), "--window", window)
+    assert_single_error_line(code, out)
+    assert "window" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    (("generators", 5), ("B", "x"), ("B", [1])),
+    ids=("generators_int", "B_string", "B_int_entry"),
+)
+def test_malformed_group_field_is_an_error_line(capsys, g5, tmp_path, key, value):
+    from schottky.serialize import canonical_json, group_to_dict
+
+    data = group_to_dict(g5)
+    data[key] = value
+    path = tmp_path / "bad_field.json"
+    path.write_text(canonical_json(data))
+    code, out = run_cli(capsys, "verify", str(path))
+    assert_single_error_line(code, out)
+    assert f"group.{key}" in json.loads(out)["error"]
 
 
 def test_non_integer_precision_is_an_error_line(capsys, g5, tmp_path):

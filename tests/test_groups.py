@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from schottky.disks import Affinoid, Disk, contains_disk
 from schottky.errors import (
@@ -258,6 +259,43 @@ def test_membership_perturbed(g5):
         except PointNearLimitSet:
             continue  # the perturbation hit the limit set exactly
         assert not g5.is_member(candidate)
+
+
+_COSET_GROUPS = {p: sample_group(p, 2) for p in (3, 5, 7)}
+
+
+@given(p=st.sampled_from(sorted(_COSET_GROUPS)), data=st.data())
+def test_coset_key_invariance(p, data):
+    G = _COSET_GROUPS[p]
+    letters = st.sampled_from(G.letters())
+    g = G.word_homography(Word.reduced(data.draw(st.lists(letters, min_size=1, max_size=3))))
+    if data.draw(st.booleans()):  # perturb one entry, as criterion 5 does
+        entries = list(g.entries)
+        entries[data.draw(st.integers(0, 3))] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+        assume(entries[0] * entries[3] != entries[1] * entries[2])
+        g = Homography(*entries)
+    u = G.word_homography(Word.reduced(data.draw(st.lists(letters, max_size=4))))
+    try:
+        G.delta_to_limit(g.apply(INFINITY), 32)
+        key = G.coset_key(g)[1]
+        assert G.coset_key(u * g)[1] == key
+        assert G.is_member(g).member == key.is_identity
+    except (PointNearLimitSet, MaxStepsExceeded):
+        assume(False)
+
+
+@pytest.mark.parametrize("p", sorted(_COSET_GROUPS))
+def test_coset_key_boundary_tie_break(p):
+    # y sends infinity to a boundary point t, where two tiles meet; the
+    # coset of y is the coset of generator(l) * y, so the keys must agree
+    G = _COSET_GROUPS[p]
+    boundary = [t for t in G._envelope_base_points() if not t.is_infinity]
+    assert boundary
+    for t in boundary:
+        letter = G.boundary_letter(t)
+        assert letter is not None
+        y = Homography(t.num, 1, t.den, 0)
+        assert G.coset_key(y)[1] == G.coset_key(G.generator(letter) * y)[1]
 
 
 def test_hyperbolicity_of_words(sample_groups):
