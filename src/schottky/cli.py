@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from . import geodesy, heights
 from .errors import SchottkyError
@@ -38,10 +37,6 @@ def _exp_str(e) -> str:
 
 def _emit(obj):
     sys.stdout.write(canonical_json(obj))
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def cmd_verify(args) -> int:
@@ -173,8 +168,17 @@ def cmd_sample_group(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are {"error": ...} lines too; subparsers inherit this
+    class, and --help is unchanged."""
+
+    def error(self, message):
+        _emit({"error": message})
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schottky",
         description="Exact calculus for p-adic Schottky groups with good fundamental domains.",
     )
@@ -206,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = group_cmd("heights-scan", cmd_heights_scan, "positive-word height scan to CSV")
     s.add_argument("--max-length", type=int, required=True)
     s.add_argument("--out", required=True, help="output CSV path")
-    s.add_argument("--threads", type=int, default=_default_threads())
+    s.add_argument("--threads", type=int, default=1)
 
     s = group_cmd("upsilon", cmd_upsilon, "counting scan with fitted log-log slope")
     s.add_argument("--max-length", type=int, required=True)
-    s.add_argument("--threads", type=int, default=_default_threads())
+    s.add_argument("--threads", type=int, default=1)
 
     s = group_cmd("proper-fit", cmd_proper_fit, "fit word-length vs distance envelope constants")
     s.add_argument("--depth", type=int, required=True)

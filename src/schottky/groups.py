@@ -477,6 +477,8 @@ class SchottkyGroup:
         than the word, so their distance bound uses a one-deeper cover.
         """
         self.ensure_verified()
+        if depth < 1:
+            raise InvalidArgument("depth must be >= 1")
         bases = self._envelope_base_points()
 
         def t_value(x: ProjPoint, length: int, interior: bool) -> Fraction:

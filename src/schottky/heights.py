@@ -8,7 +8,6 @@ reduction, and content reduction only shrinks the height.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -93,8 +92,8 @@ class CountingScan:
         }
 
 
-def _positive_branch(G, first: int, max_length: int):
-    step = {i: g for i, g in enumerate(G.generators, 1)}
+def _positive_branch(generators, first: int, max_length: int):
+    step = {i: g for i, g in enumerate(generators, 1)}
     roots = [((first,), step[first])]
     return [
         (length, letters, height_matrix(h)) for length, letters, h in walk(roots, step, max_length)
@@ -102,11 +101,8 @@ def _positive_branch(G, first: int, max_length: int):
 
 
 def _branch_worker(payload):
-    from .serialize import group_from_dict
-
-    group_dict, first, max_length = payload
-    G = group_from_dict(json.loads(group_dict))
-    return _positive_branch(G, first, max_length)
+    matrices, first, max_length = payload
+    return _positive_branch([Homography(*m) for m in matrices], first, max_length)
 
 
 def upsilon_scan(G, max_length: int, workers: Optional[int] = None) -> CountingScan:
@@ -121,16 +117,13 @@ def upsilon_scan(G, max_length: int, workers: Optional[int] = None) -> CountingS
         raise InvalidArgument("max_length must be >= 1")
     q = G.rank
     if workers and workers > 1 and q > 1:
-        from .serialize import group_to_dict
-
-        payloads = [
-            (json.dumps(group_to_dict(G)), first, max_length) for first in range(1, q + 1)
-        ]
+        matrices = tuple(g.entries for g in G.generators)
+        payloads = [(matrices, first, max_length) for first in range(1, q + 1)]
         with ProcessPoolExecutor(max_workers=min(workers, q)) as pool:
             branches = list(pool.map(_branch_worker, payloads))
-        raw = [row for branch in branches for row in branch]
     else:
-        raw = [row for first in range(1, q + 1) for row in _positive_branch(G, first, max_length)]
+        branches = [_positive_branch(G.generators, first, max_length) for first in range(1, q + 1)]
+    raw = [row for branch in branches for row in branch]
     raw.sort(key=lambda row: (row[0], row[1]))
     entries = tuple((length, Word(letters), h) for length, letters, h in raw)
 

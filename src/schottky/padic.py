@@ -25,18 +25,35 @@ DEFAULT_PRECISION = 64
 Rational = Union[int, Fraction]
 
 
+# Miller-Rabin to the first 13 prime bases is exact below _MR_BOUND
+# (Sorenson & Webster, Math. Comp. 2017, arXiv:1509.00864).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; InvalidArgument at or above _MR_BOUND,
+    where these bases no longer certify a prime."""
+    if n >= _MR_BOUND:
+        raise InvalidArgument(f"p = {n} is too large to certify as prime")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

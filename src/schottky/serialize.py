@@ -107,38 +107,38 @@ def group_to_dict(G: SchottkyGroup) -> dict:
     }
 
 
-def group_from_dict(data: dict) -> SchottkyGroup:
+def group_from_dict(data: dict, field: str = "group") -> SchottkyGroup:
     if not isinstance(data, dict):
-        raise FormatError("group: expected a JSON object")
+        raise FormatError(f"{field}: expected a JSON object")
     try:
         p = int(data["p"])
     except (KeyError, TypeError, ValueError, OverflowError):
-        raise FormatError("group.p: missing or not an integer")
+        raise FormatError(f"{field}.p: missing or not an integer")
     version = data.get("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
-        raise FormatError(f"group.version: unsupported version {version}")
+        raise FormatError(f"{field}.version: unsupported version {version}")
     try:
         precision = int(data.get("precision", DEFAULT_PRECISION))
     except (TypeError, ValueError, OverflowError):
-        raise FormatError("group.precision: expected an integer")
+        raise FormatError(f"{field}.precision: expected an integer")
     try:
         ctx = PrimeContext(p, precision)
     except ValueError as exc:
-        raise FormatError(f"group: {exc}") from exc
+        raise FormatError(f"{field}: {exc}") from exc
     for key in ("generators", "B", "C"):
         if key not in data:
-            raise FormatError(f"group.{key}: missing")
+            raise FormatError(f"{field}.{key}: missing")
         if not isinstance(data[key], list):
-            raise FormatError(f"group.{key}: expected a list")
+            raise FormatError(f"{field}.{key}: expected a list")
     generators = [
-        parse_homography(m, f"group.generators[{i}]") for i, m in enumerate(data["generators"])
+        parse_homography(m, f"{field}.generators[{i}]") for i, m in enumerate(data["generators"])
     ]
-    B = [parse_disk(d, p, f"group.B[{i}]") for i, d in enumerate(data["B"])]
-    C = [parse_disk(d, p, f"group.C[{i}]") for i, d in enumerate(data["C"])]
+    B = [parse_disk(d, p, f"{field}.B[{i}]") for i, d in enumerate(data["B"])]
+    C = [parse_disk(d, p, f"{field}.C[{i}]") for i, d in enumerate(data["C"])]
     try:
         return SchottkyGroup(ctx, generators, B, C)
     except ValueError as exc:
-        raise FormatError(f"group: {exc}") from exc
+        raise FormatError(f"{field}: {exc}") from exc
 
 
 def _read_json(path: Path):
@@ -167,8 +167,11 @@ def pair_from_dict(data: dict, base_dir=None) -> Tuple[SchottkyGroup, Homography
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
-            return load_group(path)
-        return group_from_dict(value)
+            try:
+                return load_group(path)
+            except (OSError, FormatError) as exc:
+                raise FormatError(f"{field}: {exc}") from exc
+        return group_from_dict(value, field)
 
     for key in ("gamma1", "g", "gamma2", "depth"):
         if key not in data:

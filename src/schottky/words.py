@@ -157,16 +157,19 @@ def reduced_words(rank: int, length: int) -> Iterator[Word]:
         yield Word(())
         return
     after = extensions(alphabet(rank))
-
-    def below(prefix, last):
-        for l in after[last]:
-            word = prefix + (l,)
-            if len(word) == length:
-                yield Word(word)
+    prefix = ()
+    choices = [iter(after[0])]  # the letters still to try after each prefix
+    while choices:
+        for l in choices[-1]:
+            if len(prefix) + 1 == length:
+                yield Word(prefix + (l,))
             else:
-                yield from below(word, l)
-
-    yield from below((), 0)
+                prefix += (l,)
+                choices.append(iter(after[l]))
+                break
+        else:
+            choices.pop()
+            prefix = prefix[:-1]
 
 
 def count_reduced_words(rank: int, length: int) -> int:

@@ -143,17 +143,20 @@ def test_output_files_reload(capsys, g5_file, tmp_path):
     assert all(h >= 1 and b >= 1 for _, _, h, b in rows)
 
 
-def test_thread_count_does_not_change_bytes(capsys, g5_file, tmp_path):
+def test_thread_count_does_not_change_bytes(capsys, tmp_path):
+    from schottky.groups import sample_group
+
+    group = tmp_path / "g5r3.json"
+    save_group(sample_group(5, 3), group)
     outs = []
-    for threads, name in ((1, "a.csv"), (3, "b.csv")):
-        path = tmp_path / name
+    for flags in ([], ["--threads", "1"], ["--threads", "3"]):
+        path = tmp_path / f"scan{len(outs)}.csv"
         code, out = run_cli(
-            capsys, "heights-scan", g5_file, "--max-length", "4", "--out", str(path),
-            "--threads", str(threads),
+            capsys, "heights-scan", str(group), "--max-length", "4", "--out", str(path), *flags
         )
         assert code == 0
         outs.append((out, path.read_bytes()))
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_proper_fit_command(capsys, g5_file):
@@ -199,18 +202,38 @@ def test_machine_readable_errors(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
-def test_console_entry_point(g5_file):
+def _child_env():
     # the child imports the package from where this process found it
     src = str(Path(schottky.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point(g5_file):
     proc = subprocess.run(
         [sys.executable, "-m", "schottky.cli", "reduce", g5_file, "--point", "inf"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"point": "inf", "word": "id"}
+
+
+def test_enumerate_streams_words_past_the_recursion_limit(g5_file):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schottky.cli", "enumerate", g5_file, "--length", "3000"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**_child_env(), "PYTHONUNBUFFERED": "1"},
+    )
+    try:
+        first = proc.stdout.readline()
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    assert first == "*".join(["g1"] * 3000) + "\n"
 
 
 def assert_single_error_line(code, out):
@@ -352,3 +375,74 @@ def test_heights_scan_rank_one_finishes(capsys, tmp_path):
     assert len(rows) == 300
     # g1^l lands in bin l, though its height ties peak^(l/300) past float precision
     assert all(row[0] == row[3] for row in rows)
+
+
+# flags that make each group subcommand succeed; every sweep case breaks one
+_VALID_FLAGS = {
+    "verify": [],
+    "reduce": ["--point", "inf"],
+    "limit-cover": ["--depth", "1"],
+    "delta": ["--point", "inf", "--depth", "1"],
+    "enumerate": ["--length", "1"],
+    "heights-scan": ["--max-length", "2", "--out", "{dir}/scan.csv"],
+    "upsilon": ["--max-length", "2"],
+    "proper-fit": ["--depth", "1"],
+    "stabilizer": ["--pair", "0,1", "--depth", "1"],
+}
+
+
+def _sweep_cases():
+    """(id, argv) for every input each subcommand must refuse with an error
+    line; {group}, {pair} and {dir} name files made by the test."""
+    runs = {cmd: [cmd, "{group}", *flags] for cmd, flags in _VALID_FLAGS.items()}
+    runs["geodesic-probe"] = ["geodesic-probe", "{pair}", "--depth", "1"]
+
+    def with_flag(argv, flag, value):
+        i = argv.index(flag)
+        return argv[:i] + [f"{flag}={value}"] + argv[i + 2 :]
+
+    for cmd, argv in runs.items():
+        yield f"{cmd}-missing-file", [cmd, "{dir}/missing.json", *argv[2:]]
+        yield f"{cmd}-directory", [cmd, "{dir}", *argv[2:]]
+        for flag in ("--depth", "--length", "--max-length"):
+            if flag in argv:
+                # length 0 is valid for enumerate: the identity word
+                for value in ("0", "-3") if cmd != "enumerate" else ("-3",):
+                    yield f"{cmd}{flag}={value}", with_flag(argv, flag, value)
+    for cmd in ("reduce", "delta"):
+        for value in ("abc", "1/0", ""):
+            yield f"{cmd}--point={value}", with_flag(runs[cmd], "--point", value)
+    for value in ("0", "inf,inf"):
+        yield f"stabilizer--pair={value}", with_flag(runs["stabilizer"], "--pair", value)
+    yield "geodesic-probe--window=0", ["geodesic-probe", "{pair}", "--window", "0"]
+    yield "sample-group--p=4", ["sample-group", "--p", "4", "--rank", "2"]
+    yield "sample-group--rank=0", ["sample-group", "--p", "5", "--rank", "0"]
+    yield "sample-group--multiplier-exponent=3", [
+        "sample-group", "--p", "5", "--rank", "2", "--multiplier-exponent", "3"
+    ]
+    yield "usage-bad-int", ["delta", "{group}", "--point", "1", "--depth", "x"]
+    yield "usage-missing-option", ["delta", "{group}", "--depth", "3"]
+    yield "usage-bad-choice", ["limit-cover", "{group}", "--depth", "2", "--format", "xml"]
+    yield "usage-unknown-command", ["frobnicate"]
+
+
+_SWEEP = list(_sweep_cases())
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _SWEEP], ids=[i for i, _ in _SWEEP])
+def test_cli_error_sweep(capsys, g5_file, tmp_path, argv):
+    pair = tmp_path / "pair.json"
+    identity = [["1", "0"], ["0", "1"]]
+    pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": 2}))
+    names = {"group": g5_file, "pair": str(pair), "dir": str(tmp_path)}
+    try:
+        code = main([arg.format(**names) for arg in argv])
+    except SystemExit as exc:  # argparse usage errors exit from inside main
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert list(error) == ["error"] and isinstance(error["error"], str)
+    assert "Traceback" not in err

@@ -1,9 +1,11 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from schottky.errors import NotASquare, OddValuation, UnsupportedPrime
+from schottky.errors import InvalidArgument, NotASquare, OddValuation, UnsupportedPrime
 from schottky.padic import (
     NEG_INF,
     POS_INF,
@@ -12,6 +14,7 @@ from schottky.padic import (
     abs_exponent,
     approx_from_rational,
     hensel_sqrt,
+    is_prime,
     unit_residue,
     valuation,
 )
@@ -39,6 +42,32 @@ def test_prime_context_validation():
     with pytest.raises(ValueError):
         PrimeContext(5, 0)
     PrimeContext(2)  # p = 2 is fine outside hensel_sqrt
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+    assert [is_prime(k) for k in range(n)] == sieve
+
+
+@pytest.mark.parametrize(
+    "n", (3215031751, 3825123056546413051, 318665857834031151167461)
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    assert not is_prime(n)
+
+
+def test_large_prime_is_certified_fast_up_to_the_bound():
+    start = time.perf_counter()
+    PrimeContext(2**61 - 1)
+    assert time.perf_counter() - start < 0.5
+    # from here on the 13 bases no longer certify a prime
+    with pytest.raises(InvalidArgument, match="too large to certify"):
+        PrimeContext(3317044064679887385961981)
 
 
 @given(x=rationals, y=rationals)

@@ -110,6 +110,23 @@ def test_pair_file_with_path_refs(g5, tmp_path):
     assert G1.generators == G2.generators == g5.generators
 
 
+def test_pair_errors_name_the_group(g5, tmp_path):
+    bad = group_to_dict(g5)
+    bad["B"][0]["center"] = "x"
+    with pytest.raises(FormatError, match=r"^group\.B\[0\]\.center: "):
+        group_from_dict(bad)
+    pair = {"gamma1": group_to_dict(g5), "g": [["1", "0"], ["0", "1"]], "gamma2": bad, "depth": 3}
+    with pytest.raises(FormatError, match=r"^pair\.gamma2\.B\[0\]\.center: "):
+        pair_from_dict(pair)
+    pair["gamma2"] = "missing.json"
+    with pytest.raises(FormatError, match=r"^pair\.gamma2: .*missing\.json"):
+        pair_from_dict(pair, base_dir=tmp_path)
+    (tmp_path / "broken.json").write_text("{]")
+    pair["gamma2"] = "broken.json"
+    with pytest.raises(FormatError, match=r"^pair\.gamma2: .*broken\.json:1:"):
+        pair_from_dict(pair, base_dir=tmp_path)
+
+
 def test_approx_serialization():
     ctx = PrimeContext(5, 3)
     x = PadicApprox(2, 16, ctx)
@@ -173,11 +190,11 @@ def _positions(obj, prefix=()):
 
 def _mutated(data, draw):
     """A deep copy of data with one value replaced, or one entry deleted,
-    at a random position; also returns the position and the new value."""
+    at a random position."""
     position = draw(st.sampled_from(list(_positions(data))))
     value = draw(_json_values)
     if not position:
-        return value, position, value
+        return value
     out = copy.deepcopy(data)
     parent = out
     for step in position[:-1]:
@@ -186,7 +203,7 @@ def _mutated(data, draw):
         del parent[position[-1]]
     else:
         parent[position[-1]] = value
-    return out, position, value
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +234,7 @@ def fuzz_inputs(g5, tmp_path_factory):
 
 @given(data=st.data())
 def test_fuzz_group_dict(fuzz_inputs, data):
-    group, _, _ = _mutated(fuzz_inputs["group"], data.draw)
+    group = _mutated(fuzz_inputs["group"], data.draw)
     try:
         group_from_dict(group)
     except FormatError:
@@ -226,14 +243,11 @@ def test_fuzz_group_dict(fuzz_inputs, data):
 
 @given(data=st.data())
 def test_fuzz_pair_dict(fuzz_inputs, data):
-    pair, position, value = _mutated(fuzz_inputs["pair"], data.draw)
+    pair = _mutated(fuzz_inputs["pair"], data.draw)
     try:
         pair_from_dict(pair, base_dir=fuzz_inputs["dir"])
     except FormatError:
         pass
-    except OSError:
-        # a string names a group file; failing to read one is I/O, not format
-        assert position in (("gamma1",), ("gamma2",)) and isinstance(value, str)
 
 
 @given(

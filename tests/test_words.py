@@ -59,3 +59,7 @@ def test_serialization_round_trip():
 
 def test_alphabet_order():
     assert alphabet(2) == (1, -1, 2, -2)
+
+
+def test_reduced_words_streams_past_the_recursion_limit():
+    assert len(next(reduced_words(2, 3000))) == 3000
