@@ -40,7 +40,8 @@ def _canonical_center(num: int, den: int, min_valuation: int, p: int) -> Tuple[i
 
 @dataclass(frozen=True, slots=True)
 class Disk:
-    """An ultrametric disk in P^1 with exact p-power radius p**radius_exp.
+    """An ultrametric disk in P^1 with exact p-power radius p**radius_exp;
+    ``radius_exp`` is an ``int`` when integral, a ``Fraction`` otherwise.
 
     For ``bounded=False`` the (center, radius_exp, openness) describe the
     *complementary* bounded disk, which has the opposite openness.
@@ -57,18 +58,16 @@ class Disk:
     is_open: bool
     _cn: int
     _k: int
-    radius_exp: Fraction
+    radius_exp: Exponent
     p: int
     _m: int = field(compare=False, repr=False)
     _pk: int = field(compare=False, repr=False)
     _s: Exponent = field(compare=False, repr=False)
 
     def __init__(self, bounded, is_open, center, radius_exp, p):
-        e = radius_exp if type(radius_exp) is Fraction else Fraction(radius_exp)
-        center = center if type(center) is Fraction else Fraction(center)
-        _set_canonical(
-            self, bool(bounded), bool(is_open), center.numerator, center.denominator, e, int(p)
-        )
+        c, e = Fraction(center), Fraction(radius_exp)
+        e = e.numerator if e.denominator == 1 else e
+        _set_canonical(self, bool(bounded), bool(is_open), c.numerator, c.denominator, e, int(p))
 
     @property
     def center(self) -> Fraction:
@@ -133,10 +132,10 @@ def _set_fields(D: Disk, *values) -> Disk:
 
 
 def _set_canonical(
-    D: Disk, bounded: bool, is_open: bool, num: int, den: int, e: Fraction, p: int
+    D: Disk, bounded: bool, is_open: bool, num: int, den: int, e: Exponent, p: int
 ) -> Disk:
     """Store the disk with raw center num / den (den != 0) and radius
-    exponent e in canonical form."""
+    exponent e, an int or a non-integral Fraction, in canonical form."""
     # The admitted valuations v of x - center are those of the
     # (complementary) bounded disk, whose openness is is_open == bounded:
     # v > -e when it is open, v >= -e when it is closed.

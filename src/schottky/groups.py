@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .disks import (
@@ -78,7 +79,7 @@ class LimitCover:
 
     depth: int
     entries: Tuple[Tuple[Word, Disk], ...]
-    max_radius_exponent: Fraction
+    max_radius_exponent: Exponent
 
 
 @dataclass(frozen=True)
@@ -358,18 +359,25 @@ class SchottkyGroup:
     def _reduce_with_matrix(
         self, x: ProjPoint, max_steps: int
     ) -> Tuple[Word, ProjPoint, Homography]:
+        """Reduce x in at most max_steps generator steps; a domain check
+        is not a step, so a point already in the domain needs none."""
+        if max_steps < 0:
+            raise InvalidArgument("max_steps must be >= 0")
         self.ensure_verified()
         letters = []
         h = Homography.identity()
         y = x
-        for _ in range(max_steps):
+        while True:
             letter = self._containing_letter(y)
             if letter is None:
                 return Word(letters), y, h
+            if len(letters) == max_steps:
+                raise MaxStepsExceeded(
+                    f"{x} did not reach the fundamental domain in {max_steps} steps"
+                )
             letters.append(letter)
             h = h * self.generator(letter)
             y = self.generator(-letter).apply(y)
-        raise MaxStepsExceeded(f"{x} did not reach the fundamental domain in {max_steps} steps")
 
     def reduce_point(self, x: ProjPoint, max_steps: int = 64) -> Tuple[Word, ProjPoint]:
         """Ping-pong a point into the fundamental domain.
@@ -459,11 +467,9 @@ class SchottkyGroup:
         translate-intersection witnesses, so the envelope must be pinned
         there, not only at interior orbit points.
         """
-        import math as _math
-
         points = [INFINITY]
         for D in self.B + self.C:
-            x = ProjPoint(D.center + Fraction(self.p) ** _math.floor(-D.radius_exp))
+            x = ProjPoint(D.center + Fraction(self.p) ** math.floor(-D.radius_exp))
             if self.in_domain(x):
                 points.append(x)
         return tuple(points)
@@ -481,9 +487,9 @@ class SchottkyGroup:
             raise InvalidArgument("depth must be >= 1")
         bases = self._envelope_base_points()
 
-        def t_value(x: ProjPoint, length: int, interior: bool) -> Fraction:
+        def t_value(x: ProjPoint, length: int, interior: bool) -> int:
             cover_depth = length + (1 if interior else 2)
-            return -Fraction(self.delta_to_limit(x, cover_depth).upper_exponent)
+            return -self.delta_to_limit(x, cover_depth).upper_exponent
 
         samples = [(0, t_value(x, 0, x is INFINITY)) for x in bases]
         for length, word, h in self.iter_words_with_matrices(depth):
@@ -494,23 +500,24 @@ class SchottkyGroup:
     def fit_proper_constants(self, depth: int) -> ProperFit:
         """Fit (a, b) with length(w) <= a + b * (-log_p delta) on samples.
 
-        The slope is an exact least-squares fit over envelope_samples; a
-        is the exact maximum of length - b * t, so the inequality holds
-        with equality somewhere and everywhere else strictly, all in
-        rational arithmetic.
+        The slope is an exact least-squares fit over envelope_samples,
+        clamped at 0; a is the exact maximum of length - b * t, so the
+        inequality holds with equality somewhere and everywhere else
+        strictly.  Lengths and t-values are integers, so b = num / denom
+        and a = max(l * denom - num * t) / denom are summed in integers.
         """
         samples = self.envelope_samples(depth)
         n = len(samples)
         st = sum(t for _, t in samples)
-        sl = sum(Fraction(l) for l, _ in samples)
+        sl = sum(l for l, _ in samples)
         stt = sum(t * t for _, t in samples)
         stl = sum(t * l for l, t in samples)
-        denom = n * stt - st * st
-        b = Fraction(0) if denom == 0 else (n * stl - st * sl) / denom
-        if b < 0:
-            b = Fraction(0)
-        a = max(Fraction(l) - b * t for l, t in samples)
-        return ProperFit(a, b, depth, n)
+        # denom >= 0 by Cauchy-Schwarz; it is 0 only when all t are equal,
+        # and then the numerator is 0 too
+        denom = n * stt - st * st or 1
+        num = max(n * stl - st * sl, 0)
+        a = Fraction(max(l * denom - num * t for l, t in samples), denom)
+        return ProperFit(a, Fraction(num, denom), depth, n)
 
     # -- intersecting translates ----------------------------------------------
 
@@ -555,7 +562,7 @@ class SchottkyGroup:
         certified = False
         if floor is not None and floor != NEG_INF:
             fit = self.fit_proper_constants(4)
-            length_bound = fit.a + fit.b * (-Fraction(floor))
+            length_bound = fit.a - fit.b * floor
             longest_hit = max((len(w) for w in hits), default=0)
             certified = length_bound <= depth and longest_hit <= length_bound
         return TranslateScan(tuple(hits), depth, certified, length_bound, floor)
@@ -577,7 +584,7 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
     k = multiplier_exponent // 2
     ctx = PrimeContext(p)
 
-    centers = [(Fraction(2 * i), Fraction(2 * i + 1)) for i in range(rank)]
+    centers = [(2 * i, 2 * i + 1) for i in range(rank)]
     flat = [c for pair in centers for c in pair]
 
     def separated(cs):
@@ -592,7 +599,7 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
         centers = []
         for i in range(rank):
             layer, slot = divmod(i, per_layer)
-            alpha = Fraction(2 * slot) + Fraction(layer, p)
+            alpha = 2 * slot + Fraction(layer, p)
             centers.append((alpha, alpha + 1))
 
     scaling = Homography(1, 0, 0, p**multiplier_exponent)

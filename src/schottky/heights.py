@@ -105,7 +105,7 @@ def _branch_worker(payload):
     return _positive_branch([Homography(*m) for m in matrices], first, max_length)
 
 
-def upsilon_scan(G, max_length: int, workers: Optional[int] = None) -> CountingScan:
+def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     """Enumerate positive words (generators only, no inverses) up to the
     length, count them under height thresholds, and fit the log-log slope.
 
@@ -115,8 +115,10 @@ def upsilon_scan(G, max_length: int, workers: Optional[int] = None) -> CountingS
     G.ensure_verified()
     if max_length < 1:
         raise InvalidArgument("max_length must be >= 1")
+    if workers < 1:
+        raise InvalidArgument("workers must be >= 1")
     q = G.rank
-    if workers and workers > 1 and q > 1:
+    if workers > 1 and q > 1:
         matrices = tuple(g.entries for g in G.generators)
         payloads = [(matrices, first, max_length) for first in range(1, q + 1)]
         with ProcessPoolExecutor(max_workers=min(workers, q)) as pool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional, Union
 
 from . import padic
@@ -30,10 +30,12 @@ class ProjPoint:
     __slots__ = ("num", "den")
 
     def __init__(self, x, y=1):
-        x, y = Fraction(x), Fraction(y)
+        if not (type(x) is int and type(y) is int):
+            x, y = Fraction(x), Fraction(y)
+            x, y = x.numerator * y.denominator, y.numerator * x.denominator
         if x == 0 and y == 0:
             raise ValueError("(0 : 0) is not a projective point")
-        _set_primitive(self, x.numerator * y.denominator, y.numerator * x.denominator)
+        _set_primitive(self, x, y)
 
     @staticmethod
     def infinity() -> "ProjPoint":
@@ -189,8 +191,7 @@ class ElementClass(enum.Enum):
 
 def classify(g: Homography, ctx: PrimeContext) -> ElementClass:
     """Hyperbolic iff |tr(g)^2| > |det(g)| p-adically."""
-    tr2 = Fraction(g.trace) ** 2
-    det = Fraction(g.det)
+    tr2, det = g.trace**2, g.det
     if valuation(tr2, ctx.p) < valuation(det, ctx.p):
         return ElementClass.HYPERBOLIC
     if g.is_identity:
@@ -219,7 +220,7 @@ def lipschitz_exponent(g: Homography, ctx: PrimeContext) -> Exponent:
     For a content-1 integer matrix, delta(gx, gy) <= p**v(det) * delta(x, y):
     the sup-norm of a primitive vector drops by at most |det| under g.
     """
-    return valuation(Fraction(g.det), ctx.p)
+    return valuation(g.det, ctx.p)
 
 
 #: a fixed point is exact when rational, approximate otherwise
@@ -241,23 +242,6 @@ class FixedPointPair:
     repelling: Optional[FixedPoint] = None
 
 
-def _rational_isqrt(n: Fraction) -> Optional[Fraction]:
-    if n < 0:
-        return None
-    num, den = n.numerator, n.denominator
-    rn, rd = _int_isqrt(num), _int_isqrt(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _int_isqrt(n: int) -> Optional[int]:
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
 def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     """Solve c z^2 + (d - a) z - b = 0 in P^1.
 
@@ -268,14 +252,14 @@ def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     """
     if g.is_identity:
         raise ValueError("every point is fixed by the identity")
-    a, b, c, d = (Fraction(e) for e in g.entries)
+    a, b, c, d = g.entries
     cls = classify(g, ctx)
     p = ctx.p
 
     if c == 0:
         if a == d:
             return FixedPointPair((INFINITY, INFINITY), cls)
-        finite = ProjPoint(b / (d - a))
+        finite = ProjPoint(b, d - a)
         # eigenvalue a belongs to infinity, eigenvalue d to the finite point
         if cls.is_hyperbolic:
             if valuation(a, p) < valuation(d, p):
@@ -285,18 +269,17 @@ def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
 
     disc = (d - a) ** 2 + 4 * b * c  # = tr^2 - 4 det
     if disc == 0:
-        z = ProjPoint((a - d) / (2 * c))
+        z = ProjPoint(a - d, 2 * c)
         return FixedPointPair((z, z), cls)
 
-    s = _rational_isqrt(disc)
-    if s is not None:
-        z_plus = ProjPoint((a - d + s) / (2 * c))
-        z_minus = ProjPoint((a - d - s) / (2 * c))
+    s = isqrt(max(disc, 0))
+    if s * s == disc:
+        z_plus = ProjPoint(a - d + s, 2 * c)
+        z_minus = ProjPoint(a - d - s, 2 * c)
         if not cls.is_hyperbolic:
             return FixedPointPair((z_plus, z_minus), cls)
-        lam_plus = (a + d + s) / 2
-        lam_minus = (a + d - s) / 2
-        if valuation(lam_plus, p) < valuation(lam_minus, p):
+        # the eigenvalues are (tr +- s) / 2; the common /2 cancels
+        if valuation(a + d + s, p) < valuation(a + d - s, p):
             return FixedPointPair((z_plus, z_minus), cls, z_plus, z_minus)
         return FixedPointPair((z_minus, z_plus), cls, z_minus, z_plus)
 
@@ -305,14 +288,14 @@ def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     except (OddValuation, NotASquare) as exc:
         raise NotASquareInQp(f"discriminant {disc} is not a square in Q_{p}") from exc
 
-    z_plus = s_approx.add_rational(a - d).mul_rational(Fraction(1, 2) / c)
-    z_minus = s_approx.mul_rational(-1).add_rational(a - d).mul_rational(Fraction(1, 2) / c)
+    half_c = Fraction(1, 2 * c)
+    z_plus = s_approx.add_rational(a - d).mul_rational(half_c)
+    z_minus = s_approx.mul_rational(-1).add_rational(a - d).mul_rational(half_c)
     if not cls.is_hyperbolic:
         return FixedPointPair((z_plus, z_minus), cls)
     # Hyperbolic: v(s) = v(tr) and the dominant eigenvalue (tr +- s)/2 is
     # the branch where the leading digits add instead of cancelling.
-    tr = a + d
-    plus_dominant = (padic.unit_residue(tr, p) + s_approx.unit) % p != 0
+    plus_dominant = (padic.unit_residue(a + d, p) + s_approx.unit) % p != 0
     if plus_dominant:
         return FixedPointPair((z_plus, z_minus), cls, z_plus, z_minus)
     return FixedPointPair((z_minus, z_plus), cls, z_minus, z_plus)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Tuple
@@ -29,11 +30,19 @@ def rational_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def parse_rational(text: str, field: str = "rational") -> Fraction:
+    """The rational "a/b" or "a", with optional sign and surrounding
+    whitespace; anything else, a zero denominator included, is a FormatError."""
+    s = str(text)
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{field}: cannot parse rational {text!r}") from exc
+        if _RATIONAL.fullmatch(s):
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):  # ValueError: past int's digit limit
+        pass
+    raise FormatError(f"{field}: cannot parse rational {text!r}")
 
 
 def point_str(x: ProjPoint) -> str:

@@ -5,9 +5,12 @@ in ``schottky.proj`` and ``schottky.disks`` replaced: points normalized
 to (value : 1) or (1 : 0), homographies applied to rational coordinates,
 disks canonicalized through ``Fraction`` and imaged by composing
 translations, scalings and the inversion, each with its own canonical
-intermediate disk.  They import nothing from the library, so the
-property tests in ``test_kernel_oracle.py`` compare two independent
-computations.
+intermediate disk.  Element classification, fixed points and the
+least-squares envelope fit are the Fraction versions that integer
+arithmetic replaced in ``schottky.proj`` and ``schottky.groups``.  They
+import nothing from the library (the p-adic square root of a fixed-point
+discriminant is passed in), so the property tests in
+``test_kernel_oracle.py`` compare two independent computations.
 
 Points are pairs ``(x, y)`` of ``Fraction``; homographies are integer
 4-tuples ``(a, b, c, d)``.
@@ -256,3 +259,91 @@ def point_to_disk_delta(pt, D: Disk, p: int):
         return abs_exponent(pt[0] - D.center, p) - max(0, abs_exponent(pt[0], p)) - s
     h = D.radius_exp
     return h - max(0, abs_exponent(D.center, p), h) - max(0, abs_exponent(pt[0], p))
+
+
+# -- classification, fixed points and the envelope fit ---------------------------
+
+
+def classify(entries, p: int) -> str:
+    """The ``ElementClass`` value of a canonical integer matrix: hyperbolic
+    iff |tr^2| > |det| p-adically."""
+    a, b, c, d = entries
+    tr2 = Fraction(a + d) ** 2
+    det = Fraction(a * d - b * c)
+    if valuation(tr2, p) < valuation(det, p):
+        return "hyperbolic"
+    if tuple(entries) == (1, 0, 0, 1):
+        return "identity"
+    if tr2 == 4 * det:
+        return "parabolic"
+    return "elliptic_or_other"
+
+
+def _rational_isqrt(n: Fraction):
+    if n < 0:
+        return None
+    rn, rd = math.isqrt(n.numerator), math.isqrt(n.denominator)
+    if rn * rn != n.numerator or rd * rd != n.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
+def fixed_points(entries, p: int, hensel_sqrt):
+    """(points, class, attracting, repelling) for a non-identity canonical
+    matrix, solving c z^2 + (d - a) z - b = 0 over Fraction coefficients.
+
+    Rational points are oracle pairs.  ``hensel_sqrt(disc)`` supplies the
+    p-adic square root of a discriminant that is no rational square, as a
+    value with ``add_rational``, ``mul_rational`` and ``unit``; the fixed
+    points are then built from it as such values.
+    """
+    a, b, c, d = (Fraction(e) for e in entries)
+    cls = classify(entries, p)
+    hyperbolic = cls == "hyperbolic"
+    if c == 0:
+        if a == d:
+            return (INFINITY, INFINITY), cls, None, None
+        finite = point(b / (d - a))
+        # eigenvalue a belongs to infinity, eigenvalue d to the finite point
+        if not hyperbolic:
+            return (INFINITY, finite), cls, None, None
+        if valuation(a, p) < valuation(d, p):
+            return (INFINITY, finite), cls, INFINITY, finite
+        return (finite, INFINITY), cls, finite, INFINITY
+    disc = (d - a) ** 2 + 4 * b * c
+    if disc == 0:
+        z = point((a - d) / (2 * c))
+        return (z, z), cls, None, None
+    s = _rational_isqrt(disc)
+    if s is not None:
+        z_plus, z_minus = point((a - d + s) / (2 * c)), point((a - d - s) / (2 * c))
+        if not hyperbolic:
+            return (z_plus, z_minus), cls, None, None
+        if valuation((a + d + s) / 2, p) < valuation((a + d - s) / 2, p):
+            return (z_plus, z_minus), cls, z_plus, z_minus
+        return (z_minus, z_plus), cls, z_minus, z_plus
+    root = hensel_sqrt(disc)
+    z_plus = root.add_rational(a - d).mul_rational(Fraction(1, 2) / c)
+    z_minus = root.mul_rational(-1).add_rational(a - d).mul_rational(Fraction(1, 2) / c)
+    if not hyperbolic:
+        return (z_plus, z_minus), cls, None, None
+    # the dominant eigenvalue (tr +- s)/2 is where the leading digits add
+    if (unit_residue(a + d, p, 1) + root.unit) % p != 0:
+        return (z_plus, z_minus), cls, z_plus, z_minus
+    return (z_minus, z_plus), cls, z_minus, z_plus
+
+
+def proper_fit(samples):
+    """The envelope constants (a, b) over (length, t) samples: b is the
+    least-squares slope of length against t, clamped at 0, and a is the
+    maximum of length - b * t."""
+    n = len(samples)
+    st = sum(Fraction(t) for _, t in samples)
+    sl = sum(Fraction(l) for l, _ in samples)
+    stt = sum(Fraction(t) * t for _, t in samples)
+    stl = sum(Fraction(t) * l for l, t in samples)
+    denom = n * stt - st * st
+    b = Fraction(0) if denom == 0 else (n * stl - st * sl) / denom
+    if b < 0:
+        b = Fraction(0)
+    return max(Fraction(l) - b * t for l, t in samples), b

@@ -73,6 +73,17 @@ def test_reduce_orbit_point(capsys, g5, g5_file):
     assert json.loads(out) == {"point": "inf", "word": "g1*g2"}
 
 
+@pytest.mark.parametrize(
+    "point, steps, word",
+    [("-47/528", "2", "g1*g2"), ("inf", "0", "id"), ("7/3", "0", "id")],
+)
+def test_reduce_step_budget_counts_generator_steps(capsys, g5_file, point, steps, word):
+    # -47/528 = g1*g2(inf) needs exactly two steps; a domain point needs none
+    code, out = run_cli(capsys, "reduce", g5_file, f"--point={point}", "--max-steps", steps)
+    assert code == 0
+    assert json.loads(out)["word"] == word
+
+
 def test_enumerate_count(capsys, g5_file):
     code, out = run_cli(capsys, "enumerate", g5_file, "--length", "2")
     assert code == 0
@@ -410,8 +421,14 @@ def _sweep_cases():
                 for value in ("0", "-3") if cmd != "enumerate" else ("-3",):
                     yield f"{cmd}{flag}={value}", with_flag(argv, flag, value)
     for cmd in ("reduce", "delta"):
-        for value in ("abc", "1/0", ""):
+        # exponent and decimal forms are outside the "a/b" grammar
+        for value in ("abc", "1/0", "", "1e5000", "1.5"):
             yield f"{cmd}--point={value}", with_flag(runs[cmd], "--point", value)
+    yield "reduce--max-steps=-1", runs["reduce"] + ["--max-steps=-1"]
+    yield "reduce--max-steps=1", with_flag(runs["reduce"], "--point", "-47/528") + ["--max-steps=1"]
+    for cmd in ("heights-scan", "upsilon"):
+        for value in ("0", "-2"):
+            yield f"{cmd}--threads={value}", runs[cmd] + [f"--threads={value}"]
     for value in ("0", "inf,inf"):
         yield f"stabilizer--pair={value}", with_flag(runs["stabilizer"], "--pair", value)
     yield "geodesic-probe--window=0", ["geodesic-probe", "{pair}", "--window", "0"]

@@ -8,6 +8,7 @@ from schottky.disks import Affinoid, Disk, contains_disk
 from schottky.errors import (
     AxiomViolation,
     DepthExceeded,
+    InvalidArgument,
     MaxStepsExceeded,
     PointNearLimitSet,
 )
@@ -232,6 +233,19 @@ def test_reduce_point_max_steps(g5):
         g5.reduce_point(ProjPoint(0), max_steps=8)  # a limit point never escapes
 
 
+def test_reduce_point_budget_counts_generator_steps(g5):
+    # the final domain check is free: w(inf) needs exactly len(w) steps
+    for length in range(4):
+        for w in g5.enumerate_words(length):
+            x = g5.word_homography(w).apply(INFINITY)
+            assert g5.reduce_point(x, max_steps=length) == (w, INFINITY)
+            if length:
+                with pytest.raises(MaxStepsExceeded):
+                    g5.reduce_point(x, max_steps=length - 1)
+    with pytest.raises(InvalidArgument):
+        g5.reduce_point(INFINITY, max_steps=-1)
+
+
 def test_membership(g5):
     w = Word((2, -1, 2))
     g = g5.word_homography(w)
@@ -326,6 +340,7 @@ def test_localize_fundamental(g5):
 def test_fit_proper_constants_envelope(g5):
     fit = g5.fit_proper_constants(3)
     assert fit.b > 0
+    assert all(type(l) is int and type(t) is int for l, t in g5.envelope_samples(3))
     # envelope property reasserted here exactly on fresh samples
     for length, word, h in g5.iter_words_with_matrices(3):
         t = -Fraction(g5.delta_to_limit(h.apply(INFINITY), length + 1).upper_exponent)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from schottky.errors import InvalidArgument
 from schottky.groups import sample_group
 from schottky.heights import (
     growth_base,
@@ -112,3 +113,9 @@ def test_threshold_bins(g5):
 def test_upsilon_scan_rejects_bad_length(g5):
     with pytest.raises(ValueError):
         upsilon_scan(g5, 0)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_upsilon_scan_rejects_fewer_than_one_worker(g5, workers):
+    with pytest.raises(InvalidArgument):
+        upsilon_scan(g5, 3, workers=workers)

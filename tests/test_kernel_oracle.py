@@ -6,13 +6,15 @@ inputs: p in {2, 3, 5}, infinity and 0, unbounded disks, fractional
 radius exponents, centers and points with p-power denominators, images
 under random nonsingular integer matrices, and pairs of disks that are
 independent, near each other or the same disk with another center.
+Element classification, fixed points and the envelope fit are compared
+on random nonsingular integer matrices and random integer samples.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import fraction_oracle as oracle
 from schottky.disks import (
@@ -23,9 +25,10 @@ from schottky.disks import (
     min_delta_disjoint_disks,
     point_to_disk_delta,
 )
-from schottky.errors import PointInsideDisk
-from schottky.padic import PrimeContext
-from schottky.proj import Homography, ProjPoint, delta
+from schottky.errors import NotASquare, NotASquareInQp, OddValuation, PointInsideDisk
+from schottky.groups import sample_group
+from schottky.padic import PadicApprox, PrimeContext, hensel_sqrt
+from schottky.proj import Homography, ProjPoint, classify, delta, fixed_points
 
 primes = st.sampled_from([2, 3, 5])
 
@@ -146,7 +149,11 @@ def test_contains(p, data):
 def test_image(m, p, data):
     D, O = data.draw(disks(p))
     g = Homography(*m)
-    assert disk_fields(image(g, D)) == oracle.image(g.entries, O).fields()
+    got = image(g, D)
+    assert disk_fields(got) == oracle.image(g.entries, O).fields()
+    # radius exponents are ints exactly when integral
+    assert (type(got.radius_exp) is int) == (Fraction(got.radius_exp).denominator == 1)
+    assert type(got.radius_exp) in (int, Fraction)
 
 
 @given(p=primes, data=st.data())
@@ -178,6 +185,7 @@ def test_closure_and_complement(p, data):
     for got, want in ((D.closure(), oracle.closure(O)), (D.complement(), O.complement())):
         assert disk_fields(got) == want.fields()
         assert got._m == want.min_valuation()
+        assert type(got.radius_exp) is type(D.radius_exp)
 
 
 @given(p=primes, data=st.data())
@@ -217,3 +225,89 @@ def test_equality_and_hash(p, data):
     if same:
         # unequal disks may still collide: hash(-1) == hash(-2)
         assert hash(D1) == hash(D2)
+
+
+# -- classification, fixed points and the envelope fit -------------------------
+
+
+@st.composite
+def element_matrices(draw):
+    """Nonsingular integer matrices: random ones, and conjugates P M adj(P)
+    of a diagonal or a unipotent M, which have rational fixed points."""
+    shape = draw(st.sampled_from(["random", "random", "diagonal", "unipotent"]))
+    if shape == "random":
+        return draw(matrices)
+    a, b, c, d = draw(matrices)
+    if shape == "diagonal":
+        m = (draw(st.integers(-60, 60).filter(bool)), 0, 0, draw(st.integers(1, 60)))
+    else:
+        m = (1, draw(st.integers(1, 6)), 0, 1)
+    e, f, g, h = m
+    # P M, then (P M) adj(P) with adj(P) = (d, -b, -c, a)
+    e, f, g, h = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return (e * d - f * c, -e * b + f * a, g * d - h * c, -g * b + h * a)
+
+
+def _fixed_point_result(solve):
+    """The fixed points with rational points as oracle pairs, or the
+    name of the failure when the roots are not in Q_p."""
+    try:
+        points, cls, att, rep = solve()
+    except (NotASquareInQp, NotASquare, OddValuation):
+        return "no root in Q_p"
+
+    def plain(z):
+        return coordinates(z) if isinstance(z, ProjPoint) else z
+
+    return tuple(plain(z) for z in points), cls, plain(att), plain(rep)
+
+
+@given(m=element_matrices(), p=primes)
+def test_classify(m, p):
+    g = Homography(*m)
+    assert classify(g, PrimeContext(p)).value == oracle.classify(g.entries, p)
+
+
+# p = 2 is left out: it has no Hensel square roots
+@given(m=element_matrices(), p=st.sampled_from([3, 5, 7]))
+def test_fixed_points(m, p):
+    g = Homography(*m)
+    assume(not g.is_identity)
+    ctx = PrimeContext(p, 12)
+
+    def library():
+        fp = fixed_points(g, ctx)
+        return fp.points, fp.element_class.value, fp.attracting, fp.repelling
+
+    got = _fixed_point_result(library)
+    want = _fixed_point_result(
+        lambda: oracle.fixed_points(g.entries, p, lambda disc: hensel_sqrt(disc, ctx))
+    )
+    assert got == want
+    if got != "no root in Q_p":
+        assert all(type(z) in (tuple, PadicApprox) for z in got[0])
+
+
+@st.composite
+def fit_samples(draw):
+    """(length, t) lists: random, with one t for all (a zero denominator),
+    or on a falling line (a negative slope, clamped to 0)."""
+    shape = draw(st.sampled_from(["random", "equal t", "falling"]))
+    lengths = draw(st.lists(st.integers(0, 12), min_size=1, max_size=40))
+    if shape == "random":
+        ts = [draw(st.integers(-40, 40)) for _ in lengths]
+    elif shape == "equal t":
+        ts = [draw(st.integers(-40, 40))] * len(lengths)
+    else:
+        ts = [-3 * l + draw(st.integers(0, 1)) for l in lengths]
+    return list(zip(lengths, ts))
+
+
+@given(samples=fit_samples())
+def test_fit_proper_constants(samples):
+    G = sample_group(5, 1)
+    G.envelope_samples = lambda depth: samples
+    fit = G.fit_proper_constants(3)
+    assert (fit.a, fit.b) == oracle.proper_fit(samples)
+    assert type(fit.a) is Fraction and type(fit.b) is Fraction
+    assert fit.sample_count == len(samples) and fit.depth == 3

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -269,3 +270,36 @@ def test_fuzz_csv_files(fuzz_inputs, loader, edits):
         loader(path)
     except FormatError:
         pass
+
+
+# -- fuzz: the point grammar -------------------------------------------------------
+
+_point_texts = (
+    st.text(max_size=12)
+    | st.text(st.sampled_from("0123456789+-/ .e_inf"), max_size=12)
+    | st.from_regex(r"\s*[+-]?[0-9]{1,40}(/[0-9]{1,40})?\s*", fullmatch=True)
+    | st.sampled_from(["1e5000", "1e10000000", "1.5", "1_000", "0x10", "nan", "inf", " oo "])
+)
+
+
+@given(text=_point_texts)
+def test_fuzz_point_parser(text):
+    """Any text is a point or a FormatError, and a point prints back to itself."""
+    try:
+        x = parse_point(text)
+    except FormatError:
+        return
+    assert isinstance(x, ProjPoint)
+    assert parse_point(point_str(x)) == x
+
+
+def test_point_grammar_is_a_over_b():
+    assert parse_point(" -6/4 ") == ProjPoint(Fraction(-3, 2))
+    assert parse_point("+7") == ProjPoint(7)
+    for text in ("1e5000", "1.5", "1_000", "1/-2", "1 /2", "٣", "0/0"):
+        with pytest.raises(FormatError):
+            parse_point(text)
+    limit = sys.get_int_max_str_digits()  # 0 when the limit is switched off
+    if limit:
+        with pytest.raises(FormatError):
+            parse_point("9" * (limit + 1))
