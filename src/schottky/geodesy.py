@@ -217,12 +217,39 @@ def _coset_counts(
     G1: SchottkyGroup, g: Homography, G2: SchottkyGroup, depth: int
 ) -> Tuple[int, ...]:
     """Distinct cosets G2 * (g * w) over words w of G1, cumulative by length,
-    told apart exactly by their coset keys in G2."""
-    seen = {G2.coset_key(g)[1]}
-    counts = [1] * (depth + 1)
-    for length, _, h in G1._walk(depth):
-        seen.add(G2.coset_key(g * h)[1])
-        counts[length] = len(seen)
+    told apart exactly by their coset keys in G2.
+
+    The search runs level by level over states (key, last letter), not
+    over words.  A key is m^-1 * g * w with m in G2 (times a generator of
+    G2 after a tie-break), so G2 * (g * w * l) = G2 * (key * l): a child's
+    key is coset_key(key * step[l]) and depends only on the state, and its
+    letters l are the word tree's child rule ``G1._after[last]``.  A state
+    first reached at length n yields at length n + j every key that a later
+    copy of it, reached at n' >= n, yields at n' + j >= n + j.  So
+    expanding each state once, at its first length, reaches by length n
+    exactly the keys of the words of length at most n, and the cumulative
+    counts equal the word-by-word scan's.  Once no new state appears, the
+    counts are constant and the rest are filled in.
+    """
+    root = G2.coset_key(g)[1]
+    keys = {root}
+    visited = {(root, 0)}
+    frontier = [(root, 0)]
+    counts = [1]
+    for _ in range(depth):
+        level = []
+        for key, last in frontier:
+            for l in G1._after[last]:
+                child = (G2.coset_key(key * G1._steps[l])[1], l)
+                if child not in visited:
+                    visited.add(child)
+                    keys.add(child[0])
+                    level.append(child)
+        counts.append(len(keys))
+        if not level:
+            break
+        frontier = level
+    counts += counts[-1:] * (depth + 1 - len(counts))
     return tuple(counts)
 
 

@@ -9,6 +9,7 @@ reduction, and content reduction only shrinks the height.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,6 +135,13 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     huge = peak >= _FLOAT_OVERFLOW  # then its powers are taken in the log domain
     growth = math.exp(math.log(peak) / L) if huge else peak ** (1.0 / L)
     heights = sorted(h for _, _, h in entries)
+    # a height that str() cannot write could not be printed or reloaded either
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and heights[-1] >= 10**limit:
+        raise InvalidArgument(
+            f"a height has more than {limit} decimal digits, the limit for integer text;"
+            " lower max_length"
+        )
     rows = []
     pts = []
     for l in range(1, L + 1):

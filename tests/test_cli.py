@@ -9,6 +9,7 @@ import pytest
 
 import schottky
 from schottky.cli import main
+from schottky.groups import sample_group
 from schottky.serialize import save_group
 
 
@@ -431,6 +432,10 @@ def _sweep_cases():
             yield f"{cmd}--threads={value}", runs[cmd] + [f"--threads={value}"]
     for value in ("0", "inf,inf"):
         yield f"stabilizer--pair={value}", with_flag(runs["stabilizer"], "--pair", value)
+    for cmd in ("heights-scan", "upsilon"):
+        # the heights of g1^l on the {big} group pass the 4,300-digit text limit
+        argv = with_flag(runs[cmd], "--max-length", "200")
+        yield f"{cmd}-heights-past-digit-limit", [cmd, "{big}", *argv[2:]]
     yield "geodesic-probe--window=0", ["geodesic-probe", "{pair}", "--window", "0"]
     yield "sample-group--p=4", ["sample-group", "--p", "4", "--rank", "2"]
     yield "sample-group--rank=0", ["sample-group", "--p", "5", "--rank", "0"]
@@ -452,6 +457,9 @@ def test_cli_error_sweep(capsys, g5_file, tmp_path, argv):
     identity = [["1", "0"], ["0", "1"]]
     pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": 2}))
     names = {"group": g5_file, "pair": str(pair), "dir": str(tmp_path)}
+    if "{big}" in argv:
+        names["big"] = str(tmp_path / "big.json")
+        save_group(sample_group(5, 1, multiplier_exponent=40), names["big"])
     try:
         code = main([arg.format(**names) for arg in argv])
     except SystemExit as exc:  # argparse usage errors exit from inside main
@@ -463,3 +471,4 @@ def test_cli_error_sweep(capsys, g5_file, tmp_path, argv):
     error = json.loads(lines[0])
     assert list(error) == ["error"] and isinstance(error["error"], str)
     assert "Traceback" not in err
+    assert not (tmp_path / "scan.csv").exists()  # refused before --out is opened

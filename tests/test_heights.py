@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,3 +120,21 @@ def test_upsilon_scan_rejects_bad_length(g5):
 def test_upsilon_scan_rejects_fewer_than_one_worker(g5, workers):
     with pytest.raises(InvalidArgument):
         upsilon_scan(g5, 3, workers=workers)
+
+
+def test_upsilon_scan_refuses_heights_past_the_text_limit():
+    """A scan runs exactly when str() can write all its heights, so every
+    written height reloads; the check reads the interpreter's current limit."""
+    G = sample_group(5, 1, multiplier_exponent=40)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        g, h, fits = G.generators[0], Homography.identity(), 0
+        while height_matrix(h * g) < 10**640:
+            h, fits = h * g, fits + 1
+        scan = upsilon_scan(G, fits)
+        assert all(int(str(height)) == height for _, _, height in scan.entries)
+        with pytest.raises(InvalidArgument, match="640 decimal digits"):
+            upsilon_scan(G, fits + 1)
+    finally:
+        sys.set_int_max_str_digits(old)
