@@ -3,7 +3,8 @@
 ``geodesy._coset_counts`` expands each (coset key, last letter) state
 once; ``coset_oracle.coset_counts`` reduces the coset key of every word.
 Both must give the same cumulative counts, or both run out of reduction
-budget, on random pairs of sample groups and random nonsingular g.
+budget, on random pairs of sample groups, with g a random nonsingular
+matrix or a short word of the second group.
 """
 
 import functools
