@@ -14,25 +14,14 @@ import sys
 from . import geodesy, heights
 from .errors import SchottkyError
 from .groups import sample_group
-from .padic import NEG_INF, POS_INF
 from .serialize import (
     canonical_json,
     group_to_dict,
     load_group,
     load_pair,
     parse_point,
-    point_str,
-    rational_str,
     save_group,
 )
-
-
-def _exp_str(e) -> str:
-    if e == NEG_INF:
-        return "-inf"
-    if e == POS_INF:
-        return "inf"
-    return rational_str(e)
 
 
 def _emit(obj):
@@ -49,31 +38,25 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     G = load_group(args.group)
     word, y = G.reduce_point(parse_point(args.point), args.max_steps)
-    _emit({"word": str(word), "point": point_str(y)})
+    _emit({"word": str(word), "point": str(y)})
     return 0
 
 
 def cmd_limit_cover(args) -> int:
     G = load_group(args.group)
     cover = G.limit_cover(args.depth)
+    fields = ("word", "center", "radius_exp")
+    rows = [(str(word), str(disk.center), str(disk.radius_exp)) for word, disk in cover.entries]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["word", "center", "radius_exp"])
-        for word, disk in cover.entries:
-            writer.writerow([str(word), rational_str(disk.center), _exp_str(disk.radius_exp)])
+        writer.writerow(fields)
+        writer.writerows(rows)
     else:
         _emit(
             {
                 "depth": cover.depth,
-                "max_radius_exp": _exp_str(cover.max_radius_exponent),
-                "disks": [
-                    {
-                        "word": str(word),
-                        "center": rational_str(disk.center),
-                        "radius_exp": _exp_str(disk.radius_exp),
-                    }
-                    for word, disk in cover.entries
-                ],
+                "max_radius_exp": str(cover.max_radius_exponent),
+                "disks": [dict(zip(fields, row)) for row in rows],
             }
         )
     return 0
@@ -85,8 +68,8 @@ def cmd_delta(args) -> int:
     _emit(
         {
             "depth": bound.depth,
-            "lower_exp": _exp_str(bound.lower_exponent),
-            "upper_exp": _exp_str(bound.upper_exponent),
+            "lower_exp": str(bound.lower_exponent),
+            "upper_exp": str(bound.upper_exponent),
         }
     )
     return 0
@@ -123,8 +106,8 @@ def cmd_proper_fit(args) -> int:
     fit = G.fit_proper_constants(args.depth)
     _emit(
         {
-            "a": rational_str(fit.a),
-            "b": rational_str(fit.b),
+            "a": str(fit.a),
+            "b": str(fit.b),
             "a_float": float(fit.a),
             "b_float": float(fit.b),
             "depth": fit.depth,
@@ -144,7 +127,7 @@ def cmd_stabilizer(args) -> int:
     _emit(
         {
             "word": None if result.word is None else str(result.word),
-            "multiplier": None if result.multiplier is None else rational_str(result.multiplier),
+            "multiplier": None if result.multiplier is None else str(result.multiplier),
         }
     )
     return 0
@@ -243,10 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchottkyError as exc:
-        sys.stdout.write(canonical_json({"error": str(exc)}))
-        return 2
-    except OSError as exc:
+    except (SchottkyError, OSError) as exc:
         sys.stdout.write(canonical_json({"error": str(exc)}))
         return 2
 

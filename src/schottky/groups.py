@@ -19,6 +19,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .disks import (
@@ -169,9 +170,6 @@ class SchottkyGroup:
     def rank(self) -> int:
         return len(self.generators)
 
-    # The quotient curve of a rank-g group has genus g.
-    genus = rank
-
     @property
     def p(self) -> int:
         return self.ctx.p
@@ -222,10 +220,6 @@ class SchottkyGroup:
             )
         self._report = AxiomReport(tuple(checks))
         return self._report
-
-    @property
-    def verified(self) -> bool:
-        return self.verify().all_passed
 
     def ensure_verified(self):
         report = self.verify()
@@ -311,6 +305,7 @@ class SchottkyGroup:
         x lies in a cover disk, do not depend on how ties are popped.
         """
         self.ensure_verified()
+        depth = operator.index(depth)
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
 
@@ -361,6 +356,7 @@ class SchottkyGroup:
     ) -> Tuple[Word, ProjPoint, Homography]:
         """Reduce x in at most max_steps generator steps; a domain check
         is not a step, so a point already in the domain needs none."""
+        max_steps = operator.index(max_steps)
         if max_steps < 0:
             raise InvalidArgument("max_steps must be >= 0")
         self.ensure_verified()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,14 +182,7 @@ def _height_at_most(h: int, peak: int, l: int, L: int) -> bool:
 
 def _count_below(sorted_heights, peak: int, l: int, L: int) -> int:
     """The number of heights H with H**L <= peak**l."""
-    lo, hi = 0, len(sorted_heights)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _height_at_most(sorted_heights[mid], peak, l, L):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect_left(sorted_heights, True, key=lambda h: not _height_at_most(h, peak, l, L))
 
 
 def _ls_slope(points) -> float:

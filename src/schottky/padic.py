@@ -93,20 +93,13 @@ def abs_exponent(x: Rational, p: int) -> Exponent:
     return NEG_INF if v == POS_INF else -v
 
 
-def unit_part(x: Rational, p: int) -> Fraction:
-    """x / p**v_p(x), a p-adic unit, for x != 0."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("zero has no unit part")
-    v = valuation(x, p)
-    return x / Fraction(p) ** v
-
-
 def unit_residue(x: Rational, p: int, k: int = 1) -> int:
-    """The residue of the unit part of x modulo p**k (x != 0)."""
-    u = unit_part(x, p)
+    """The residue of the unit part x / p**v_p(x) modulo p**k (x != 0)."""
+    num, den = x.numerator, x.denominator
+    if num == 0:
+        raise ValueError("zero has no unit part")
     m = p**k
-    return u.numerator * pow(u.denominator, -1, m) % m
+    return num // p ** valuation(num, p) * pow(den // p ** valuation(den, p), -1, m) % m
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
 from . import padic
@@ -69,7 +69,9 @@ class ProjPoint:
         return "ProjPoint(inf)" if self.is_infinity else f"ProjPoint({self.value})"
 
     def __str__(self):
-        return "inf" if self.is_infinity else str(self.value)
+        if self.den == 0:
+            return "inf"
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
 
 def _set_primitive(point: ProjPoint, num: int, den: int) -> ProjPoint:
@@ -156,10 +158,8 @@ class Homography:
 def _canonical_entries(a, b, c, d) -> tuple:
     if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
         a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-        lcm = 1
-        for x in (a, b, c, d):
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        a, b, c, d = int(a * lcm), int(b * lcm), int(c * lcm), int(d * lcm)
+        m = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        a, b, c, d = int(a * m), int(b * m), int(c * m), int(d * m)
     if a * d - b * c == 0:
         raise ValueError("matrix is singular")
     content = gcd(a, b, c, d)

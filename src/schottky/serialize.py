@@ -1,6 +1,7 @@
 """Canonical file formats.
 
-Rationals serialize as decimal strings "a/b" or "a"; points add "inf".
+Exact values serialize as their str(): "a" or "a/b" in lowest terms;
+points add "inf".
 Group files carry the prime, the digit precision, generator matrices in
 row-major rational strings, and the two disk lists.  Serialization is
 canonical (sorted keys, exact strings), so parse-then-serialize is the
@@ -19,16 +20,11 @@ from typing import Tuple
 from .disks import Disk
 from .errors import FormatError
 from .groups import SchottkyGroup
-from .padic import DEFAULT_PRECISION, PadicApprox, PrimeContext
+from .padic import DEFAULT_PRECISION, PrimeContext
 from .proj import Homography, ProjPoint
 from .words import Word
 
 FORMAT_VERSION = 1
-
-def rational_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
 
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
@@ -46,7 +42,7 @@ def parse_rational(text: str, field: str = "rational") -> Fraction:
 
 
 def point_str(x: ProjPoint) -> str:
-    return "inf" if x.is_infinity else rational_str(x.value)
+    return str(x)
 
 
 def parse_point(text: str, field: str = "point") -> ProjPoint:
@@ -77,8 +73,8 @@ def disk_to_dict(D: Disk) -> dict:
     return {
         "kind": "bounded" if D.bounded else "unbounded",
         "open": D.is_open,
-        "center": rational_str(D.center),
-        "radius_exp": rational_str(D.radius_exp),
+        "center": str(D.center),
+        "radius_exp": str(D.radius_exp),
     }
 
 
@@ -97,12 +93,6 @@ def parse_disk(data: dict, p: int, field: str = "disk") -> Disk:
     if not isinstance(is_open, bool):
         raise FormatError(f"{field}.open: expected a boolean")
     return Disk(kind == "bounded", is_open, center, radius_exp, p)
-
-
-def approx_to_dict(x: PadicApprox) -> dict:
-    if x.is_zero:
-        return {"valuation": None, "unit": 0, "precision": x.precision}
-    return {"valuation": x.valuation, "unit": x.unit, "precision": x.precision}
 
 
 def group_to_dict(G: SchottkyGroup) -> dict:

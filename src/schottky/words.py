@@ -7,6 +7,7 @@ compare lexicographically in that order.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Dict, Iterator, Tuple
 
@@ -31,7 +32,7 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        letters = tuple(int(l) for l in letters)
+        letters = tuple(map(operator.index, letters))
         for l in letters:
             if l == 0:
                 raise ValueError("0 is not a letter")
@@ -44,11 +45,11 @@ class Word:
     def reduced(letters) -> "Word":
         """Free reduction of an arbitrary letter sequence."""
         out = []
-        for l in letters:
+        for l in map(operator.index, letters):
             if out and out[-1] == -l:
                 out.pop()
             else:
-                out.append(int(l))
+                out.append(l)
         return Word(out)
 
     def __len__(self):
@@ -72,13 +73,11 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(-l for l in reversed(self.letters)))
 
-    def concat(self, other: "Word") -> "Word":
+    def __mul__(self, other: "Word") -> "Word":
         return Word.reduced(self.letters + other.letters)
 
-    __mul__ = concat
-
     def append(self, letter: int) -> "Word":
-        return Word(self.letters + (int(letter),))
+        return Word(self.letters + (letter,))
 
     def is_prefix_of(self, other: "Word") -> bool:
         return other.letters[: len(self.letters)] == self.letters
@@ -132,6 +131,7 @@ def walk(roots, step, max_length: int) -> Iterator[Tuple[int, Tuple[int, ...], o
     Yields ``(length, letters, value)`` up to ``max_length``, by length,
     then lexicographically.
     """
+    max_length = operator.index(max_length)
     after = extensions(step)
     level = list(roots)
     length = len(level[0][0]) if level else 0
@@ -151,6 +151,7 @@ def walk(roots, step, max_length: int) -> Iterator[Tuple[int, Tuple[int, ...], o
 def reduced_words(rank: int, length: int) -> Iterator[Word]:
     """All reduced words of the exact length, in lexicographic order,
     streamed depth first: one path of the tree is held, never a level."""
+    length = operator.index(length)
     if length < 0:
         raise InvalidArgument("length must be >= 0")
     if length == 0:

@@ -5,12 +5,14 @@ in ``schottky.proj`` and ``schottky.disks`` replaced: points normalized
 to (value : 1) or (1 : 0), homographies applied to rational coordinates,
 disks canonicalized through ``Fraction`` and imaged by composing
 translations, scalings and the inversion, each with its own canonical
-intermediate disk.  Element classification, fixed points and the
-least-squares envelope fit are the Fraction versions that integer
-arithmetic replaced in ``schottky.proj`` and ``schottky.groups``.  They
-import nothing from the library (the p-adic square root of a fixed-point
-discriminant is passed in), so the property tests in
-``test_kernel_oracle.py`` compare two independent computations.
+intermediate disk.  The text formatters are the ones that ``str()``
+replaced in ``schottky.serialize`` and ``schottky.cli``.  Element
+classification, fixed points and the least-squares envelope fit are the
+Fraction versions that integer arithmetic replaced in ``schottky.proj``
+and ``schottky.groups``.  They import nothing from the library (the
+p-adic square root of a fixed-point discriminant is passed in), so the
+property tests in ``test_kernel_oracle.py`` compare two independent
+computations.
 
 Points are pairs ``(x, y)`` of ``Fraction``; homographies are integer
 4-tuples ``(a, b, c, d)``.
@@ -56,6 +58,28 @@ def unit_residue(x, p: int, k: int) -> int:
     u = x / Fraction(p) ** valuation(x, p)
     m = p**k
     return u.numerator * pow(u.denominator, -1, m) % m
+
+
+# -- text ----------------------------------------------------------------------
+
+
+def rational_str(x) -> str:
+    """"a" or "a/b" in lowest terms."""
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def exp_str(e) -> str:
+    """An exponent: a rational, or "inf"/"-inf" for the sentinels."""
+    if e == NEG_INF:
+        return "-inf"
+    if e == POS_INF:
+        return "inf"
+    return rational_str(e)
+
+
+def point_str(pt) -> str:
+    return "inf" if pt[1] == 0 else rational_str(pt[0])
 
 
 # -- points and homographies ---------------------------------------------------

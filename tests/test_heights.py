@@ -102,6 +102,7 @@ def test_upsilon_scan_workers_match(g5):
 def test_threshold_bins(g5):
     # on rank 1 most heights tie their bin edge past float precision
     for scan in (upsilon_scan(g5, 4), upsilon_scan(sample_group(5, 1), 60)):
+        bins = []
         for length, word, h in scan.entries:
             b = scan.threshold_bin(h)
             assert 1 <= b <= 4 * scan.max_length
@@ -109,6 +110,10 @@ def test_threshold_bins(g5):
             assert h ** scan.max_length <= scan.peak_height ** b
             if b > 1:
                 assert h ** scan.max_length > scan.peak_height ** (b - 1)
+            bins.append(b)
+        # row l counts exactly the heights binned at or below l
+        for row in scan.rows:
+            assert row.count == sum(1 <= b <= row.length_exponent for b in bins)
 
 
 def test_upsilon_scan_rejects_bad_length(g5):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import fraction_oracle as oracle
 from schottky.errors import InvalidArgument, NotASquare, OddValuation, UnsupportedPrime
 from schottky.padic import (
     NEG_INF,
@@ -87,6 +88,17 @@ def test_valuation_ultrametric(x, y):
     assert vs >= min(vx, vy)
     if vx != vy:
         assert vs == min(vx, vy)
+
+
+@given(x=rationals.filter(bool), p=st.sampled_from([2, 3, 5, 7]), k=st.integers(1, 8))
+def test_unit_residue_matches_the_fraction_reference(x, p, k):
+    assert unit_residue(x, p, k) == oracle.unit_residue(x, p, k)
+    assert unit_residue(x.numerator, p, k) == oracle.unit_residue(x.numerator, p, k)
+
+
+def test_unit_residue_of_zero_raises():
+    with pytest.raises(ValueError):
+        unit_residue(0, 5)
 
 
 def test_hensel_sqrt_of_6_matches_exhaustive_search():

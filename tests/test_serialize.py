@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import fraction_oracle as oracle
 from schottky.disks import Disk
 from schottky.errors import FormatError
-from schottky.padic import PadicApprox, PrimeContext
 from schottky.proj import INFINITY, Homography, ProjPoint
 from schottky.serialize import (
-    approx_to_dict,
     canonical_json,
     group_from_dict,
     group_to_dict,
@@ -26,19 +25,42 @@ from schottky.serialize import (
     parse_point,
     parse_rational,
     point_str,
-    rational_str,
     save_group,
 )
 
 
 def test_rational_round_trip():
     for x in [Fraction(3, 4), Fraction(-7), Fraction(0), Fraction(22, 7)]:
-        assert parse_rational(rational_str(x)) == x
-    assert rational_str(Fraction(-3, 4)) == "-3/4"
+        assert parse_rational(str(x)) == x
+    assert str(Fraction(-3, 4)) == "-3/4"
     with pytest.raises(FormatError):
         parse_rational("1/0")
     with pytest.raises(FormatError):
         parse_rational("abc")
+
+
+_exact_values = (
+    st.integers()
+    | st.fractions()
+    | st.sampled_from([math.inf, -math.inf])
+    | st.tuples(st.integers(), st.integers())
+    .filter(lambda v: v != (0, 0))
+    .map(lambda v: ProjPoint(*v))
+)
+
+
+@given(x=_exact_values)
+def test_text_form_is_str(x):
+    """str() writes what the replaced formatters wrote, and the text parses back."""
+    text = str(x)
+    if isinstance(x, ProjPoint):
+        assert text == oracle.point_str(oracle.point(x.num, x.den))
+        assert parse_point(text) == x
+    elif isinstance(x, float):
+        assert text == oracle.exp_str(x)
+    else:
+        assert text == oracle.rational_str(x)
+        assert parse_rational(text) == x
 
 
 def test_point_round_trip():
@@ -128,12 +150,6 @@ def test_pair_errors_name_the_group(g5, tmp_path):
         pair_from_dict(pair, base_dir=tmp_path)
 
 
-def test_approx_serialization():
-    ctx = PrimeContext(5, 3)
-    x = PadicApprox(2, 16, ctx)
-    assert approx_to_dict(x) == {"valuation": 2, "unit": 16, "precision": 3}
-
-
 def test_missing_precision_defaults_to_64(g5):
     d = group_to_dict(g5)
     del d["precision"]
@@ -215,7 +231,7 @@ def fuzz_inputs(g5, tmp_path_factory):
     g25 = group_to_dict(sample_group(5, 2, multiplier_exponent=4))
     pair = {"gamma1": group_to_dict(g5), "g": [["1", "0"], ["0", "1"]], "gamma2": g25, "depth": 3}
     cover = ["word,center,radius_exp"] + [
-        f"{w},{rational_str(D.center)},{rational_str(D.radius_exp)}"
+        f"{w},{D.center},{D.radius_exp}"
         for w, D in g5.limit_cover(2).entries
     ]
     scan = upsilon_scan(g5, 3, workers=1)
