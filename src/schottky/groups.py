@@ -29,6 +29,7 @@ from .disks import (
     disjoint,
     image,
     min_delta_disjoint_disks,
+    nearest_center_delta,
     point_to_disk_delta,
 )
 from .errors import (
@@ -277,11 +278,9 @@ class SchottkyGroup:
                 max_exp = disk.radius_exp
         return LimitCover(depth, tuple(entries), max_exp)
 
-    def _cover_node(self, letters, parent_h: Optional[Homography]):
-        """Compute and memoize (homography, closed word disk) for a word
-        whose parent word has the homography parent_h (None for a letter)."""
-        step = self._steps[letters[-1]]
-        h = step if parent_h is None else parent_h * step
+    def _cover_node(self, letters, h: Homography):
+        """Compute and memoize (homography, closed word disk) for the word
+        with these letters and homography h."""
         node = (h, self._word_disk(h, letters[-1]).closure())
         if len(self._cover_cache) >= _COVER_CACHE_CAP:
             self._cover_cache.clear()  # values are deterministic, recompute freely
@@ -321,10 +320,10 @@ class SchottkyGroup:
         def push_children(letters, h):
             for l in self._after[letters[-1] if letters else 0]:
                 child = letters + (l,)
-                h2, d2 = cache.get(child) or self._cover_node(child, h)
+                h2, d2 = cache.get(child) or self._cover_node(child, h * self._steps[l])
                 heapq.heappush(heap, (bound_of(d2), child, h2, d2))
 
-        push_children((), None)
+        push_children((), Homography.identity())
         lower = None
         upper = POS_INF
         while heap and (lower is None or heap[0][0] < upper):
@@ -475,22 +474,58 @@ class SchottkyGroup:
 
         One sample per word up to the depth and per base point: infinity
         plus a point on each boundary circle, pushed around by the word.
-        Boundary samples sit inside closed cover disks one level deeper
-        than the word, so their distance bound uses a one-deeper cover.
+        A sample's t is -upper_exponent of delta_to_limit at cover depth
+        n + 1 for a word of length n and the point infinity, and at depth
+        n + 2 for a boundary point, which sits inside a closed cover disk
+        one level deeper than the word.
+
+        A nonempty word w reads t from its own subtree instead of a
+        search.  Let E(w) be its closed cover disk.  A base point lies
+        outside every open domain disk, so y = w(x) lies in E(w).  The
+        cover disks of w's subtree lie inside E(w); every other cover
+        disk of the same depth lies inside another closed word disk of
+        length n, which is disjoint from E(w).  When E(w) is bounded with
+        radius below max(1, |center|), it lies in one residue disk of P^1
+        and is a closed chordal ball of radius < 1.  By the ultrametric
+        inequality every point outside it is then farther from y than any
+        point inside it.  So the least delta from y to a depth-(n + 1)
+        center is the least over w's children, and at depth n + 2 the
+        least over its grandchildren.  One valuation per candidate disk
+        gives both delta(y, center) and whether y lies inside the disk.
+
+        delta_to_limit still gives t for the identity, which has no word
+        disk, for a word whose disk fails the precondition, and for a
+        point inside a candidate disk, where it raises PointNearLimitSet.
         """
         self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         bases = self._envelope_base_points()
+        cache = self._cover_cache
 
-        def t_value(x: ProjPoint, length: int, interior: bool) -> int:
-            cover_depth = length + (1 if interior else 2)
-            return -self.delta_to_limit(x, cover_depth).upper_exponent
+        def searched(y: ProjPoint, cover_depth: int) -> int:
+            return -self.delta_to_limit(y, cover_depth).upper_exponent
 
-        samples = [(0, t_value(x, 0, x is INFINITY)) for x in bases]
+        def children(letters, h):
+            for l in self._after[letters[-1]]:
+                child = letters + (l,)
+                yield child, cache.get(child) or self._cover_node(child, h * self._steps[l])
+
+        # cover levels below the word: children for infinity, else grandchildren
+        levels = [1 if x is INFINITY else 2 for x in bases]
+        samples = [(0, searched(x, n)) for x, n in zip(bases, levels)]
         for length, word, h in self.iter_words_with_matrices(depth):
-            for x in bases:
-                samples.append((length, t_value(h.apply(x), length, x is INFINITY)))
+            letters = word.letters
+            _, disk = cache.get(letters) or self._cover_node(letters, h)
+            near = {}  # level -> the closed cover disks of w's subtree there
+            if disk.in_residue_disk:
+                kids = list(children(letters, h))
+                near[1] = [d for _, (_, d) in kids]
+                near[2] = [d for child, (h2, _) in kids for _, (_, d) in children(child, h2)]
+            for x, n in zip(bases, levels):
+                y = h.apply(x)
+                upper = nearest_center_delta(y, near[n], self.ctx) if near else None
+                samples.append((length, searched(y, length + n) if upper is None else -upper))
         return samples
 
     def fit_proper_constants(self, depth: int) -> ProperFit:

@@ -137,13 +137,15 @@ class Homography:
     def compose(self, other: "Homography") -> "Homography":
         a, b, c, d = self.entries
         e, f, g, h = other.entries
-        return Homography(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        # a product of nonsingular matrices is nonsingular
+        return _trusted(_primitive(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     __mul__ = compose
 
     def inverse(self) -> "Homography":
         a, b, c, d = self.entries
-        return Homography(d, -b, -c, a)
+        # the adjugate of a content-1 matrix has content 1
+        return _trusted(_signed(d, -b, -c, a))
 
     def apply(self, point: ProjPoint) -> ProjPoint:
         a, b, c, d = self.entries
@@ -162,13 +164,32 @@ def _canonical_entries(a, b, c, d) -> tuple:
         a, b, c, d = int(a * m), int(b * m), int(c * m), int(d * m)
     if a * d - b * c == 0:
         raise ValueError("matrix is singular")
+    return _primitive(a, b, c, d)
+
+
+def _primitive(a: int, b: int, c: int, d: int) -> tuple:
+    """Canonical entries of a nonsingular integer matrix: content 1 and a
+    positive first nonzero entry."""
     content = gcd(a, b, c, d)
     if content != 1:
         a, b, c, d = a // content, b // content, c // content, d // content
+    return _signed(a, b, c, d)
+
+
+def _signed(a: int, b: int, c: int, d: int) -> tuple:
+    """Canonical entries of a nonsingular content-1 integer matrix."""
     # a nonsingular matrix with a = 0 has b != 0
     if a < 0 or (a == 0 and b < 0):
         return (-a, -b, -c, -d)
     return (a, b, c, d)
+
+
+def _trusted(entries: tuple) -> Homography:
+    """A Homography over entries that are already canonical, without the
+    type and determinant checks of ``Homography(...)``."""
+    g = object.__new__(Homography)
+    object.__setattr__(g, "entries", entries)
+    return g
 
 
 class ElementClass(enum.Enum):

@@ -61,6 +61,27 @@ def test_canonical_form():
         Homography(1, 2, 2, 4)
 
 
+# small entries, often zero, times a content that may be large
+matrices = st.tuples(
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    st.one_of(st.integers(1, 3), st.integers(1, 10**30)),
+    st.sampled_from([1, -1]),
+).map(lambda t: tuple(t[2] * t[1] * e for e in t[0]))
+nonsingular = matrices.filter(lambda m: m[0] * m[3] != m[1] * m[2])
+
+
+@given(m1=nonsingular, m2=nonsingular)
+def test_trusted_product_and_inverse_match_the_checked_constructor(m1, m2):
+    g, h = Homography(*m1), Homography(*m2)
+    a, b, c, d = g.entries
+    e, f, u, v = h.entries
+    product = Homography(a * e + b * u, a * f + b * v, c * e + d * u, c * f + d * v)
+    assert (g * h).entries == product.entries
+    assert g.inverse().entries == Homography(d, -b, -c, a).entries
+    assert g * h == product and hash(g * h) == hash(product)
+    assert (g * g.inverse()).is_identity
+
+
 def test_delta_examples():
     assert delta(ProjPoint(0), ProjPoint(1), CTX) == 0
     assert delta(ProjPoint(5), ProjPoint(0), CTX) == -1
