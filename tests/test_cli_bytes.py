@@ -5,7 +5,9 @@ the multiplier-4 group at the same prime).  The digests in ``COMMANDS``
 were recorded from the implementation that computed points and disks in
 ``Fraction`` arithmetic; the integer kernel must reproduce every byte,
 including the error line of a ``delta`` query that lands inside the
-cover.  The digests in ``WALK_COMMANDS`` were recorded before the word
+cover.  The ``_32`` ``delta`` digests, at the depth the benchmark's CLI
+stream queries, were recorded from the best-first cover search.  The
+digests in ``WALK_COMMANDS`` were recorded before the word
 scans shared one walker over the word tree; they pin every command that
 walks it, on the rank-2 group and on the rank-3 group ``{g3}``.
 """
@@ -17,6 +19,12 @@ import pytest
 from schottky.cli import main
 from schottky.groups import sample_group
 from schottky.serialize import save_group
+
+# the image of infinity under (g1*g2*g1^-1*g2^-1)^8*g1, inside the depth-32 cover
+DEEP_POINT = (
+    "-130549046895158348627120058500253703691344702674664321"
+    "/1484734063408026257466941823649627524892241543932922904"
+)
 
 PAIR = '{"depth": 4, "g": [["1", "1"], ["0", "1"]], "gamma1": "g5.json", "gamma2": "g5m4.json"}\n'
 
@@ -51,6 +59,16 @@ COMMANDS = {
         ["delta", "{g}", "--point", "0", "--depth", "8"],
         2,
         "328451af02424357a646e364969e5f95d2b6c4ee047454aff891844f5d6ed227",
+    ),
+    "delta_orbit_32": (
+        ["delta", "{g}", "--point=-7563/85987", "--depth", "32"],
+        0,
+        "5445d69f9ba0822204e55f676ed3ac644717f13741e05cab8bd903dc5b7d8be0",
+    ),
+    "delta_inside_32": (
+        ["delta", "{g}", f"--point={DEEP_POINT}", "--depth", "32"],
+        2,
+        "6157b16b0cc6ab9b8dc989221d674b34136d0967844e88db74d38e848f2d4dd9",
     ),
     "reduce_inf": (
         ["reduce", "{g}", "--point", "inf"],
