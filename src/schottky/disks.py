@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import CoefficientTooLarge, ConstantPolynomial, PointInsideDisk
-from .padic import NEG_INF, Exponent, PrimeContext, abs_exponent, valuation
+from .padic import Exponent, PrimeContext, abs_exponent, valuation
 from .proj import Homography, ProjPoint, _new_point
 
 
@@ -236,27 +236,6 @@ def point_to_disk_delta(x: ProjPoint, D: Disk, ctx: PrimeContext) -> Exponent:
         return D._k - vn - D._s
     # x lies in the complementary bounded disk.
     return D.radius_exp - D._s - vy
-
-
-def nearest_center_delta(
-    x: ProjPoint, disks: Sequence[Disk], ctx: PrimeContext
-) -> Optional[Exponent]:
-    """Exponent of the least delta(x, D.center_point()) over bounded disks
-    D, or None when x lies in one of them.
-
-    One valuation per disk decides both: with v = v(num * p^k - den * cn),
-    delta(x, center) = p**-v, and x lies in D iff v - v(den) - k >= m.
-    """
-    p = ctx.p
-    vx = valuation(x.den, p)
-    best = NEG_INF
-    for D in disks:
-        v = valuation(x.num * D._pk - x.den * D._cn, p)
-        if v - vx - D._k >= D._m:
-            return None
-        if v > best:
-            best = v
-    return -best
 
 
 def min_delta_disjoint_disks(D1: Disk, D2: Disk, ctx: PrimeContext) -> Exponent:

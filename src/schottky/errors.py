@@ -29,7 +29,7 @@ class PointInsideDisk(SchottkyError):
     """Distance-to-disk requested for a point lying in the disk.
 
     Raised with the point and the disk; the message is formatted only when
-    read, because the distance search catches most of these.
+    read, because the cover descent catches most of these.
     """
 
     def __str__(self):

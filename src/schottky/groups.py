@@ -15,7 +15,6 @@ cover the limit set.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -29,7 +28,6 @@ from .disks import (
     disjoint,
     image,
     min_delta_disjoint_disks,
-    nearest_center_delta,
     point_to_disk_delta,
 )
 from .errors import (
@@ -86,7 +84,11 @@ class LimitCover:
 
 @dataclass(frozen=True)
 class DeltaGammaBound:
-    """A certified interval around the chordal distance to the limit set."""
+    """A certified interval around the chordal distance to the limit set.
+
+    The cover is ultrametric, so a nearest cover disk is a chordal ball
+    whose points all lie at one distance from the query point: the lower
+    and upper exponents are equal."""
 
     lower_exponent: Exponent
     upper_exponent: Exponent
@@ -179,7 +181,12 @@ class SchottkyGroup:
         return alphabet(self.rank)
 
     def generator(self, letter: int) -> Homography:
-        return self._steps[letter]
+        try:
+            return self._steps[letter]
+        except KeyError:
+            raise InvalidArgument(
+                f"letter {letter} is outside the alphabet of rank {self.rank}"
+            ) from None
 
     # -- verification ---------------------------------------------------
 
@@ -296,51 +303,53 @@ class SchottkyGroup:
         The lower bound is the least point-to-disk distance over the cover;
         the upper bound is the least distance to a cover-disk center, valid
         because every cover disk contains limit points and canonical
-        centers minimize |center| within their disk.  Both are computed by
-        exact branch-and-bound over the word tree.
-
-        Bounds only grow from a word to its children and the cover disks
-        of one depth are disjoint, so the result, and the word named when
-        x lies in a cover disk, do not depend on how ties are popped.
+        centers minimize |center| within their disk.  The two coincide:
+        ``_descend`` finds a nearest cover disk that is a chordal ball
+        missing x, and every point of such a ball, its center included,
+        lies at the same distance from x.
         """
         self.ensure_verified()
         depth = operator.index(depth)
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
+        lower, disk = self._descend(x, depth, (), Homography.identity())
+        return DeltaGammaBound(lower, delta(x, disk.center_point(), self.ctx), depth)
 
-        def bound_of(disk):
-            try:
-                return point_to_disk_delta(x, disk, self.ctx)
-            except PointInsideDisk:
-                return NEG_INF
+    def _descend(self, x: ProjPoint, depth: int, letters, h: Homography):
+        """(exponent, disk): the exponent of the distance from x to the
+        cover of the given depth, and a cover disk at that distance.  The
+        node (letters, h) is the identity or a word whose closed cover
+        disk is a chordal ball containing x.
 
-        cache = self._cover_cache
-        heap = []
-
-        def push_children(letters, h):
+        The walk goes down the chain of closed cover disks that contain x
+        and keeps, over all levels, the sibling of the chain that misses x
+        at the least point-to-disk exponent.  Each cover disk of the depth
+        below the node lies in the chain or in one missed sibling.  A
+        sibling that is a chordal ball (``in_residue_disk``) has all its
+        points at one distance from x.  The one other shape, E(0, p^e)
+        with e >= 0, is never the nearest: at most one missed sibling has
+        it, another sibling is missed, and every point outside it is
+        strictly nearer to x.  Raises PointNearLimitSet if x still lies in
+        a cover disk at the depth.
+        """
+        cache, ctx = self._cover_cache, self.ctx
+        lower, nearest = POS_INF, None
+        while len(letters) < depth:
+            inside = None
             for l in self._after[letters[-1] if letters else 0]:
                 child = letters + (l,)
-                h2, d2 = cache.get(child) or self._cover_node(child, h * self._steps[l])
-                heapq.heappush(heap, (bound_of(d2), child, h2, d2))
-
-        push_children((), Homography.identity())
-        lower = None
-        upper = POS_INF
-        while heap and (lower is None or heap[0][0] < upper):
-            b, letters, h, disk = heapq.heappop(heap)
-            if len(letters) == depth:
-                if b == NEG_INF:
-                    raise PointNearLimitSet(
-                        f"{x} lies in the depth-{depth} cover disk of {Word(letters)}"
-                    )
-                if lower is None:
-                    lower = b
-                d = delta(x, disk.center_point(), self.ctx)
-                if d < upper:
-                    upper = d
-                continue
-            push_children(letters, h)
-        return DeltaGammaBound(lower, upper, depth)
+                h2, disk = cache.get(child) or self._cover_node(child, h * self._steps[l])
+                try:
+                    bound = point_to_disk_delta(x, disk, ctx)
+                except PointInsideDisk:
+                    inside = child, h2
+                    continue
+                if bound < lower:
+                    lower, nearest = bound, disk
+            if inside is None:
+                return lower, nearest
+            letters, h = inside
+        raise PointNearLimitSet(f"{x} lies in the depth-{depth} cover disk of {Word(letters)}")
 
     # -- reduction and membership ------------------------------------------
 
@@ -477,55 +486,32 @@ class SchottkyGroup:
         A sample's t is -upper_exponent of delta_to_limit at cover depth
         n + 1 for a word of length n and the point infinity, and at depth
         n + 2 for a boundary point, which sits inside a closed cover disk
-        one level deeper than the word.
+        one level deeper than the word.  The lower and upper bounds
+        coincide, so t is read from the exponent ``_descend`` returns.
 
-        A nonempty word w reads t from its own subtree instead of a
-        search.  Let E(w) be its closed cover disk.  A base point lies
-        outside every open domain disk, so y = w(x) lies in E(w).  The
-        cover disks of w's subtree lie inside E(w); every other cover
-        disk of the same depth lies inside another closed word disk of
-        length n, which is disjoint from E(w).  When E(w) is bounded with
-        radius below max(1, |center|), it lies in one residue disk of P^1
-        and is a closed chordal ball of radius < 1.  By the ultrametric
-        inequality every point outside it is then farther from y than any
-        point inside it.  So the least delta from y to a depth-(n + 1)
-        center is the least over w's children, and at depth n + 2 the
-        least over its grandchildren.  One valuation per candidate disk
-        gives both delta(y, center) and whether y lies inside the disk.
-
-        delta_to_limit still gives t for the identity, which has no word
-        disk, for a word whose disk fails the precondition, and for a
-        point inside a candidate disk, where it raises PointNearLimitSet.
+        A base point lies outside every open domain disk, so y = w(x)
+        lies in the closed cover disk E(w) of a nonempty word w.  When
+        E(w) is a chordal ball (``in_residue_disk``), every point outside
+        it is farther from y than any point inside it, and the cover disks
+        of w's subtree lie inside it; so the descent for y starts at w
+        rather than at the identity.  Otherwise it starts at the identity.
         """
         self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         bases = self._envelope_base_points()
-        cache = self._cover_cache
-
-        def searched(y: ProjPoint, cover_depth: int) -> int:
-            return -self.delta_to_limit(y, cover_depth).upper_exponent
-
-        def children(letters, h):
-            for l in self._after[letters[-1]]:
-                child = letters + (l,)
-                yield child, cache.get(child) or self._cover_node(child, h * self._steps[l])
-
         # cover levels below the word: children for infinity, else grandchildren
         levels = [1 if x is INFINITY else 2 for x in bases]
-        samples = [(0, searched(x, n)) for x, n in zip(bases, levels)]
+        samples = [(0, -self.delta_to_limit(x, n).upper_exponent) for x, n in zip(bases, levels)]
+        root = (), Homography.identity()
+        cache = self._cover_cache
         for length, word, h in self.iter_words_with_matrices(depth):
             letters = word.letters
             _, disk = cache.get(letters) or self._cover_node(letters, h)
-            near = {}  # level -> the closed cover disks of w's subtree there
-            if disk.in_residue_disk:
-                kids = list(children(letters, h))
-                near[1] = [d for _, (_, d) in kids]
-                near[2] = [d for child, (h2, _) in kids for _, (_, d) in children(child, h2)]
+            start = (letters, h) if disk.in_residue_disk else root
             for x, n in zip(bases, levels):
-                y = h.apply(x)
-                upper = nearest_center_delta(y, near[n], self.ctx) if near else None
-                samples.append((length, searched(y, length + n) if upper is None else -upper))
+                bound, _ = self._descend(h.apply(x), length + n, *start)
+                samples.append((length, -bound))
         return samples
 
     def fit_proper_constants(self, depth: int) -> ProperFit:

@@ -1,7 +1,13 @@
+import functools
+
 import pytest
 from hypothesis import settings
 
 from schottky import PrimeContext, sample_group
+from schottky.disks import image
+from schottky.errors import InvalidArgument
+from schottky.groups import SchottkyGroup
+from schottky.proj import Homography
 
 # Derandomized examples make every run check the same inputs, and no
 # deadline keeps slow or throttled hosts from failing correct code.
@@ -28,3 +34,48 @@ def sample_groups():
         sample_group(5, 2, multiplier_exponent=4),
         sample_group(7, 2, multiplier_exponent=2),
     ]
+
+
+# Groups shared by the hypothesis tests, which cannot take fixtures.
+
+
+@functools.lru_cache(maxsize=None)
+def cached_sample_group(p, rank, exponent=2):
+    """sample_group(p, rank, exponent), or None where it cannot be built."""
+    try:
+        return sample_group(p, rank, exponent)
+    except InvalidArgument:
+        return None  # p = 2 has no room for three disk pairs
+
+
+CONJUGATOR_NAMES = ("x/p^3", "p^3x", "x+1/p^2", "x/(px+1)")
+
+
+def conjugator(p, name):
+    """The homography s named by its action x -> s(x)."""
+    return {
+        "x/p^3": Homography(1, 0, 0, p**3),
+        "p^3x": Homography(p**3, 0, 0, 1),
+        "x+1/p^2": Homography(p * p, 1, 0, p * p),
+        "x/(px+1)": Homography(1, 0, p, 1),
+    }[name]
+
+
+@functools.lru_cache(maxsize=None)
+def conjugate(G, name):
+    """The group s G s^-1 with the disks moved by the named conjugator s;
+    None if a moved disk is unbounded or the moved disks fail the
+    good-domain axioms.  The x/p^3 conjugates have closed word disks
+    that contain the closed unit disk, which are not chordal balls."""
+    s = conjugator(G.p, name)
+    t = s.inverse()
+    try:
+        H = SchottkyGroup(
+            G.ctx,
+            [s * g * t for g in G.generators],
+            [image(s, B) for B in G.B],
+            [image(s, C) for C in G.C],
+        )
+    except ValueError:
+        return None
+    return H if H.verify().all_passed else None

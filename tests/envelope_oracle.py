@@ -1,12 +1,13 @@
-"""Reference envelope samples, one branch-and-bound search per sample.
+"""Reference envelope samples, one best-first search per sample.
 
-This is the loop that ``SchottkyGroup.envelope_samples`` replaced for
-nonempty words: each sample's t is read from ``delta_to_limit`` at cover
+Each sample's t is read from ``search_oracle.delta_to_limit`` at cover
 depth n + 1 for infinity and n + 2 for a boundary base point.  The
-library now reads t from the word's own subtree; ``test_envelope.py``
-compares the two.
+library reads t from one descent per sample, started at the word when
+its closed cover disk is a chordal ball; ``test_envelope.py`` compares
+the two.
 """
 
+import search_oracle
 from schottky.proj import INFINITY
 
 
@@ -16,7 +17,7 @@ def envelope_samples(G, depth):
 
     def t_value(x, length, interior):
         cover_depth = length + (1 if interior else 2)
-        return -G.delta_to_limit(x, cover_depth).upper_exponent
+        return -search_oracle.delta_to_limit(G, x, cover_depth).upper_exponent
 
     samples = [(0, t_value(x, 0, x is INFINITY)) for x in bases]
     for length, _, h in G.iter_words_with_matrices(depth):

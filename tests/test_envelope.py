@@ -1,61 +1,22 @@
-"""Envelope samples from each word's subtree against one search per sample.
+"""Envelope samples from one descent per sample against one search each.
 
-``SchottkyGroup.envelope_samples`` reads a nonempty word's samples from
-the closed cover disks of its children and grandchildren, when its own
-closed cover disk lies in one residue disk of P^1.
-``envelope_oracle.envelope_samples`` runs ``delta_to_limit`` for every
-sample.  The lists must be equal on the fixture groups, on sample groups
-and on conjugates of sample groups.  The conjugates by x -> x / p^3 have
-word disks of radius >= 1, where the shortcut does not hold and the
-library has to search.
+``SchottkyGroup.envelope_samples`` reads each sample from a walk down the
+chain of cover disks that contain the sample point, started at the word
+when its closed cover disk is a chordal ball and at the identity
+otherwise.  ``envelope_oracle.envelope_samples`` runs the best-first
+search of ``search_oracle`` for every sample.  The lists must be equal on
+the fixture groups, on sample groups and on conjugates of sample groups.
+The conjugates by x -> x / p^3 have word disks of radius >= 1, which are
+not chordal balls, so their samples have to descend from the identity.
 """
-
-import functools
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import envelope_oracle as oracle
-from schottky.disks import Disk, image, nearest_center_delta
-from schottky.errors import InvalidArgument
-from schottky.groups import SchottkyGroup, sample_group
-from schottky.padic import PrimeContext
-from schottky.proj import INFINITY, Homography, ProjPoint, delta
-
-
-@functools.lru_cache(maxsize=None)
-def _sample(p, rank, exponent):
-    try:
-        return sample_group(p, rank, exponent)
-    except InvalidArgument:
-        return None  # p = 2 has no room for three disk pairs
-
-
-def _conjugators(p):
-    return {
-        "x/p^3": Homography(1, 0, 0, p**3),
-        "p^3x": Homography(p**3, 0, 0, 1),
-        "x+1/p^2": Homography(p * p, 1, 0, p * p),
-        "x/(px+1)": Homography(1, 0, p, 1),
-    }
-
-
-def _conjugate(G, s):
-    """The group s G s^-1 with the disks moved by s; None if the moved
-    disks fail the good-domain axioms."""
-    t = s.inverse()
-    try:
-        H = SchottkyGroup(
-            G.ctx,
-            [s * g * t for g in G.generators],
-            [image(s, B) for B in G.B],
-            [image(s, C) for C in G.C],
-        )
-    except ValueError:
-        return None  # a moved disk is unbounded
-    return H if H.verify().all_passed else None
+from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate
+from schottky.groups import sample_group
 
 
 def test_samples_match_the_search_on_the_fixture_groups(sample_groups):
@@ -72,7 +33,7 @@ def test_samples_match_the_search_on_the_fixture_groups(sample_groups):
     st.integers(1, 4),
 )
 def test_samples_match_the_search_on_sample_groups(p, rank, exponent, depth):
-    assume(_sample(p, rank, exponent) is not None)
+    assume(cached_sample_group(p, rank, exponent) is not None)
     assume(rank < 3 or depth < 4)  # keeps the oracle's searches few
     G = sample_group(p, rank, exponent)
     assert G.envelope_samples(depth) == oracle.envelope_samples(G, depth)
@@ -83,20 +44,20 @@ def test_samples_match_the_search_on_sample_groups(p, rank, exponent, depth):
     st.sampled_from([2, 3, 5, 7]),
     st.integers(1, 3),
     st.sampled_from([2, 4]),
-    st.sampled_from(["x/p^3", "p^3x", "x+1/p^2", "x/(px+1)"]),
+    st.sampled_from(CONJUGATOR_NAMES),
     st.integers(1, 3),
 )
 def test_samples_match_the_search_on_conjugated_groups(p, rank, exponent, name, depth):
-    G = _sample(p, rank, exponent)
+    G = cached_sample_group(p, rank, exponent)
     assume(G is not None)
-    H = _conjugate(G, _conjugators(p)[name])
+    H = conjugate(G, name)
     assume(H is not None)
     assert H.envelope_samples(depth) == oracle.envelope_samples(H, depth)
 
 
 def test_conjugates_include_disks_outside_one_residue_disk():
-    # the shortcut would be wrong on these words, so the fallback is exercised
-    H = _conjugate(sample_group(5, 2), _conjugators(5)["x/p^3"])
+    # descending from these words would be wrong
+    H = conjugate(cached_sample_group(5, 2), "x/p^3")
     assert H is not None
     outside = [
         letters
@@ -106,39 +67,42 @@ def test_conjugates_include_disks_outside_one_residue_disk():
     assert outside
 
 
+def descent_roots(G, depth):
+    """The starting letters of every descent that envelope_samples(depth)
+    makes, with None recorded before the descent of a delta_to_limit call."""
+    roots = []
+    descend, search = G._descend, G.delta_to_limit
+
+    def spied(x, cover_depth, letters, h):
+        roots.append(letters)
+        return descend(x, cover_depth, letters, h)
+
+    def delta_to_limit(x, cover_depth):
+        roots.append(None)
+        return search(x, cover_depth)
+
+    G._descend, G.delta_to_limit = spied, delta_to_limit
+    try:
+        G.envelope_samples(depth)
+    finally:
+        del G._descend, G.delta_to_limit
+    return roots
+
+
 @pytest.mark.parametrize("spec", [(5, 2, 2), (3, 2, 4), (7, 3, 2), (2, 1, 2)])
 def test_sample_groups_search_only_for_the_identity(spec):
+    # every word's disk is a ball, so each word's samples start at the word
     G = sample_group(*spec)
-    searches = []
-    search = G.delta_to_limit
-
-    def counted(x, depth):
-        searches.append(depth)
-        return search(x, depth)
-
-    G.delta_to_limit = counted
-    G.envelope_samples(3)
-    assert len(searches) == len(G._envelope_base_points())
+    bases = len(G._envelope_base_points())
+    roots = descent_roots(G, 3)
+    assert roots[: 2 * bases] == [None, ()] * bases
+    words = [letters for _, letters, _ in G._walk(3) for _ in range(bases)]
+    assert roots[2 * bases :] == words
 
 
-CTX = PrimeContext(5)
-disks = st.builds(
-    lambda num, den, e, is_open: Disk(True, is_open, Fraction(num, den), e, CTX.p),
-    st.integers(-200, 200),
-    st.sampled_from([1, 3, 5, 25, 7]),
-    st.integers(-3, 3),
-    st.booleans(),
-)
-points = st.one_of(
-    st.just(INFINITY),
-    st.tuples(st.integers(-300, 300), st.integers(1, 300)).map(lambda t: ProjPoint(*t)),
-)
-
-
-@given(points, st.lists(disks, min_size=1, max_size=4))
-def test_nearest_center_delta_matches_contains_and_delta(x, ds):
-    got = nearest_center_delta(x, ds, CTX)
-    if any(D.contains(x) for D in ds):
-        assert got is None
-    else:
-        assert got == min(delta(x, D.center_point(), CTX) for D in ds)
+def test_conjugate_words_outside_a_ball_descend_from_the_identity():
+    H = conjugate(cached_sample_group(5, 2), "x/p^3")
+    roots = descent_roots(H, 3)
+    bases = len(H._envelope_base_points())
+    assert roots.count(None) == bases
+    assert roots.count(()) > bases

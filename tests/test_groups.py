@@ -145,6 +145,22 @@ def test_delta_to_limit_distortion_bounded(g5):
         assert moved.lower_exponent >= base.upper_exponent - c
 
 
+def test_delta_to_limit_computes_one_level_for_a_point_off_the_cover():
+    # infinity misses every letter disk, so no deeper cover node is needed
+    G = sample_group(5, 2)
+    computed = []
+    cover_node = G._cover_node
+
+    def counted(letters, h):
+        computed.append(letters)
+        return cover_node(letters, h)
+
+    G._cover_node = counted
+    bound = G.delta_to_limit(INFINITY, 1000)
+    assert bound.lower_exponent == bound.upper_exponent == 0
+    assert len(computed) <= 4
+
+
 def test_delta_to_limit_near_limit_point(g5):
     with pytest.raises(PointNearLimitSet):
         g5.delta_to_limit(ProjPoint(0), 2)  # 0 is a fixed point of g1
@@ -399,6 +415,21 @@ def test_invalid_arguments_raise_invalid_argument(g5):
     for args in ((5, 0), (5, 2, 3), (5, 2, 0), (3, 4)):
         with pytest.raises(InvalidArgument):
             sample_group(*args)
+
+
+@pytest.mark.parametrize(
+    "call, letter",
+    (
+        (lambda G: G.generator(3), 3),
+        (lambda G: G.word_homography(Word((1, -3))), -3),
+        (lambda G: G.b_disk(Word((3,))), 3),
+        (lambda G: G.localize_fundamental(Word((2, 3)), G.B[0]), 3),
+    ),
+    ids=("generator", "word_homography", "b_disk", "localize_fundamental"),
+)
+def test_letters_outside_the_alphabet_raise_invalid_argument(g5, call, letter):
+    with pytest.raises(InvalidArgument, match=f"^letter {letter} is outside .* rank 2$"):
+        call(g5)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
-"""The word-tree walker and the best-first cover search against brute force.
+"""The word-tree walker and the cover descent against brute force.
 
 ``iter_words_with_matrices`` must list the ``reduced_words`` of each
 length in order, with the products ``word_homography`` computes letter by
 letter; the height scan must list every positive word in order; and
 ``delta_to_limit`` must agree with a scan of every disk of
-``limit_cover(depth)``, which stays here as the reference.
+``limit_cover(depth)``, which stays here as the reference, on sample
+groups and on their conjugates, whose cover disks need not be chordal
+balls.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import CONJUGATOR_NAMES, conjugate
 from schottky import INFINITY, PointNearLimitSet, ProjPoint, Word, sample_group
 from schottky.disks import point_to_disk_delta
 from schottky.errors import PointInsideDisk
@@ -23,8 +26,13 @@ from schottky.proj import delta
 from schottky.words import extensions, reduced_words
 
 GROUPS = {rank: sample_group(5, rank) for rank in (1, 2, 3)}
-PRIMES = (3, 5, 7)
-SEARCH_GROUPS = {p: sample_group(p, 2) for p in PRIMES}
+PRIMES = (2, 3, 5, 7)
+SEARCH_GROUPS = {(p, None): sample_group(p, 2) for p in PRIMES}
+for p, name in itertools.product(PRIMES, CONJUGATOR_NAMES):
+    H = conjugate(SEARCH_GROUPS[p, None], name)
+    if H is not None:
+        SEARCH_GROUPS[p, name] = H
+SEARCH_KEYS = sorted(SEARCH_GROUPS, key=str)
 COVERS = {}
 
 
@@ -60,10 +68,10 @@ def test_height_scan_lists_the_sorted_positive_words(rank):
 
 def brute_delta(G, x, depth):
     """(lower, upper) from every disk of the cover, or the containing word."""
-    if (G.p, depth) not in COVERS:
-        COVERS[G.p, depth] = G.limit_cover(depth).entries
+    if (G, depth) not in COVERS:
+        COVERS[G, depth] = G.limit_cover(depth).entries
     lower, upper = POS_INF, POS_INF
-    for word, disk in COVERS[G.p, depth]:
+    for word, disk in COVERS[G, depth]:
         try:
             lower = min(lower, point_to_disk_delta(x, disk, G.ctx))
         except PointInsideDisk:
@@ -76,8 +84,9 @@ def brute_delta(G, x, depth):
 def search_points(draw):
     """Infinity, random rationals, and images of those under random words,
     which lie inside or near the cover disks of the word's prefixes."""
-    p = draw(st.sampled_from(PRIMES))
-    G = SEARCH_GROUPS[p]
+    p, name = draw(st.sampled_from(SEARCH_KEYS))
+    G = SEARCH_GROUPS[p, name]
+    event(f"conjugate by {name}" if name else "sample group")
     kind = draw(st.sampled_from(("inf", "rational", "orbit")))
     if kind == "inf":
         return G, INFINITY
@@ -106,4 +115,4 @@ def test_delta_to_limit_matches_brute_force(case, depth):
     else:
         got = G.delta_to_limit(x, depth)
         assert (got.lower_exponent, got.upper_exponent) == want
-        assert got.lower_exponent != NEG_INF
+        assert got.lower_exponent == got.upper_exponent != NEG_INF
