@@ -22,6 +22,7 @@ from .serialize import (
     parse_point,
     save_group,
 )
+from .words import alphabet, letter_name
 
 
 def _emit(obj):
@@ -85,11 +86,17 @@ def cmd_enumerate(args) -> int:
 def cmd_heights_scan(args) -> int:
     G = load_group(args.group)
     scan = heights.upsilon_scan(G, args.max_length, workers=args.threads)
+    tails = {l: "*" + letter_name(l) for l in alphabet(G.rank)}
+    names = {}  # letters -> str(Word(letters)), for the rows written so far
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["length", "word", "height", "threshold_bin"])
         for length, word, height in scan.entries:
-            writer.writerow([length, str(word), height, scan.threshold_bin(height)])
+            # a word's name extends the name of its prefix, an earlier row
+            letters = word.letters
+            head = names.get(letters[:-1])
+            name = names[letters] = str(word) if head is None else head + tails[letters[-1]]
+            writer.writerow((length, name, height, scan.threshold_bin(height)))
     _emit(scan.summary_dict())
     return 0
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product, repeat
 from typing import Iterable, Optional, Tuple
 
 from .errors import InvalidArgument
@@ -34,7 +35,7 @@ def height_tuple(values: Iterable) -> int:
 
 
 def height_matrix(g: Homography) -> int:
-    return max(abs(e) for e in g.entries)
+    return max(map(abs, g.entries))
 
 
 def growth_base(G) -> int:
@@ -67,11 +68,24 @@ class CountingScan:
     slope: float
     reference_exponent: float
     entries: Tuple[Tuple[int, Word, int], ...]
+    sorted_heights: Tuple[int, ...] = field(repr=False, compare=False)
 
     def threshold_bin(self, height: int) -> int:
-        """The least l in 1 .. 4L with H**L <= peak**l, or -1 if none."""
-        L, peak = self.max_length, self.peak_height
-        # Start from the logarithmic estimate, then settle the exact bin.
+        """The least l in 1 .. 4L with H**L <= peak**l, or -1 if none.
+
+        The row counts are the cut list: row l counts the scan heights at
+        most peak**(l/L), and row L counts every one at most the peak.  So
+        such a scan height, with i scan heights at most it, lies in the
+        least row whose count reaches i.
+        """
+        if height < 1:
+            raise InvalidArgument("a height is at least 1")
+        L, peak, heights = self.max_length, self.peak_height, self.sorted_heights
+        rank = bisect_right(heights, height)
+        if height <= peak and rank and heights[rank - 1] == height:
+            return bisect_left(self.rows, rank, key=lambda row: row.count) + 1
+        # a height the scan never saw: start from the logarithmic estimate,
+        # then settle the exact bin
         l = min(max(1, math.ceil(L * math.log(height) / math.log(peak))), 4 * L + 1)
         while l > 1 and _height_at_most(height, peak, l - 1, L):
             l -= 1
@@ -94,17 +108,42 @@ class CountingScan:
         }
 
 
-def _positive_branch(generators, first: int, max_length: int):
+def _positive_branch(generators, first: int, max_length: int, digit_limit: int):
+    """The heights of the positive words that start with ``first``, in
+    walk order: by length, then lexicographically."""
     step = {i: g for i, g in enumerate(generators, 1)}
-    roots = [((first,), step[first])]
-    return [
-        (length, letters, height_matrix(h)) for length, letters, h in walk(roots, step, max_length)
-    ]
+    too_long = 10**digit_limit if digit_limit else None
+    heights = []
+    for _, _, h in walk([((first,), step[first])], step, max_length):
+        height = height_matrix(h)
+        if too_long is not None and height >= too_long:
+            # a height that str() cannot write could not be printed or reloaded either
+            raise InvalidArgument(
+                f"a height has more than {digit_limit} decimal digits, the limit for integer"
+                " text; lower max_length"
+            )
+        heights.append(height)
+    return heights
 
 
 def _branch_worker(payload):
-    matrices, first, max_length = payload
-    return _positive_branch([Homography(*m) for m in matrices], first, max_length)
+    matrices, first, max_length, digit_limit = payload
+    return _positive_branch([Homography(*m) for m in matrices], first, max_length, digit_limit)
+
+
+# ~0.5 KB of memory per word (measured on rank-2 and rank-3 sample groups,
+# lengths 9 to 16), so the largest admitted scan holds about 0.6 GB
+MAX_SCAN_WORDS = 10**6
+
+
+def _positive_word_count(q: int, max_length: int) -> int:
+    """The number of positive words of length 1 .. max_length in q
+    generators, or MAX_SCAN_WORDS + 1 if that is larger."""
+    if q == 1:
+        return max_length
+    if max_length >= MAX_SCAN_WORDS.bit_length():  # q**max_length alone exceeds the cap
+        return MAX_SCAN_WORDS + 1
+    return min((q ** (max_length + 1) - q) // (q - 1), MAX_SCAN_WORDS + 1)
 
 
 def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
@@ -112,7 +151,9 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     length, count them under height thresholds, and fit the log-log slope.
 
     The witnessed slope is compared with log(q)/log(c): q**l positive
-    words of length l against the height bound c**l.
+    words of length l against the height bound c**l.  A scan of more than
+    MAX_SCAN_WORDS words, or with a height too long for integer text, is
+    refused with InvalidArgument.
     """
     G.ensure_verified()
     if max_length < 1:
@@ -120,29 +161,39 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     if workers < 1:
         raise InvalidArgument("workers must be >= 1")
     q = G.rank
+    if _positive_word_count(q, max_length) > MAX_SCAN_WORDS:
+        raise InvalidArgument(
+            f"a scan to length {max_length} has more than {MAX_SCAN_WORDS} positive words;"
+            " lower max_length"
+        )
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if workers > 1 and q > 1:
         matrices = tuple(g.entries for g in G.generators)
-        payloads = [(matrices, first, max_length) for first in range(1, q + 1)]
+        payloads = [(matrices, first, max_length, digit_limit) for first in range(1, q + 1)]
         with ProcessPoolExecutor(max_workers=min(workers, q)) as pool:
             branches = list(pool.map(_branch_worker, payloads))
     else:
-        branches = [_positive_branch(G.generators, first, max_length) for first in range(1, q + 1)]
-    raw = [row for branch in branches for row in branch]
-    raw.sort(key=lambda row: (row[0], row[1]))
-    entries = tuple((length, Word(letters), h) for length, letters, h in raw)
+        branches = [
+            _positive_branch(G.generators, first, max_length, digit_limit)
+            for first in range(1, q + 1)
+        ]
+    # Each branch holds q**(n-1) heights of length n, after its shorter
+    # words; taking the branches in turn at each length gives the words in
+    # lexicographic order, which is the order of product().
+    entries = []
+    start = 0
+    for length in range(1, max_length + 1):
+        size = q ** (length - 1)
+        level = [h for branch in branches for h in branch[start : start + size]]
+        start += size
+        words = map(Word, product(range(1, q + 1), repeat=length))
+        entries.extend(zip(repeat(length), words, level))
 
     L = max_length
-    peak = max(h for length, _, h in entries if length == L)
+    peak = max(level)
     huge = peak >= _FLOAT_OVERFLOW  # then its powers are taken in the log domain
     growth = math.exp(math.log(peak) / L) if huge else peak ** (1.0 / L)
     heights = sorted(h for _, _, h in entries)
-    # a height that str() cannot write could not be printed or reloaded either
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and heights[-1] >= 10**limit:
-        raise InvalidArgument(
-            f"a height has more than {limit} decimal digits, the limit for integer text;"
-            " lower max_length"
-        )
     rows = []
     pts = []
     for l in range(1, L + 1):
@@ -154,7 +205,7 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     slope = _ls_slope(pts)
     reference = math.log(q) / math.log(growth) if q > 1 and growth > 1 else 0.0
     return CountingScan(
-        max_length, q, peak, growth, tuple(rows), slope, reference, entries
+        max_length, q, peak, growth, tuple(rows), slope, reference, tuple(entries), tuple(heights)
     )
 
 
@@ -177,7 +228,32 @@ def _height_at_most(h: int, peak: int, l: int, L: int) -> bool:
     if abs(gap) > 1e-9 * (1 + log_bound):  # far beyond the rounding of math.log
         return gap < 0
     g = math.gcd(l, L)  # x -> x**g is increasing, so compare the g-th roots
-    return h ** (L // g) <= peak ** (l // g)
+    a, b = L // g, l // g
+    # a and b are coprime, so h**a == peak**b exactly when h = r**b and
+    # peak = r**a for an integer r; only a near tie that is not equal is
+    # decided by the powers themselves
+    r = _iroot(peak, a)
+    if r**a == peak and r**b == h:
+        return True
+    return h**a <= peak**b
+
+
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r**k <= n, for n >= 1 and k >= 1."""
+    if k == 1:
+        return n
+    # a float estimate a little above the root, scaled by 2**shift to stay in range
+    shift = max(0, n.bit_length() // k - 960)
+    estimate = math.exp(math.log(n) / k - shift * math.log(2))
+    r = (int(estimate * (1 + 1e-9)) + 1) << shift
+    while r**k <= n:  # the iteration below needs a start above the root
+        r *= 2
+    # Newton's iteration from above decreases to the root, and stops there
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _count_below(sorted_heights, peak: int, l: int, L: int) -> int:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -436,6 +437,12 @@ def _sweep_cases():
         # the heights of g1^l on the {big} group pass the 4,300-digit text limit
         argv = with_flag(runs[cmd], "--max-length", "200")
         yield f"{cmd}-heights-past-digit-limit", [cmd, "{big}", *argv[2:]]
+        # far more words than the scan cap, refused before any product
+        yield f"{cmd}--max-length=huge", with_flag(runs[cmd], "--max-length", "1000000000")
+        # on rank 1 the length is below the cap, and the walk stops at the
+        # first height past the text limit, near length 3,076
+        argv = with_flag(runs[cmd], "--max-length", "100000")
+        yield f"{cmd}-rank-one-huge-length", [cmd, "{rank1}", *argv[2:]]
     yield "geodesic-probe--window=0", ["geodesic-probe", "{pair}", "--window", "0"]
     yield "sample-group--p=4", ["sample-group", "--p", "4", "--rank", "2"]
     yield "sample-group--rank=0", ["sample-group", "--p", "5", "--rank", "0"]
@@ -451,8 +458,8 @@ def _sweep_cases():
 _SWEEP = list(_sweep_cases())
 
 
-@pytest.mark.parametrize("argv", [argv for _, argv in _SWEEP], ids=[i for i, _ in _SWEEP])
-def test_cli_error_sweep(capsys, g5_file, tmp_path, argv):
+@pytest.mark.parametrize("case, argv", _SWEEP, ids=[i for i, _ in _SWEEP])
+def test_cli_error_sweep(capsys, g5_file, tmp_path, case, argv):
     pair = tmp_path / "pair.json"
     identity = [["1", "0"], ["0", "1"]]
     pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": 2}))
@@ -460,11 +467,18 @@ def test_cli_error_sweep(capsys, g5_file, tmp_path, argv):
     if "{big}" in argv:
         names["big"] = str(tmp_path / "big.json")
         save_group(sample_group(5, 1, multiplier_exponent=40), names["big"])
+    if "{rank1}" in argv:
+        names["rank1"] = str(tmp_path / "rank1.json")
+        save_group(sample_group(5, 1), names["rank1"])
+    start = time.perf_counter()
     try:
         code = main([arg.format(**names) for arg in argv])
     except SystemExit as exc:  # argparse usage errors exit from inside main
         code = exc.code
+    elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
+    if "huge" in case:
+        assert elapsed < 1, f"refused after {elapsed:.2f} s"
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1

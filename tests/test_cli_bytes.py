@@ -9,7 +9,10 @@ cover.  The ``_32`` ``delta`` digests, at the depth the benchmark's CLI
 stream queries, were recorded from the best-first cover search.  The
 digests in ``WALK_COMMANDS`` were recorded before the word
 scans shared one walker over the word tree; they pin every command that
-walks it, on the rank-2 group and on the rank-3 group ``{g3}``.
+walks it, on the rank-2 group and on the rank-3 group ``{g3}``.  The
+``_threads2`` and rank-1 ``{g1}`` height-scan digests were recorded
+before the scan's pool returned heights only and its bins came from the
+row counts; the rank-1 heights tie their bin edges in every row.
 """
 
 import hashlib
@@ -126,6 +129,26 @@ WALK_COMMANDS = {
         0,
         "882445e284231597eb7a13b94348c74029c6245c0832d5f119f31aaa4f140c0c",
     ),
+    "heights_scan_rank3_threads2": (
+        ["heights-scan", "{g3}", "--max-length", "6", "--out", "{scan}", "--threads", "2"],
+        0,
+        "882445e284231597eb7a13b94348c74029c6245c0832d5f119f31aaa4f140c0c",
+    ),
+    "upsilon_rank3_threads2": (
+        ["upsilon", "{g3}", "--max-length", "7", "--threads", "2"],
+        0,
+        "dad1babc101dfc7c078ac3fe9644187bd50eae72d9376e38b4b49e0fe25df874",
+    ),
+    "heights_scan_rank1_300": (
+        ["heights-scan", "{g1}", "--max-length", "300", "--out", "{scan}", "--threads", "1"],
+        0,
+        "7cba8d220e11f5e38e099ee9d203e3dfee2667e48bdfef957fe1a65c8960d8b9",
+    ),
+    "upsilon_rank1_600": (
+        ["upsilon", "{g1}", "--max-length", "600", "--threads", "1"],
+        0,
+        "c5f69523d1bce2dfd21dbe553dae797b5f69cbdeb47659e72918d314deb2eedf",
+    ),
     "stabilizer": (
         ["stabilizer", "{g}", "--pair", "0,1/3", "--depth", "4"],
         0,
@@ -146,6 +169,13 @@ WALK_COMMANDS = {
 # sha256 of the CSV that heights_scan_rank3 writes
 SCAN_CSV_DIGEST = "81c7ffecdcce9d90304f63aafd5ab3faae27c65f171d4fedbd8179b6348f655d"
 
+# name -> sha256 of the CSV that the heights-scan command writes
+CSV_DIGESTS = {
+    "heights_scan_rank3": SCAN_CSV_DIGEST,
+    "heights_scan_rank3_threads2": SCAN_CSV_DIGEST,
+    "heights_scan_rank1_300": "f3f7a4b97cbb0bd7fa25ee8141b7e0969eae61000644f90b8e968aad58ba74b0",
+}
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -153,10 +183,12 @@ def files(tmp_path_factory):
     save_group(sample_group(5, 2), root / "g5.json")
     save_group(sample_group(5, 2, 4), root / "g5m4.json")
     save_group(sample_group(5, 3), root / "g5r3.json")
+    save_group(sample_group(5, 1), root / "g5r1.json")
     (root / "pair.json").write_text(PAIR)
     return {
         "g": str(root / "g5.json"),
         "g3": str(root / "g5r3.json"),
+        "g1": str(root / "g5r1.json"),
         "pair": str(root / "pair.json"),
         "scan": str(root / "scan.csv"),
     }
@@ -181,6 +213,6 @@ def test_word_tree_commands_unchanged(capsys, files, name):
     code, out = run(capsys, argv, files)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
-    if name == "heights_scan_rank3":
+    if name in CSV_DIGESTS:
         with open(files["scan"]) as fh:
-            assert hashlib.sha256(fh.read().encode()).hexdigest() == SCAN_CSV_DIGEST
+            assert hashlib.sha256(fh.read().encode()).hexdigest() == CSV_DIGESTS[name]

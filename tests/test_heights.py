@@ -1,11 +1,22 @@
+import functools
+import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import threshold_oracle
+from conftest import cached_sample_group
 from schottky.errors import InvalidArgument
 from schottky.groups import sample_group
 from schottky.heights import (
+    MAX_SCAN_WORDS,
+    _height_at_most,
+    _iroot,
+    _positive_word_count,
     growth_base,
     height_matrix,
     height_rational,
@@ -143,3 +154,115 @@ def test_upsilon_scan_refuses_heights_past_the_text_limit():
             upsilon_scan(G, fits + 1)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_upsilon_scan_workers_refuse_heights_past_the_text_limit():
+    # each pool worker stops at its first height past the limit
+    G = sample_group(5, 2, multiplier_exponent=400)  # about 280 digits per letter
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert len(upsilon_scan(G, 2, workers=2).entries) == 6
+        with pytest.raises(InvalidArgument, match="640 decimal digits"):
+            upsilon_scan(G, 3, workers=2)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_positive_word_count_is_exact_up_to_the_cap():
+    for q in (1, 2, 3, 5):
+        for L in range(1, 30):
+            exact = sum(q**n for n in range(1, L + 1))
+            assert _positive_word_count(q, L) == min(exact, MAX_SCAN_WORDS + 1)
+    assert _positive_word_count(1, 10**12) == 10**12
+    assert _positive_word_count(2, 10**12) == MAX_SCAN_WORDS + 1
+    # the benchmark's rank-3 scan to length 9 stays far below the cap
+    assert _positive_word_count(3, 9) == 29523
+
+
+@given(st.one_of(st.integers(1, 10**40), st.integers(1, 2**5000)), st.integers(1, 70))
+def test_iroot_is_the_integer_root(n, k):
+    r = _iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+# roots small and large, so that the root estimate also runs past float range
+_ROOTS = st.one_of(st.integers(2, 60), st.integers(2, 2**1500))
+
+
+@given(
+    st.integers(1, 40), st.integers(1, 160), _ROOTS,
+    st.sampled_from([-1, 0, 1, None]), st.sampled_from([-1, 0, 1, None]), st.data(),
+)
+def test_height_at_most_matches_the_powers(L, l, r, dh, dpeak, data):
+    """Exact ties h**a == peak**b, a = L/g, b = l/g, are decided through
+    the integer a-th root of the peak; every answer must equal the plain
+    comparison of the powers.  The draws put h and the peak at r**b and
+    r**a, one off them, or anywhere."""
+    l = min(l, 4 * L)
+    g = math.gcd(l, L)
+    a, b = L // g, l // g
+    peak = r**a + dpeak if dpeak is not None else data.draw(st.integers(2, r**a + 1))
+    h = r**b + dh if dh is not None else data.draw(st.integers(1, r**b + 1))
+    assert _height_at_most(h, peak, l, L) == (h**a <= peak**b)
+
+
+def test_rank_one_scan_settles_every_tie_without_big_powers():
+    # g1**n has height 25**n, so every row's edge ties a height exactly;
+    # the plain comparison would raise 1,400-digit heights to powers up to 1,000
+    start = time.perf_counter()
+    scan = upsilon_scan(sample_group(5, 1), 1000)
+    assert [row.count for row in scan.rows] == list(range(1, 1001))
+    assert [scan.threshold_bin(h) for _, _, h in scan.entries] == list(range(1, 1001))
+    assert time.perf_counter() - start < 10
+
+
+@functools.lru_cache(maxsize=None)
+def _scan(p, rank, L):
+    return upsilon_scan(cached_sample_group(p, rank), L)
+
+
+# the longest scan drawn for each rank keeps the oracle's powers small
+_MAX_LENGTH = {1: 40, 2: 7, 3: 5}
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.data())
+def test_threshold_bin_matches_the_oracle(p, rank, data):
+    """Every scan height, and heights the scan never saw (1, the peak, one
+    past it, values between scan heights and anywhere up to twice the peak),
+    get the bin of the log-estimate search with plain integer powers."""
+    L = data.draw(st.integers(1, _MAX_LENGTH[rank]))
+    scan = _scan(p, rank, L)
+    peak = scan.peak_height
+    heights = sorted({h for _, _, h in scan.entries})
+    unseen = [1, peak, peak + 1, 2 * peak]
+    unseen += [(x + y) // 2 for x, y in zip(heights, heights[1:])]
+    unseen += data.draw(st.lists(st.integers(1, 2 * peak), max_size=8))
+    for h in heights + unseen:
+        assert scan.threshold_bin(h) == threshold_oracle.threshold_bin(h, peak, L), h
+
+
+class _HeightsAbovePeak:
+    """A rank-1 stand-in for a group, never verified: the powers of its
+    generator have heights 5, 5, 15, 6, so a scan to length 4 has a height
+    above its peak.  upsilon_scan reads only these three names."""
+
+    rank = 1
+    generators = (Homography(-5, -5, 2, 0),)
+
+    def ensure_verified(self):
+        pass
+
+
+def test_threshold_bin_of_a_scan_height_above_the_peak():
+    scan = upsilon_scan(_HeightsAbovePeak(), 4)
+    assert [h for _, _, h in scan.entries] == [5, 5, 15, 6]
+    assert scan.threshold_bin(15) == 7  # 15**4 <= 6**7, past the rows' lengths
+    for _, _, h in scan.entries:
+        assert scan.threshold_bin(h) == threshold_oracle.threshold_bin(h, 6, 4)
+
+
+@pytest.mark.parametrize("height", [0, -1, -(10**30)])
+def test_threshold_bin_rejects_heights_below_one(g5, height):
+    with pytest.raises(InvalidArgument):
+        upsilon_scan(g5, 3).threshold_bin(height)
