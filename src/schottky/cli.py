@@ -47,7 +47,9 @@ def cmd_limit_cover(args) -> int:
     G = load_group(args.group)
     cover = G.limit_cover(args.depth)
     fields = ("word", "center", "radius_exp")
-    rows = [(str(word), str(disk.center), str(disk.radius_exp)) for word, disk in cover.entries]
+    rows = [
+        (str(word), str(disk.center_point()), str(disk.radius_exp)) for word, disk in cover.entries
+    ]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(fields)
@@ -167,70 +169,123 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+_GROUP = _arg("group", help="group spec JSON file")
+
+# name -> (handler, help, arguments), in the order the full help lists them
+COMMANDS = {
+    "verify": (cmd_verify, "check the good-domain axioms; exit 0 iff all pass", (_GROUP,)),
+    "reduce": (
+        cmd_reduce,
+        "ping-pong a point into the fundamental domain",
+        (
+            _GROUP,
+            _arg("--point", required=True, help='rational point, e.g. "3/5" or "inf"'),
+            _arg("--max-steps", type=int, default=64),
+        ),
+    ),
+    "limit-cover": (
+        cmd_limit_cover,
+        "closed word disks covering the limit set",
+        (
+            _GROUP,
+            _arg("--depth", type=int, required=True),
+            _arg("--format", choices=("csv", "json"), default="csv"),
+        ),
+    ),
+    "delta": (
+        cmd_delta,
+        "certified interval for the distance to the limit set",
+        (_GROUP, _arg("--point", required=True), _arg("--depth", type=int, required=True)),
+    ),
+    "enumerate": (
+        cmd_enumerate,
+        "stream reduced words of the given length",
+        (_GROUP, _arg("--length", type=int, required=True)),
+    ),
+    "heights-scan": (
+        cmd_heights_scan,
+        "positive-word height scan to CSV",
+        (
+            _GROUP,
+            _arg("--max-length", type=int, required=True),
+            _arg("--out", required=True, help="output CSV path"),
+            _arg("--threads", type=int, default=1),
+        ),
+    ),
+    "upsilon": (
+        cmd_upsilon,
+        "counting scan with fitted log-log slope",
+        (
+            _GROUP,
+            _arg("--max-length", type=int, required=True),
+            _arg("--threads", type=int, default=1),
+        ),
+    ),
+    "proper-fit": (
+        cmd_proper_fit,
+        "fit word-length vs distance envelope constants",
+        (_GROUP, _arg("--depth", type=int, required=True)),
+    ),
+    "stabilizer": (
+        cmd_stabilizer,
+        "search for a word stabilizing a point pair",
+        (
+            _GROUP,
+            _arg("--pair", required=True, help='two points, e.g. "0,1"'),
+            _arg("--depth", type=int, required=True),
+        ),
+    ),
+    "geodesic-probe": (
+        cmd_geodesic_probe,
+        "double-coset commensurability probe",
+        (
+            _arg("pair", help="pair spec JSON file"),
+            _arg("--depth", type=int, default=None, help="override the file's depth"),
+            _arg("--window", type=int, default=None),
+        ),
+    ),
+    "sample-group": (
+        cmd_sample_group,
+        "emit a verified sample group spec",
+        (
+            _arg("--p", type=int, required=True),
+            _arg("--rank", type=int, required=True),
+            _arg("--multiplier-exponent", type=int, default=2),
+            _arg("--out", default=None, help="write to a file instead of stdout"),
+        ),
+    ),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command in ``COMMANDS``, or of the named one only.
+
+    A request names its command first, and parsing it needs no other
+    subparser; the full parser serves help, a missing or unknown command
+    and a leading option.
+    """
     parser = _Parser(
         prog="schottky",
         description="Exact calculus for p-adic Schottky groups with good fundamental domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def group_cmd(name, func, help_):
-        s = sub.add_parser(name, help=help_)
-        s.add_argument("group", help="group spec JSON file")
-        s.set_defaults(func=func)
-        return s
-
-    s = group_cmd("verify", cmd_verify, "check the good-domain axioms; exit 0 iff all pass")
-
-    s = group_cmd("reduce", cmd_reduce, "ping-pong a point into the fundamental domain")
-    s.add_argument("--point", required=True, help='rational point, e.g. "3/5" or "inf"')
-    s.add_argument("--max-steps", type=int, default=64)
-
-    s = group_cmd("limit-cover", cmd_limit_cover, "closed word disks covering the limit set")
-    s.add_argument("--depth", type=int, required=True)
-    s.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    s = group_cmd("delta", cmd_delta, "certified interval for the distance to the limit set")
-    s.add_argument("--point", required=True)
-    s.add_argument("--depth", type=int, required=True)
-
-    s = group_cmd("enumerate", cmd_enumerate, "stream reduced words of the given length")
-    s.add_argument("--length", type=int, required=True)
-
-    s = group_cmd("heights-scan", cmd_heights_scan, "positive-word height scan to CSV")
-    s.add_argument("--max-length", type=int, required=True)
-    s.add_argument("--out", required=True, help="output CSV path")
-    s.add_argument("--threads", type=int, default=1)
-
-    s = group_cmd("upsilon", cmd_upsilon, "counting scan with fitted log-log slope")
-    s.add_argument("--max-length", type=int, required=True)
-    s.add_argument("--threads", type=int, default=1)
-
-    s = group_cmd("proper-fit", cmd_proper_fit, "fit word-length vs distance envelope constants")
-    s.add_argument("--depth", type=int, required=True)
-
-    s = group_cmd("stabilizer", cmd_stabilizer, "search for a word stabilizing a point pair")
-    s.add_argument("--pair", required=True, help='two points, e.g. "0,1"')
-    s.add_argument("--depth", type=int, required=True)
-
-    s = sub.add_parser("geodesic-probe", help="double-coset commensurability probe")
-    s.add_argument("pair", help="pair spec JSON file")
-    s.add_argument("--depth", type=int, default=None, help="override the file's depth")
-    s.add_argument("--window", type=int, default=None)
-    s.set_defaults(func=cmd_geodesic_probe)
-
-    s = sub.add_parser("sample-group", help="emit a verified sample group spec")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--rank", type=int, required=True)
-    s.add_argument("--multiplier-exponent", type=int, default=2)
-    s.add_argument("--out", default=None, help="write to a file instead of stdout")
-    s.set_defaults(func=cmd_sample_group)
-
+    for name, (func, help_, arguments) in COMMANDS.items():
+        if command is None or name == command:
+            s = sub.add_parser(name, help=help_)
+            for flags, options in arguments:
+                s.add_argument(*flags, **options)
+            s.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (SchottkyError, OSError) as exc:

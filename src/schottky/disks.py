@@ -127,13 +127,23 @@ class Disk:
 
 
 _new_disk = object.__new__
-_FIELDS = tuple(f.name for f in fields(Disk))
+# The slots' own setters, which the frozen __setattr__ does not guard.
+(
+    _set_bounded, _set_is_open, _set_cn, _set_k, _set_radius_exp, _set_p, _set_m, _set_pk, _set_s
+) = (vars(Disk)[f.name].__set__ for f in fields(Disk))
 
 
-def _set_fields(D: Disk, *values) -> Disk:
+def _set_fields(D: Disk, bounded, is_open, cn, k, radius_exp, p, m, pk, s) -> Disk:
     """Fill a new disk with the values of all its fields, in field order."""
-    for name, value in zip(_FIELDS, values):
-        object.__setattr__(D, name, value)
+    _set_bounded(D, bounded)
+    _set_is_open(D, is_open)
+    _set_cn(D, cn)
+    _set_k(D, k)
+    _set_radius_exp(D, radius_exp)
+    _set_p(D, p)
+    _set_m(D, m)
+    _set_pk(D, pk)
+    _set_s(D, s)
     return D
 
 

@@ -40,9 +40,24 @@ from .errors import (
 )
 from .padic import NEG_INF, POS_INF, Exponent, PrimeContext, valuation
 from .proj import INFINITY, Homography, ProjPoint, delta
-from .words import Word, alphabet, extensions, reduced_words, walk
+from .words import Word, alphabet, count_words_up_to, extensions, reduced_words, walk
 
 _COVER_CACHE_CAP = 1 << 15
+
+# A limit cover or an envelope fit holds about 0.7 KB per word up to its
+# depth (measured on rank-2 and rank-3 sample groups at depths 7 to 10:
+# 0.65-0.8 KB per word walked for a cover, 0.7 KB per word past the cover
+# cache's cap for a fit), so the largest admitted request needs about 0.4 GB.
+MAX_WALK_WORDS = 5 * 10**5
+
+
+def _refuse_long_walk(rank: int, depth: int):
+    """InvalidArgument if the reduced words up to the depth are more than
+    MAX_WALK_WORDS; the count is exact and takes no product."""
+    if count_words_up_to(rank, depth, MAX_WALK_WORDS) > MAX_WALK_WORDS:
+        raise InvalidArgument(
+            f"a walk to depth {depth} has more than {MAX_WALK_WORDS} reduced words; lower depth"
+        )
 
 
 @dataclass(frozen=True)
@@ -271,9 +286,13 @@ class SchottkyGroup:
         return self._word_disk(self.word_homography(word), word.letters[-1])
 
     def limit_cover(self, depth: int) -> LimitCover:
+        """The closed word disks of the given length, 2r(2r-1)**(depth-1)
+        of them; a depth with more than MAX_WALK_WORDS words up to it is
+        refused with InvalidArgument."""
         self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
+        _refuse_long_walk(self.rank, depth)
         entries = []
         max_exp = NEG_INF
         for length, letters, h in self._walk(depth):
@@ -495,10 +514,13 @@ class SchottkyGroup:
         it is farther from y than any point inside it, and the cover disks
         of w's subtree lie inside it; so the descent for y starts at w
         rather than at the identity.  Otherwise it starts at the identity.
+        A depth with more than MAX_WALK_WORDS words up to it is refused
+        with InvalidArgument before the walk starts.
         """
         self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
+        _refuse_long_walk(self.rank, depth)
         bases = self._envelope_base_points()
         # cover levels below the word: children for infinity, else grandchildren
         levels = [1 if x is INFINITY else 2 for x in bases]
@@ -522,6 +544,7 @@ class SchottkyGroup:
         inequality holds with equality somewhere and everywhere else
         strictly.  Lengths and t-values are integers, so b = num / denom
         and a = max(l * denom - num * t) / denom are summed in integers.
+        A depth with more than MAX_WALK_WORDS words up to it is refused.
         """
         samples = self.envelope_samples(depth)
         n = len(samples)

@@ -84,6 +84,34 @@ def valuation(x: Rational, p: int) -> Exponent:
     while x % p == 0:
         x //= p
         v += 1
+        if v == _PLAIN_STEPS:
+            return v + _deep_valuation(x, p)
+    return v
+
+
+# Most valuations are small; past this many factors of p, dividing one at a
+# time costs O(v) divisions of a long x, so the rest is stripped by squares.
+_PLAIN_STEPS = 16
+
+
+def _deep_valuation(x: int, p: int) -> int:
+    """v_p(x) for x != 0: strip p, p^2, p^4, ... while they divide x, then
+    the same powers in decreasing order, which strips the remainder's
+    valuation (below the first power that failed) bit by bit."""
+    powers = [p]
+    v = 0
+    while True:
+        q, r = divmod(x, powers[-1])
+        if r:
+            break
+        x = q
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        q, r = divmod(x, powers[i])
+        if not r:
+            x = q
+            v += 1 << i
     return v
 
 

@@ -23,6 +23,16 @@ def letter_name(letter: int) -> str:
     return base if letter > 0 else base + "^-1"
 
 
+class _LetterNames(dict):
+    """letter -> letter_name(letter), tabled for the first 64 generators;
+    a letter past them is named when asked for."""
+
+    def __missing__(self, letter):
+        return letter_name(letter)
+
+
+_NAMES = _LetterNames((l, letter_name(l)) for i in range(1, 65) for l in (i, -i))
+
 _LETTER_RE = re.compile(r"^g(\d+)(\^-1)?$")
 
 
@@ -88,7 +98,7 @@ class Word:
     def __str__(self):
         if not self.letters:
             return "id"
-        return "*".join(letter_name(l) for l in self.letters)
+        return "*".join(map(_NAMES.__getitem__, self.letters))
 
     @staticmethod
     def parse(text: str) -> "Word":
@@ -177,3 +187,15 @@ def count_reduced_words(rank: int, length: int) -> int:
     if length == 0:
         return 1
     return 2 * rank * (2 * rank - 1) ** (length - 1)
+
+
+def count_words_up_to(rank: int, max_length: int, cap: int) -> int:
+    """The number of nonempty reduced words of length at most max_length,
+    r((2r-1)**max_length - 1)/(r - 1) for rank r > 1, or cap + 1 if that
+    is larger; a length past the cap's bit length takes no power."""
+    max_length = operator.index(max_length)
+    if rank == 1:
+        return min(2 * max_length, cap + 1)
+    if max_length >= cap.bit_length():  # (2r-1)**max_length alone exceeds the cap
+        return cap + 1
+    return min(rank * ((2 * rank - 1) ** max_length - 1) // (rank - 1), cap + 1)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import schottky
-from schottky.cli import main
+from schottky.cli import COMMANDS, build_parser, main
+from schottky.errors import SchottkyError
 from schottky.groups import sample_group
-from schottky.serialize import save_group
+from schottky.serialize import canonical_json, save_group
 
 
 @pytest.fixture()
@@ -443,6 +445,12 @@ def _sweep_cases():
         # first height past the text limit, near length 3,076
         argv = with_flag(runs[cmd], "--max-length", "100000")
         yield f"{cmd}-rank-one-huge-length", [cmd, "{rank1}", *argv[2:]]
+    for cmd in ("limit-cover", "proper-fit"):
+        # far more words than the walk cap, refused before the walk starts
+        argv = with_flag(runs[cmd], "--depth", "1000000000")
+        yield f"{cmd}--depth=huge", argv
+        # a rank-1 cover has two disks at every depth, but its walk has 2 * depth words
+        yield f"{cmd}-rank-one-huge-depth", [cmd, "{rank1}", *argv[2:]]
     yield "geodesic-probe--window=0", ["geodesic-probe", "{pair}", "--window", "0"]
     yield "sample-group--p=4", ["sample-group", "--p", "4", "--rank", "2"]
     yield "sample-group--rank=0", ["sample-group", "--p", "5", "--rank", "0"]
@@ -458,8 +466,8 @@ def _sweep_cases():
 _SWEEP = list(_sweep_cases())
 
 
-@pytest.mark.parametrize("case, argv", _SWEEP, ids=[i for i, _ in _SWEEP])
-def test_cli_error_sweep(capsys, g5_file, tmp_path, case, argv):
+def _sweep_argv(argv, g5_file, tmp_path):
+    """The argv with the files it names made in tmp_path."""
     pair = tmp_path / "pair.json"
     identity = [["1", "0"], ["0", "1"]]
     pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": 2}))
@@ -470,13 +478,25 @@ def test_cli_error_sweep(capsys, g5_file, tmp_path, case, argv):
     if "{rank1}" in argv:
         names["rank1"] = str(tmp_path / "rank1.json")
         save_group(sample_group(5, 1), names["rank1"])
-    start = time.perf_counter()
+    return [arg.format(**names) for arg in argv]
+
+
+def _run(capsys, entry, argv):
+    """(exit code, stdout, stderr) of one call of a CLI entry point."""
     try:
-        code = main([arg.format(**names) for arg in argv])
-    except SystemExit as exc:  # argparse usage errors exit from inside main
+        code = entry(argv)
+    except SystemExit as exc:  # argparse usage errors and help exit from inside main
         code = exc.code
-    elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case, argv", _SWEEP, ids=[i for i, _ in _SWEEP])
+def test_cli_error_sweep(capsys, g5_file, tmp_path, case, argv):
+    argv = _sweep_argv(argv, g5_file, tmp_path)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, main, argv)
+    elapsed = time.perf_counter() - start
     if "huge" in case:
         assert elapsed < 1, f"refused after {elapsed:.2f} s"
     assert code == 2
@@ -486,3 +506,63 @@ def test_cli_error_sweep(capsys, g5_file, tmp_path, case, argv):
     assert list(error) == ["error"] and isinstance(error["error"], str)
     assert "Traceback" not in err
     assert not (tmp_path / "scan.csv").exists()  # refused before --out is opened
+
+
+def _full_parser_main(argv):
+    """``main`` as it ran when every call built the parser of all commands."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (SchottkyError, OSError) as exc:
+        sys.stdout.write(canonical_json({"error": str(exc)}))
+        return 2
+
+
+# help, and argv whose first word is not a command or is followed by a stray one
+_HELP_CASES = [
+    ("help", ["--help"]),
+    ("h", ["-h"]),
+    ("no-arguments", []),
+    ("leading-unknown-option", ["--bogus"]),
+    ("option-before-command", ["--bogus", "verify", "{group}"]),
+    ("command-prefix", ["verif", "{group}"]),
+    ("extra-argument", ["verify", "{group}", "extra"]),
+    ("command-help-before-file", ["verify", "-h", "{group}"]),
+] + [(f"{name}-help", [name, "--help"]) for name in COMMANDS]
+
+
+@pytest.mark.parametrize(
+    "case, argv", _SWEEP + _HELP_CASES, ids=[i for i, _ in _SWEEP + _HELP_CASES]
+)
+def test_main_matches_the_full_parser(capsys, g5_file, tmp_path, case, argv):
+    """A call that builds only its command's parser prints the same bytes
+    and exits with the same code as one through the parser of all commands."""
+    argv = _sweep_argv(argv, g5_file, tmp_path)
+    assert _run(capsys, main, argv) == _run(capsys, _full_parser_main, argv)
+
+
+def _subparsers(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_command_parser_matches_the_full_parser():
+    full = _subparsers(build_parser())
+    assert list(full) == list(COMMANDS)
+    for name in COMMANDS:
+        alone = _subparsers(build_parser(name))
+        assert list(alone) == [name]
+        assert alone[name].format_help() == full[name].format_help()
+        assert alone[name].get_default("func") is full[name].get_default("func")
+
+
+def test_delta_at_depth_1000_finishes(capsys, g5_file):
+    # 0 is the attracting fixed point of g1^-1: the descent runs the full
+    # depth, taking valuations near twice the depth at every level
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "delta", g5_file, "--point=0", "--depth", "1000")
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    word = "*".join(["g1^-1"] * 1000)
+    assert json.loads(out) == {"error": f"0 lies in the depth-1000 cover disk of {word}"}
+    assert elapsed < 5, f"took {elapsed:.2f} s"

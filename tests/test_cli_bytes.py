@@ -6,7 +6,9 @@ were recorded from the implementation that computed points and disks in
 ``Fraction`` arithmetic; the integer kernel must reproduce every byte,
 including the error line of a ``delta`` query that lands inside the
 cover.  The ``_32`` ``delta`` digests, at the depth the benchmark's CLI
-stream queries, were recorded from the best-first cover search.  The
+stream queries, were recorded from the best-first cover search, and the
+``_500`` one, whose descent takes valuations near 1,000 at every level,
+from the valuation that divided out one factor of p at a time.  The
 digests in ``WALK_COMMANDS`` were recorded before the word
 scans shared one walker over the word tree; they pin every command that
 walks it, on the rank-2 group and on the rank-3 group ``{g3}``.  The
@@ -72,6 +74,11 @@ COMMANDS = {
         ["delta", "{g}", f"--point={DEEP_POINT}", "--depth", "32"],
         2,
         "6157b16b0cc6ab9b8dc989221d674b34136d0967844e88db74d38e848f2d4dd9",
+    ),
+    "delta_inside_500": (
+        ["delta", "{g}", "--point=0", "--depth", "500"],
+        2,
+        "f16b6a607714d5ac5e3f515273478399fab140b1881ebc95fffad690aad50d7a",
     ),
     "reduce_inf": (
         ["reduce", "{g}", "--point", "inf"],

@@ -12,10 +12,10 @@ from schottky.errors import (
     MaxStepsExceeded,
     PointNearLimitSet,
 )
-from schottky.groups import SchottkyGroup, sample_group
+from schottky.groups import MAX_WALK_WORDS, SchottkyGroup, sample_group
 from schottky.padic import NEG_INF
 from schottky.proj import INFINITY, ElementClass, Homography, ProjPoint, classify
-from schottky.words import Word, reduced_words
+from schottky.words import Word, count_words_up_to, reduced_words
 
 
 def test_g5_is_the_worked_example(g5):
@@ -455,3 +455,15 @@ def test_non_integer_counts_raise_type_error(g5, call):
     refused at once, not truncated, ignored or looped on."""
     with pytest.raises(TypeError):
         call(g5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (lambda G, depth: G.limit_cover(depth), lambda G, depth: G.fit_proper_constants(depth)),
+    ids=("limit_cover", "fit_proper_constants"),
+)
+def test_walks_past_the_word_cap_are_refused(g5, call):
+    # rank 2 has 354,292 words up to length 11 and 1,062,880 up to length 12
+    assert count_words_up_to(2, 11, MAX_WALK_WORDS) <= MAX_WALK_WORDS
+    with pytest.raises(InvalidArgument, match="^a walk to depth 12 has more than 500000 reduced"):
+        call(g5, 12)

@@ -10,13 +10,16 @@ Element classification, fixed points and the envelope fit are compared
 on random nonsingular integer matrices and random integer samples.
 """
 
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import fraction_oracle as oracle
+import schottky.disks as disk_module
 from schottky.disks import (
     Disk,
     contains_disk,
@@ -194,6 +197,46 @@ def test_center_point(p, data):
     x = D.center_point()
     coordinates(x)  # checks that the pair is primitive
     assert x == ProjPoint(D.center)
+    # limit-cover rows print the point, and once printed the Fraction
+    for E in (D, D.complement()):
+        assert str(E.center_point()) == str(E.center)
+
+
+def _setattr_fill(D, *values):
+    """The reference fill: each field in field order through object.__setattr__."""
+    for f, value in zip(fields(Disk), values):
+        object.__setattr__(D, f.name, value)
+    return D
+
+
+def all_fields(D: Disk) -> tuple:
+    """Every field with its type, the derived _m, _pk and _s included."""
+    return tuple((type(v), v) for v in (getattr(D, f.name) for f in fields(Disk)))
+
+
+@given(m=matrices, p=primes, data=st.data())
+def test_disk_fill_matches_setattr(m, p, data):
+    """The constructor, closure, complement and image store in every field
+    what a field-by-field object.__setattr__ fill stores."""
+    D, _ = data.draw(disks(p))
+    args = (D.bounded, D.is_open, D.center, D.radius_exp, p)
+    g = Homography(*m)
+
+    def made():
+        D = Disk(*args)
+        return D, D.closure(), D.complement(), image(g, D), image(g, D.complement()).closure()
+
+    got = made()
+    with mock.patch.object(disk_module, "_set_fields", _setattr_fill):
+        want = made()
+    assert list(map(all_fields, got)) == list(map(all_fields, want))
+
+
+def test_disk_fields_stay_frozen():
+    D = Disk(False, True, Fraction(-7, 25), -1, 5)
+    for f in fields(Disk):
+        with pytest.raises(FrozenInstanceError):
+            setattr(D, f.name, getattr(D, f.name))
 
 
 @given(p=primes, data=st.data())

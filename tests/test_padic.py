@@ -71,6 +71,18 @@ def test_large_prime_is_certified_fast_up_to_the_bound():
         PrimeContext(3317044064679887385961981)
 
 
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    v=st.integers(0, 400),
+    unit=st.integers(1, 10**40),
+    sign=st.sampled_from([1, -1]),
+)
+def test_valuation_matches_repeated_division(p, v, unit, sign):
+    # past 16 factors of p the valuation strips squared powers of p
+    x = sign * unit * p**v
+    assert valuation(x, p) == oracle._int_valuation(x, p)
+
+
 @given(x=rationals, y=rationals)
 def test_valuation_is_additive(x, y):
     p = 5

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from schottky.words import Word, alphabet, count_reduced_words, reduced_words
+from schottky.words import (
+    Word,
+    alphabet,
+    count_reduced_words,
+    count_words_up_to,
+    letter_name,
+    reduced_words,
+)
 
 
 def test_count_examples():
@@ -63,3 +71,20 @@ def test_alphabet_order():
 
 def test_reduced_words_streams_past_the_recursion_limit():
     assert len(next(reduced_words(2, 3000))) == 3000
+
+
+@given(st.lists(st.integers(-70, 70).filter(bool), max_size=12))
+def test_word_str_joins_the_letter_names(letters):
+    # letters past g64 are named outside the table
+    w = Word.reduced(letters)
+    assert str(w) == ("*".join(letter_name(l) for l in w.letters) if w else "id")
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+def test_count_words_up_to_is_exact_below_the_cap(rank):
+    for cap in (1, 10, 1000, 5 * 10**5):
+        for max_length in range(0, 25):
+            exact = sum(count_reduced_words(rank, n) for n in range(1, max_length + 1))
+            assert count_words_up_to(rank, max_length, cap) == min(exact, cap + 1)
+    # a huge length is capped without taking the power
+    assert count_words_up_to(rank, 10**12, 5 * 10**5) == 5 * 10**5 + 1
