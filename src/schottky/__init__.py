@@ -28,7 +28,6 @@ from .errors import (
     NotASquare,
     NotASquareInQp,
     OddValuation,
-    PointInsideDisk,
     PointNearLimitSet,
     PrecisionExhausted,
     SchottkyError,
@@ -110,7 +109,6 @@ __all__ = [
     "NotASquareInQp",
     "OddValuation",
     "PadicApprox",
-    "PointInsideDisk",
     "PointNearLimitSet",
     "PrecisionExhausted",
     "PrimeContext",

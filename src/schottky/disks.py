@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import CoefficientTooLarge, ConstantPolynomial, PointInsideDisk
-from .padic import Exponent, PrimeContext, abs_exponent, valuation
+from .errors import CoefficientTooLarge, ConstantPolynomial
+from .padic import NEG_INF, Exponent, PrimeContext, abs_exponent, valuation
 from .proj import Homography, ProjPoint, _new_point
 
 
@@ -224,44 +224,42 @@ def image(g: Homography, D: Disk) -> Disk:
     )
 
 
-def point_to_disk_delta(x: ProjPoint, D: Disk, ctx: PrimeContext) -> Exponent:
-    """Exponent of inf over y in D of delta(x, y), for x outside D.
+def point_to_disk_delta(x: ProjPoint, D: Disk) -> Exponent:
+    """Exponent of inf over y in D of delta(x, y); NEG_INF exactly when x
+    lies in D, as for ``delta(x, x)``.
 
     For x outside a disk, |x - y| is the constant |x - center|, so the
     infimum is reached by maximizing max(1, |y|) over the disk.  On the
     primitive vector x = num/den, max(1, |x|) = p**v(den) and
     |x - center| = p**(v(den) + k - v(num * p^k - den * cn)).
     """
-    p = ctx.p
     y = x.den
     if y == 0:
-        if not D.bounded:
-            raise PointInsideDisk(x, D)
-        return -D._s
-    vy = valuation(y, p)
-    vn = valuation(x.num * D._pk - y * D._cn, p)
+        return -D._s if D.bounded else NEG_INF
+    vy = valuation(y, D.p)
+    vn = valuation(x.num * D._pk - y * D._cn, D.p)
     if (vn - vy - D._k >= D._m) == D.bounded:
-        raise PointInsideDisk(x, D)
+        return NEG_INF
     if D.bounded:
         return D._k - vn - D._s
     # x lies in the complementary bounded disk.
     return D.radius_exp - D._s - vy
 
 
-def min_delta_disjoint_disks(D1: Disk, D2: Disk, ctx: PrimeContext) -> Exponent:
-    """Exponent of inf delta(x, y) over x in D1, y in D2, for disjoint disks.
+def min_delta_disjoint_disks(D1: Disk, D2: Disk) -> Exponent:
+    """Exponent of inf delta(x, y) over x in D1, y in D2; NEG_INF exactly
+    when the disks meet.
 
-    Supports the two shapes needed by translate scans: two disjoint
-    bounded disks, and an unbounded disk against a bounded disk inside
-    its complementary hole.
+    Disjoint disks come in two shapes: two bounded disks, and an unbounded
+    disk against a bounded disk inside its complementary hole.
     """
     if not disjoint(D1, D2):
-        raise ValueError("disks intersect; the distance is zero")
+        return NEG_INF
     if not D2.bounded:
         D1, D2 = D2, D1
     if D1.bounded:
         # |center1 - center2| = |cn1 p^k2 - cn2 p^k1| * p^(k1 + k2)
-        v = valuation(D1._cn * D2._pk - D2._cn * D1._pk, ctx.p)
+        v = valuation(D1._cn * D2._pk - D2._cn * D1._pk, D1.p)
         return D1._k + D2._k - v - D1._s - D2._s
     return D1.radius_exp - D1._s - D2._s
 

@@ -25,18 +25,6 @@ class PrecisionExhausted(SchottkyError):
     """A p-adic approximation lost all significant digits."""
 
 
-class PointInsideDisk(SchottkyError):
-    """Distance-to-disk requested for a point lying in the disk.
-
-    Raised with the point and the disk; the message is formatted only when
-    read, because the cover descent catches most of these.
-    """
-
-    def __str__(self):
-        x, D = self.args
-        return f"{x} lies in {D}"
-
-
 class ConstantPolynomial(SchottkyError):
     pass
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import math
 import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -35,7 +36,6 @@ from .errors import (
     DepthExceeded,
     InvalidArgument,
     MaxStepsExceeded,
-    PointInsideDisk,
     PointNearLimitSet,
 )
 from .padic import NEG_INF, POS_INF, Exponent, PrimeContext, valuation
@@ -71,7 +71,7 @@ class AxiomCheck:
 class AxiomReport:
     checks: Tuple[AxiomCheck, ...]
 
-    @property
+    @cached_property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
@@ -351,19 +351,17 @@ class SchottkyGroup:
         strictly nearer to x.  Raises PointNearLimitSet if x still lies in
         a cover disk at the depth.
         """
-        cache, ctx = self._cover_cache, self.ctx
+        cache = self._cover_cache
         lower, nearest = POS_INF, None
         while len(letters) < depth:
             inside = None
             for l in self._after[letters[-1] if letters else 0]:
                 child = letters + (l,)
                 h2, disk = cache.get(child) or self._cover_node(child, h * self._steps[l])
-                try:
-                    bound = point_to_disk_delta(x, disk, ctx)
-                except PointInsideDisk:
+                bound = point_to_disk_delta(x, disk)
+                if bound == NEG_INF:
                     inside = child, h2
-                    continue
-                if bound < lower:
+                elif bound < lower:
                     lower, nearest = bound, disk
             if inside is None:
                 return lower, nearest
@@ -565,20 +563,14 @@ class SchottkyGroup:
         """Exponent of a positive lower bound for the distance to the limit
         set over the region, or None when the cover is not separated from it."""
         constraints, holes = region._normalized()
+        # Closed disks whose intersection is the region.
+        supersets = [hole.complement() for hole in holes] + constraints
         bounds = []
         for _, D in self.limit_cover(cover_depth).entries:
-            candidates = []
-            for hole in holes:
-                if contains_disk(hole, D):
-                    candidates.append(
-                        min_delta_disjoint_disks(hole.complement(), D, self.ctx)
-                    )
-            for K in constraints:
-                if disjoint(K, D):
-                    candidates.append(min_delta_disjoint_disks(K, D, self.ctx))
-            if not candidates:
+            bound = max((min_delta_disjoint_disks(K, D) for K in supersets), default=NEG_INF)
+            if bound == NEG_INF:
                 return None
-            bounds.append(max(candidates))
+            bounds.append(bound)
         return min(bounds)
 
     def intersecting_translates(self, A: Affinoid, A2: Affinoid, depth: int) -> TranslateScan:

@@ -265,9 +265,13 @@ def _ls_slope(points) -> float:
     n = len(points)
     if n < 2:
         return 0.0
-    sx = sum(x for x, _ in points)
-    sy = sum(y for _, y in points)
-    sxx = sum(x * x for x, _ in points)
-    sxy = sum(x * y for x, y in points)
+    # Plain left-to-right float sums: from Python 3.12 on, sum() compensates
+    # its rounding, which would change the printed slope between versions.
+    sx = sy = sxx = sxy = 0.0
+    for x, y in points:
+        sx += x
+        sy += y
+        sxx += x * x
+        sxy += x * y
     denom = n * sxx - sx * sx
     return 0.0 if denom == 0 else (n * sxy - sx * sy) / denom

@@ -103,7 +103,7 @@ class Homography:
 
     @staticmethod
     def identity() -> "Homography":
-        return Homography(1, 0, 0, 1)
+        return _IDENTITY
 
     @property
     def a(self):
@@ -190,6 +190,10 @@ def _trusted(entries: tuple) -> Homography:
     g = object.__new__(Homography)
     object.__setattr__(g, "entries", entries)
     return g
+
+
+# Homographies are immutable, so one identity serves every caller.
+_IDENTITY = _trusted((1, 0, 0, 1))
 
 
 class ElementClass(enum.Enum):

@@ -11,7 +11,7 @@ open node can beat the best center distance found at the depth.
 import heapq
 
 from schottky.disks import point_to_disk_delta
-from schottky.errors import PointInsideDisk, PointNearLimitSet
+from schottky.errors import PointNearLimitSet
 from schottky.groups import DeltaGammaBound
 from schottky.padic import NEG_INF, POS_INF
 from schottky.proj import Homography, delta
@@ -27,19 +27,13 @@ def delta_to_limit(G, x, depth):
     """
     G.ensure_verified()
 
-    def bound_of(disk):
-        try:
-            return point_to_disk_delta(x, disk, G.ctx)
-        except PointInsideDisk:
-            return NEG_INF
-
     heap = []
 
     def push_children(letters, h):
         for l in G._after[letters[-1] if letters else 0]:
             child = letters + (l,)
             h2, d2 = G._cover_cache.get(child) or G._cover_node(child, h * G._steps[l])
-            heapq.heappush(heap, (bound_of(d2), child, h2, d2))
+            heapq.heappush(heap, (point_to_disk_delta(x, d2), child, h2, d2))
 
     push_children((), Homography.identity())
     lower = None

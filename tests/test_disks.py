@@ -13,8 +13,8 @@ from schottky.disks import (
     point_to_disk_delta,
     poly_distance_exponent,
 )
-from schottky.errors import CoefficientTooLarge, ConstantPolynomial, PointInsideDisk
-from schottky.padic import PrimeContext, abs_exponent
+from schottky.errors import CoefficientTooLarge, ConstantPolynomial
+from schottky.padic import NEG_INF, PrimeContext, abs_exponent
 from schottky.proj import INFINITY, Homography, ProjPoint, delta
 
 CTX = PrimeContext(5, 12)
@@ -111,15 +111,15 @@ def test_image_membership_oracle():
 
 
 def test_point_to_disk_delta_examples():
-    assert point_to_disk_delta(INFINITY, E(0, 0), CTX) == 0
-    assert point_to_disk_delta(ProjPoint(1), E(0, -1), CTX) == 0
+    assert point_to_disk_delta(INFINITY, E(0, 0)) == 0
+    assert point_to_disk_delta(ProjPoint(1), E(0, -1)) == 0
     # |25| = 1/25 sits outside the open disk of radius 1/25 around 0
-    assert point_to_disk_delta(ProjPoint(25), B(0, -2), CTX) == -2
+    assert point_to_disk_delta(ProjPoint(25), B(0, -2)) == -2
 
 
-def test_point_to_disk_delta_inside_raises():
-    with pytest.raises(PointInsideDisk):
-        point_to_disk_delta(ProjPoint(25), E(0, -1), CTX)  # 25 is in E(0, 1/5)
+def test_point_to_disk_delta_inside_is_neg_inf():
+    assert point_to_disk_delta(ProjPoint(25), E(0, -1)) == NEG_INF  # 25 is in E(0, 1/5)
+    assert point_to_disk_delta(INFINITY, B(0, -1).complement()) == NEG_INF
 
 
 def _disk_rational_samples(D, count=400, seed=3):
@@ -148,7 +148,7 @@ def _disk_rational_samples(D, count=400, seed=3):
     ],
 )
 def test_point_to_disk_delta_brute_force(x, disk):
-    formula = point_to_disk_delta(x, disk, CTX)
+    formula = point_to_disk_delta(x, disk)
     sampled = min(delta(x, y, CTX) for y in _disk_rational_samples(disk))
     # sampling can only overshoot the infimum, and must attain it whenever
     # the extremal radius carries rational points (true for these cases)
@@ -163,7 +163,7 @@ def test_min_delta_disjoint_disks_brute_force():
         (B(2, -1).complement(), B(2, -2)),
     ]
     for D1, D2 in cases:
-        got = min_delta_disjoint_disks(D1, D2, CTX)
+        got = min_delta_disjoint_disks(D1, D2)
         if D1.bounded:
             xs = _disk_rational_samples(D1, seed=5)
         else:

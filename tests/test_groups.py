@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 
+import floor_oracle
+from conftest import CONJUGATOR_NAMES, conjugate
 from schottky.disks import Affinoid, Disk, contains_disk
 from schottky.errors import (
     AxiomViolation,
@@ -231,6 +233,44 @@ def test_delta_floor_positive_on_compacta(g5):
     assert floor is not None and floor > NEG_INF
     for x in [INFINITY, ProjPoint(5), ProjPoint(-1)]:
         assert g5.delta_to_limit(x, 3).lower_exponent >= floor
+
+
+_FLOOR_GROUPS = [sample_group(5, 1), sample_group(5, 3)]
+for _p in (3, 5, 7):
+    _G = sample_group(_p, 2)
+    _FLOOR_GROUPS += [_G] + [H for H in (conjugate(_G, n) for n in CONJUGATOR_NAMES) if H]
+
+
+@st.composite
+def floor_regions(draw, G):
+    """The fundamental domain, a closed domain disk or its complement, or a
+    drawn affinoid whose disks may sit on the limit cover."""
+    kind = draw(st.sampled_from(("domain", "domain disk", "drawn", "drawn")))
+    if kind == "domain":
+        return G.fundamental_domain()
+    if kind == "domain disk":
+        B = draw(st.sampled_from(G.B + G.C))
+        return draw(st.sampled_from((Affinoid(B.closure(), ()), Affinoid(None, (B,)))))
+
+    def disk(is_open):
+        if draw(st.booleans()):
+            _, D = draw(st.sampled_from(G.limit_cover(2).entries))
+            center = D.center
+        else:
+            center = Fraction(draw(st.integers(-50, 50)), G.p ** draw(st.integers(0, 2)))
+        radius = Fraction(draw(st.integers(-6, 2)), draw(st.sampled_from((1, 1, 2))))
+        return Disk(draw(st.booleans()), is_open, center, radius, G.p)
+
+    outer = disk(False) if draw(st.booleans()) else None
+    return Affinoid(outer, [disk(True) for _ in range(draw(st.integers(0, 3)))])
+
+
+@given(G=st.sampled_from(_FLOOR_GROUPS), depth=st.integers(1, 3), data=st.data())
+def test_delta_floor_matches_the_prechecked_floor(G, depth, data):
+    region = data.draw(floor_regions(G))
+    want = floor_oracle.delta_floor(G, region, depth)
+    event("no floor" if want is None else "a floor")
+    assert G._delta_floor(region, depth) == want
 
 
 def test_delta_interval_width_shrinks_geometrically(g5):

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from schottky.heights import (
     MAX_SCAN_WORDS,
     _height_at_most,
     _iroot,
+    _ls_slope,
     _positive_word_count,
     growth_base,
     height_matrix,
@@ -108,6 +110,25 @@ def test_upsilon_scan_workers_match(g5):
     assert seq.entries == par.entries
     assert seq.rows == par.rows
     assert seq.slope == par.slope
+
+
+def _slope(points, total):
+    """The least-squares slope with each sum taken by total."""
+    n = len(points)
+    sx, sy = total([x for x, _ in points]), total([y for _, y in points])
+    sxx, sxy = total([x * x for x, _ in points]), total([x * y for x, y in points])
+    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
+def test_ls_slope_adds_left_to_right():
+    # sum() of floats rounds like this up to Python 3.11, and compensates from 3.12 on
+    def left_to_right(values):
+        return functools.reduce(operator.add, values, 0.0)
+
+    # points whose sums round differently when compensated
+    points = [(0.1 * l, 0.7 * l + 0.01 * l * l) for l in range(1, 11)]
+    assert _slope(points, left_to_right) != _slope(points, math.fsum)
+    assert _ls_slope(points) == _slope(points, left_to_right)
 
 
 def test_threshold_bins(g5):

@@ -28,9 +28,9 @@ from schottky.disks import (
     min_delta_disjoint_disks,
     point_to_disk_delta,
 )
-from schottky.errors import NotASquare, NotASquareInQp, OddValuation, PointInsideDisk
+from schottky.errors import NotASquare, NotASquareInQp, OddValuation
 from schottky.groups import sample_group
-from schottky.padic import PadicApprox, PrimeContext, hensel_sqrt
+from schottky.padic import NEG_INF, PadicApprox, PrimeContext, hensel_sqrt
 from schottky.proj import Homography, ProjPoint, classify, delta, fixed_points
 
 primes = st.sampled_from([2, 3, 5])
@@ -161,17 +161,16 @@ def test_image(m, p, data):
 
 @given(p=primes, data=st.data())
 def test_point_to_disk_delta(p, data):
+    """NEG_INF exactly for a point of the disk, the oracle's value otherwise;
+    points on and near the boundary sphere of the (complementary) bounded disk."""
     D, O = data.draw(disks(p))
-    ctx = PrimeContext(p)
     bounded = D if D.bounded else D.complement()
     for x, ox in (data.draw(points(p)), data.draw(points_near(bounded))):
-        try:
-            want = oracle.point_to_disk_delta(ox, O, p)
-        except oracle.Inside:
-            with pytest.raises(PointInsideDisk):
-                point_to_disk_delta(x, D, ctx)
+        got = point_to_disk_delta(x, D)
+        if O.contains(ox):
+            assert got == NEG_INF
         else:
-            assert point_to_disk_delta(x, D, ctx) == want
+            assert got == oracle.point_to_disk_delta(ox, O, p) > NEG_INF
 
 
 @given(p=primes, data=st.data())
@@ -249,15 +248,13 @@ def test_nesting_and_disjointness(p, data):
 
 @given(p=primes, data=st.data())
 def test_min_delta_disjoint_disks(p, data):
+    """NEG_INF exactly for disks that meet, the oracle's value otherwise."""
     (D1, O1), (D2, O2) = data.draw(disk_pairs(p))
-    ctx = PrimeContext(p)
-    try:
-        want = oracle.min_delta_disjoint_disks(O1, O2, p)
-    except ValueError:
-        with pytest.raises(ValueError):
-            min_delta_disjoint_disks(D1, D2, ctx)
+    got = min_delta_disjoint_disks(D1, D2)
+    if oracle.disjoint(O1, O2):
+        assert got == oracle.min_delta_disjoint_disks(O1, O2, p) > NEG_INF
     else:
-        assert min_delta_disjoint_disks(D1, D2, ctx) == want
+        assert got == NEG_INF
 
 
 @given(p=primes, data=st.data())

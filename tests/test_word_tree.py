@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from conftest import CONJUGATOR_NAMES, conjugate
 from schottky import INFINITY, PointNearLimitSet, ProjPoint, Word, sample_group
 from schottky.disks import point_to_disk_delta
-from schottky.errors import PointInsideDisk
 from schottky.heights import height_matrix, upsilon_scan
 from schottky.padic import NEG_INF, POS_INF
 from schottky.proj import delta
@@ -72,10 +71,10 @@ def brute_delta(G, x, depth):
         COVERS[G, depth] = G.limit_cover(depth).entries
     lower, upper = POS_INF, POS_INF
     for word, disk in COVERS[G, depth]:
-        try:
-            lower = min(lower, point_to_disk_delta(x, disk, G.ctx))
-        except PointInsideDisk:
+        bound = point_to_disk_delta(x, disk)
+        if bound == NEG_INF:
             return word
+        lower = min(lower, bound)
         upper = min(upper, delta(x, disk.center_point(), G.ctx))
     return lower, upper
 
