@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import repeat
+
 from . import geodesy, heights
 from .errors import SchottkyError
 from .groups import sample_group
@@ -22,7 +24,7 @@ from .serialize import (
     parse_point,
     save_group,
 )
-from .words import alphabet, letter_name
+from .words import Word, letter_name
 
 
 def _emit(obj):
@@ -88,17 +90,21 @@ def cmd_enumerate(args) -> int:
 def cmd_heights_scan(args) -> int:
     G = load_group(args.group)
     scan = heights.upsilon_scan(G, args.max_length, workers=args.threads)
-    tails = {l: "*" + letter_name(l) for l in alphabet(G.rank)}
-    names = {}  # letters -> str(Word(letters)), for the rows written so far
+    letters = range(1, G.rank + 1)
+    tails = ["*" + letter_name(l) for l in letters]
+    names = [str(Word((l,))) for l in letters]
+    start = 0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["length", "word", "height", "threshold_bin"])
-        for length, word, height in scan.entries:
-            # a word's name extends the name of its prefix, an earlier row
-            letters = word.letters
-            head = names.get(letters[:-1])
-            name = names[letters] = str(word) if head is None else head + tails[letters[-1]]
-            writer.writerow((length, name, height, scan.threshold_bin(height)))
+        for length in range(1, scan.max_length + 1):
+            if length > 1:
+                # the entries run in product() order: each name of the last
+                # level, extended by every letter in turn
+                names = [name + tail for name in names for tail in tails]
+            level = [h for _, _, h in scan.entries[start : start + len(names)]]
+            start += len(names)
+            writer.writerows(zip(repeat(length), names, level, map(scan.threshold_bin, level)))
     _emit(scan.summary_dict())
     return 0
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, repeat
-from typing import Iterable, Optional, Tuple
+from itertools import chain, product, repeat
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import InvalidArgument
 from .proj import Homography
-from .words import Word, walk
+from .words import walk
 
 
 def height_rational(x) -> int:
@@ -58,6 +58,13 @@ class CountingScan:
     ``growth`` is the measured per-letter height growth over the scan,
     the L-th root of the largest height at the deepest length; threshold
     comparisons H <= growth**l are performed exactly as H**L <= M**l.
+
+    ``entries`` holds ``(length, letters, height)`` for every positive
+    word, by length, then lexicographically (the order of ``product()``);
+    ``letters`` is the tuple of generator indices, so ``Word(letters)``
+    is the word.  ``bins`` maps each scan height at most the peak to its
+    threshold bin; row l counts the heights at most peak**(l/L), so the
+    sorted heights sliced at the row counts fill it.
     """
 
     max_length: int
@@ -67,25 +74,22 @@ class CountingScan:
     rows: Tuple[CountRow, ...]
     slope: float
     reference_exponent: float
-    entries: Tuple[Tuple[int, Word, int], ...]
-    sorted_heights: Tuple[int, ...] = field(repr=False, compare=False)
+    entries: Tuple[Tuple[int, Tuple[int, ...], int], ...]
+    bins: Dict[int, int] = field(repr=False, compare=False)
 
     def threshold_bin(self, height: int) -> int:
         """The least l in 1 .. 4L with H**L <= peak**l, or -1 if none.
 
-        The row counts are the cut list: row l counts the scan heights at
-        most peak**(l/L), and row L counts every one at most the peak.  So
-        such a scan height, with i scan heights at most it, lies in the
-        least row whose count reaches i.
+        A scan height at most the peak is read from ``bins``.
         """
         if height < 1:
             raise InvalidArgument("a height is at least 1")
-        L, peak, heights = self.max_length, self.peak_height, self.sorted_heights
-        rank = bisect_right(heights, height)
-        if height <= peak and rank and heights[rank - 1] == height:
-            return bisect_left(self.rows, rank, key=lambda row: row.count) + 1
-        # a height the scan never saw: start from the logarithmic estimate,
-        # then settle the exact bin
+        found = self.bins.get(height)
+        if found is not None:
+            return found
+        # a height the scan never saw, or one above the peak: start from the
+        # logarithmic estimate, then settle the exact bin
+        L, peak = self.max_length, self.peak_height
         l = min(max(1, math.ceil(L * math.log(height) / math.log(peak))), 4 * L + 1)
         while l > 1 and _height_at_most(height, peak, l - 1, L):
             l -= 1
@@ -186,18 +190,21 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
         size = q ** (length - 1)
         level = [h for branch in branches for h in branch[start : start + size]]
         start += size
-        words = map(Word, product(range(1, q + 1), repeat=length))
-        entries.extend(zip(repeat(length), words, level))
+        entries.extend(zip(repeat(length), product(range(1, q + 1), repeat=length), level))
 
     L = max_length
     peak = max(level)
     huge = peak >= _FLOAT_OVERFLOW  # then its powers are taken in the log domain
     growth = math.exp(math.log(peak) / L) if huge else peak ** (1.0 / L)
-    heights = sorted(h for _, _, h in entries)
+    heights = sorted(chain.from_iterable(branches))
     rows = []
     pts = []
+    bins = {}
+    cut = 0
     for l in range(1, L + 1):
         count = _count_below(heights, peak, l, L)
+        bins.update(zip(heights[cut:count], repeat(l)))  # above row l-1's cut, within row l's
+        cut = count
         log_t = l / L * math.log(peak) if huge else math.log(peak ** (l / L))
         rows.append(CountRow(l, _exp_or_none(log_t) if huge else peak ** (l / L), count))
         if count > 0:
@@ -205,7 +212,7 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     slope = _ls_slope(pts)
     reference = math.log(q) / math.log(growth) if q > 1 and growth > 1 else 0.0
     return CountingScan(
-        max_length, q, peak, growth, tuple(rows), slope, reference, tuple(entries), tuple(heights)
+        max_length, q, peak, growth, tuple(rows), slope, reference, tuple(entries), bins
     )
 
 
@@ -256,9 +263,9 @@ def _iroot(n: int, k: int) -> int:
         r = s
 
 
-def _count_below(sorted_heights, peak: int, l: int, L: int) -> int:
-    """The number of heights H with H**L <= peak**l."""
-    return bisect_left(sorted_heights, True, key=lambda h: not _height_at_most(h, peak, l, L))
+def _count_below(heights, peak: int, l: int, L: int) -> int:
+    """The number of sorted heights H with H**L <= peak**l."""
+    return bisect_left(heights, True, key=lambda h: not _height_at_most(h, peak, l, L))
 
 
 def _ls_slope(points) -> float:

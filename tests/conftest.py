@@ -79,3 +79,13 @@ def conjugate(G, name):
     except ValueError:
         return None
     return H if H.verify().all_passed else None
+
+
+def permuted(G, order):
+    """G with its generators, and their disks, taken in the given order."""
+    return SchottkyGroup(
+        G.ctx,
+        [G.generators[i] for i in order],
+        [G.B[i] for i in order],
+        [G.C[i] for i in order],
+    )

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -10,10 +11,13 @@ from pathlib import Path
 import pytest
 
 import schottky
+from conftest import cached_sample_group, permuted
 from schottky.cli import COMMANDS, build_parser, main
 from schottky.errors import SchottkyError
 from schottky.groups import sample_group
-from schottky.serialize import canonical_json, save_group
+from schottky.heights import upsilon_scan
+from schottky.serialize import canonical_json, load_group, save_group
+from schottky.words import Word
 
 
 @pytest.fixture()
@@ -69,7 +73,6 @@ def test_reduce_infinity(capsys, g5_file):
 
 def test_reduce_orbit_point(capsys, g5, g5_file):
     from schottky.proj import INFINITY
-    from schottky.words import Word
 
     x = g5.word_homography(Word((1, 2))).apply(INFINITY)
     code, out = run_cli(capsys, "reduce", g5_file, f"--point={x}")
@@ -136,9 +139,34 @@ def test_upsilon_and_heights_scan(capsys, g5_file, tmp_path):
     assert len(lines) == 1 + 2 + 4 + 8 + 16
 
 
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize(
+    "p, rank, order, max_length",
+    [(5, 1, (0,), 12), (5, 2, (0, 1), 6), (5, 3, (0, 1, 2), 4), (7, 3, (2, 1, 0), 4)],
+)
+def test_heights_scan_rows_name_the_scan_entries(
+    capsys, tmp_path, p, rank, order, max_length, threads
+):
+    """Row i of the CSV is entry i of the scan, its word named as str(Word(letters))."""
+    group = tmp_path / "g.json"
+    save_group(permuted(cached_sample_group(p, rank), order), group)
+    path = tmp_path / "scan.csv"
+    code, _ = run_cli(
+        capsys, "heights-scan", str(group), "--max-length", str(max_length), "--out", str(path),
+        "--threads", str(threads),
+    )
+    assert code == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    scan = upsilon_scan(load_group(group), max_length)
+    assert rows == [
+        [str(n), str(Word(letters)), str(h), str(scan.threshold_bin(h))]
+        for n, letters, h in scan.entries
+    ]
+
+
 def test_output_files_reload(capsys, g5_file, tmp_path):
     from schottky.serialize import load_cover_csv, load_scan_csv
-    from schottky.words import Word
 
     cover_path = tmp_path / "cover.csv"
     code, out = run_cli(capsys, "limit-cover", g5_file, "--depth", "2")

@@ -18,9 +18,12 @@ row counts; the rank-1 heights tie their bin edges in every row.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from conftest import permuted
 from schottky.cli import main
 from schottky.groups import sample_group
 from schottky.serialize import save_group
@@ -223,3 +226,22 @@ def test_word_tree_commands_unchanged(capsys, files, name):
     if name in CSV_DIGESTS:
         with open(files["scan"]) as fh:
             assert hashlib.sha256(fh.read().encode()).hexdigest() == CSV_DIGESTS[name]
+
+
+# perfbench/expected.json holds, per height_count key "p:order", the sha256 of
+# the CSV and of the summary that a scan to length 9 writes on sample_group(p, 3)
+# with its generators, and their disks, taken in that order
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("key, threads", [("5:012", 1), ("7:210", 2)])
+def test_benchmark_height_scan_bytes_unchanged(capsys, tmp_path, key, threads):
+    want = json.loads(EXPECTED.read_text())["height_count"][key]
+    p, order = key.split(":")
+    group, scan = tmp_path / "g.json", tmp_path / "scan.csv"
+    save_group(permuted(sample_group(int(p), 3), [int(i) for i in order]), group)
+    argv = ["heights-scan", str(group), "--max-length", "9", "--out", str(scan)]
+    assert main(argv + ["--threads", str(threads)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(scan.read_bytes()).hexdigest() == want["csv"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["summary"]

@@ -110,6 +110,8 @@ def test_upsilon_scan_workers_match(g5):
     assert seq.entries == par.entries
     assert seq.rows == par.rows
     assert seq.slope == par.slope
+    for _, _, h in seq.entries:
+        assert seq.threshold_bin(h) == par.threshold_bin(h)
 
 
 def _slope(points, total):
@@ -281,6 +283,32 @@ def test_threshold_bin_of_a_scan_height_above_the_peak():
     assert scan.threshold_bin(15) == 7  # 15**4 <= 6**7, past the rows' lengths
     for _, _, h in scan.entries:
         assert scan.threshold_bin(h) == threshold_oracle.threshold_bin(h, 6, 4)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        _scan(5, 1, 40),
+        _scan(3, 2, 7),
+        _scan(5, 3, 5),
+        upsilon_scan(_HeightsAbovePeak(), 4),
+    ],
+    ids=["rank1", "rank2", "rank3", "above-peak"],
+)
+def test_bin_table_at_the_row_cuts(scan):
+    """The table holds the oracle's bin for the last height within each
+    row's cut and the first beyond it; a height above the peak, here a
+    shorter word's, is not in the table and still gets the oracle's bin."""
+    L, peak = scan.max_length, scan.peak_height
+    heights = sorted(h for _, _, h in scan.entries)
+    assert set(scan.bins) == {h for h in heights if h <= peak}
+    for row in scan.rows:
+        for i in (row.count - 1, row.count):
+            if 0 <= i < len(heights):
+                h = heights[i]
+                want = threshold_oracle.threshold_bin(h, peak, L)
+                assert scan.bins.get(h) == (want if h <= peak else None), (row, h)
+                assert scan.threshold_bin(h) == want, (row, h)
 
 
 @pytest.mark.parametrize("height", [0, -1, -(10**30)])

@@ -27,6 +27,7 @@ from schottky.serialize import (
     point_str,
     save_group,
 )
+from schottky.words import Word
 
 
 def test_rational_round_trip():
@@ -236,17 +237,18 @@ def fuzz_inputs(g5, tmp_path_factory):
     ]
     scan = upsilon_scan(g5, 3, workers=1)
     rows = ["length,word,height,threshold_bin"] + [
-        f"{n},{w},{h},{scan.threshold_bin(h)}" for n, w, h in scan.entries
+        f"{n},{Word(letters)},{h},{scan.threshold_bin(h)}" for n, letters, h in scan.entries
     ]
-    return {
-        "group": group_to_dict(g5),
-        "pair": pair,
-        "csv": {
-            load_cover_csv: ("\n".join(cover) + "\n").encode(),
-            load_scan_csv: ("\n".join(rows) + "\n").encode(),
-        },
-        "dir": tmp_path_factory.mktemp("fuzz"),
+    seeds = {
+        load_cover_csv: ("\n".join(cover) + "\n").encode(),
+        load_scan_csv: ("\n".join(rows) + "\n").encode(),
     }
+    work = tmp_path_factory.mktemp("fuzz")
+    # the unmutated seeds are valid files, so the fuzz starts from loadable bytes
+    for loader, text in seeds.items():
+        (work / "seed.csv").write_bytes(text)
+        assert len(loader(work / "seed.csv")) == len(text.splitlines()) - 1
+    return {"group": group_to_dict(g5), "pair": pair, "csv": seeds, "dir": work}
 
 
 @given(data=st.data())

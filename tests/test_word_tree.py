@@ -60,8 +60,8 @@ def test_height_scan_lists_the_sorted_positive_words(rank):
     want = []
     for n in range(1, 6):
         for letters in itertools.product(range(1, rank + 1), repeat=n):
-            w = Word(letters)
-            want.append((n, w, height_matrix(G.word_homography(w))))
+            want.append((n, letters, height_matrix(G.word_homography(Word(letters)))))
+    # by length, then lexicographically
     assert list(scan.entries) == sorted(want)
 
 
