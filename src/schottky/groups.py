@@ -11,6 +11,15 @@ the complement of B_i^+ or C_i^+ (by the sign of the last letter) under
 the word's homography; w * infinity always lies in B(w), chains of these
 disks shrink onto limit points, and their closures at a fixed length
 cover the limit set.
+
+Write D_l and K_l for the open and closed domain disks of a letter l
+(C_i and its closure for l = i, B_i and its closure for l = -i).  For
+w = v * l, generator l maps the complement of K_-l onto D_l, so B(w) is
+h_v(D_l).  The pole h_v^-1(infinity) = v^-1(infinity) lies in the domain
+disk of the inverse of v's last letter, which is disjoint from K_l
+because w is reduced; so h_v maps D_l and K_l to an open and a closed
+disk with one center and radius, and the closed cover disk of w is
+h_v(K_l).
 """
 
 from __future__ import annotations
@@ -287,21 +296,30 @@ class SchottkyGroup:
 
     def limit_cover(self, depth: int) -> LimitCover:
         """The closed word disks of the given length, 2r(2r-1)**(depth-1)
-        of them; a depth with more than MAX_WALK_WORDS words up to it is
-        refused with InvalidArgument."""
+        of them, by word in the walk's order; a depth with more than
+        MAX_WALK_WORDS words up to it is refused with InvalidArgument.
+
+        The walk stops one letter short: the disk of v * l is h_v(K_l),
+        the closed domain disk of l imaged by the parent's homography,
+        which is the closure of the open word disk h_v(D_l) because the
+        pole of h_v lies in a domain disk apart from K_l (see the module
+        docstring).  At depth 1 the parent is the identity and the disks
+        are the K_l themselves."""
         self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         _refuse_long_walk(self.rank, depth)
-        entries = []
-        max_exp = NEG_INF
-        for length, letters, h in self._walk(depth):
-            if length < depth:
-                continue
-            disk = self._word_disk(h, letters[-1]).closure()
-            entries.append((Word(letters), disk))
-            if disk.radius_exp > max_exp:
-                max_exp = disk.radius_exp
+        closed = {l: K for l, _, K in self._domain}
+        if depth == 1:
+            entries = [(Word((l,)), closed[l]) for l in self._after[0]]
+        else:
+            entries = [
+                (Word(letters + (l,)), image(h, closed[l]))
+                for length, letters, h in self._walk(depth - 1)
+                if length == depth - 1
+                for l in self._after[letters[-1]]
+            ]
+        max_exp = max(disk.radius_exp for _, disk in entries)
         return LimitCover(depth, tuple(entries), max_exp)
 
     def _cover_node(self, letters, h: Homography):

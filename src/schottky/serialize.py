@@ -1,7 +1,8 @@
 """Canonical file formats.
 
 Exact values serialize as their str(): "a" or "a/b" in lowest terms;
-points add "inf".
+points add "inf".  They load back as ``int`` when integral and as
+``Fraction`` otherwise.
 Group files carry the prime, the digit precision, generator matrices in
 row-major rational strings, and the two disk lists.  Serialization is
 canonical (sorted keys, exact strings), so parse-then-serialize is the
@@ -15,7 +16,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Tuple
+from typing import Tuple, Union
 
 from .disks import Disk
 from .errors import FormatError
@@ -29,13 +30,16 @@ FORMAT_VERSION = 1
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
-def parse_rational(text: str, field: str = "rational") -> Fraction:
+def parse_rational(text: str, field: str = "rational") -> Union[int, Fraction]:
     """The rational "a/b" or "a", with optional sign and surrounding
-    whitespace; anything else, a zero denominator included, is a FormatError."""
+    whitespace, as an ``int`` when it is integral ("6/3" included) and a
+    ``Fraction`` otherwise; anything else, a zero denominator included, is
+    a FormatError."""
     s = str(text)
     try:
         if _RATIONAL.fullmatch(s):
-            return Fraction(s)
+            q = Fraction(s)
+            return q.numerator if q.denominator == 1 else q
     except (ValueError, ZeroDivisionError):  # ValueError: past int's digit limit
         pass
     raise FormatError(f"{field}: cannot parse rational {text!r}")

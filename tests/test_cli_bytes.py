@@ -14,7 +14,12 @@ scans shared one walker over the word tree; they pin every command that
 walks it, on the rank-2 group and on the rank-3 group ``{g3}``.  The
 ``_threads2`` and rank-1 ``{g1}`` height-scan digests were recorded
 before the scan's pool returned heights only and its bins came from the
-row counts; the rank-1 heights tie their bin edges in every row.
+row counts; the rank-1 heights tie their bin edges in every row.  The
+digests in ``COVER_COMMANDS`` were recorded while ``limit-cover`` still
+built each cover disk as the closure of the child word's open disk,
+before it imaged the closed domain disks by the parent word; they pin
+the rank-1 and rank-3 groups and the ``x/p^3`` conjugate of the rank-2
+group, whose cover disks are not chordal balls.
 """
 
 import hashlib
@@ -23,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import permuted
+from conftest import conjugate, permuted
 from schottky.cli import main
 from schottky.groups import sample_group
 from schottky.serialize import save_group
@@ -176,6 +181,29 @@ WALK_COMMANDS = {
     ),
 }
 
+COVER_COMMANDS = {
+    "limit_cover_rank1_10": (
+        ["limit-cover", "{g1}", "--depth", "10"],
+        0,
+        "e3d8aea40b010a1f787937b660ca541fda56ebcc8eeed81a3dd679c4dced498a",
+    ),
+    "limit_cover_rank3_4": (
+        ["limit-cover", "{g3}", "--depth", "4"],
+        0,
+        "05306ae5533fc2108e609ce82199a6e3728cf4d003c7c302d4ba99ff68f252a7",
+    ),
+    "limit_cover_conjugate_4": (
+        ["limit-cover", "{gc}", "--depth", "4"],
+        0,
+        "d12f93d2386ccb126904b7293594a554a29aea639aa640f81a7e8c05964510fb",
+    ),
+    "limit_cover_conjugate_4_json": (
+        ["limit-cover", "{gc}", "--depth", "4", "--format", "json"],
+        0,
+        "db989434b7fe77561d3b1edd67a51b263e5212f4350612750f7f0391dab1ad0c",
+    ),
+}
+
 # sha256 of the CSV that heights_scan_rank3 writes
 SCAN_CSV_DIGEST = "81c7ffecdcce9d90304f63aafd5ab3faae27c65f171d4fedbd8179b6348f655d"
 
@@ -194,11 +222,13 @@ def files(tmp_path_factory):
     save_group(sample_group(5, 2, 4), root / "g5m4.json")
     save_group(sample_group(5, 3), root / "g5r3.json")
     save_group(sample_group(5, 1), root / "g5r1.json")
+    save_group(conjugate(sample_group(5, 2), "x/p^3"), root / "g5c.json")
     (root / "pair.json").write_text(PAIR)
     return {
         "g": str(root / "g5.json"),
         "g3": str(root / "g5r3.json"),
         "g1": str(root / "g5r1.json"),
+        "gc": str(root / "g5c.json"),
         "pair": str(root / "pair.json"),
         "scan": str(root / "scan.csv"),
     }
@@ -226,6 +256,14 @@ def test_word_tree_commands_unchanged(capsys, files, name):
     if name in CSV_DIGESTS:
         with open(files["scan"]) as fh:
             assert hashlib.sha256(fh.read().encode()).hexdigest() == CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(COVER_COMMANDS))
+def test_limit_cover_bytes_unchanged(capsys, files, name):
+    argv, want_code, want_digest = COVER_COMMANDS[name]
+    code, out = run(capsys, argv, files)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest
 
 
 # perfbench/expected.json holds, per height_count key "p:order", the sha256 of

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, strategies as st
 
+import cover_oracle
 import floor_oracle
-from conftest import CONJUGATOR_NAMES, conjugate
+from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate, permuted
 from schottky.disks import Affinoid, Disk, contains_disk
 from schottky.errors import (
     AxiomViolation,
@@ -107,6 +108,42 @@ def test_limit_cover_depth_one_disks(g5):
     got = {disk for _, disk in cover.entries}
     want = {D.closure() for D in g5.B + g5.C}
     assert got == want
+
+
+def _disk_fields(D):
+    """The disk, which ``==`` compares by its canonical fields, with the
+    derived fields that ``==`` skips and the type of its radius exponent."""
+    return (D, type(D.radius_exp), D._m, D._pk, D._s)
+
+
+@st.composite
+def cover_groups(draw):
+    """A sample group of rank 1-3 at p in {2, 3, 5, 7} with multiplier
+    exponent 2 or 4, possibly conjugated, with its generators permuted."""
+    rank = draw(st.integers(1, 3))
+    G = cached_sample_group(draw(st.sampled_from((2, 3, 5, 7))), rank, draw(st.sampled_from((2, 4))))
+    assume(G is not None)
+    name = draw(st.sampled_from((None,) + CONJUGATOR_NAMES))
+    if name is not None:
+        G = conjugate(G, name)
+        assume(G is not None)
+    event(f"rank {rank}, {name or 'unconjugated'}")
+    return permuted(G, draw(st.permutations(range(rank))))
+
+
+@given(G=cover_groups(), depth=st.integers(1, 5))
+def test_limit_cover_matches_the_closed_leaf_disks(G, depth):
+    """Each cover disk, imaged from the closed domain disk by the parent
+    word, equals the closure of the leaf word's open disk, field by field,
+    and the disk ``_cover_node`` memoizes for the same word."""
+    got = G.limit_cover(depth)
+    want = cover_oracle.limit_cover(G, depth)
+    assert [w for w, _ in got.entries] == [w for w, _ in want.entries]
+    assert [_disk_fields(D) for _, D in got.entries] == [_disk_fields(D) for _, D in want.entries]
+    assert got.max_radius_exponent == want.max_radius_exponent
+    assert type(got.max_radius_exponent) is type(want.max_radius_exponent)
+    for letters, h, D in cover_oracle.leaves(G, depth):
+        assert _disk_fields(G._cover_node(letters, h)[1]) == _disk_fields(D)
 
 
 def test_delta_to_limit_at_infinity(g5):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fraction_oracle as oracle
+from conftest import conjugate
 from schottky.disks import Disk
 from schottky.errors import FormatError
+from schottky.groups import sample_group
 from schottky.proj import INFINITY, Homography, ProjPoint
 from schottky.serialize import (
     canonical_json,
@@ -38,6 +40,42 @@ def test_rational_round_trip():
         parse_rational("1/0")
     with pytest.raises(FormatError):
         parse_rational("abc")
+
+
+def test_parse_rational_is_int_when_integral():
+    """Integral text loads as an int, fractional text as a Fraction, and
+    the refusals are unchanged."""
+    for text, want in [("7", 7), ("+7", 7), (" -3 ", -3), ("6/3", 2)]:
+        got = parse_rational(text)
+        assert type(got) is int and got == want
+    got = parse_rational("3/5")
+    assert type(got) is Fraction and got == Fraction(3, 5)
+    limit = sys.get_int_max_str_digits()  # 4300 by default, 0 when switched off
+    for text in ["1/0", "abc"] + (["9" * (limit + 1)] if limit else []):
+        with pytest.raises(FormatError):
+            parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "make, fractional",
+    [
+        (lambda: sample_group(5, 1), False),
+        (lambda: sample_group(5, 3), False),
+        (lambda: sample_group(3, 2, multiplier_exponent=4), False),
+        (lambda: sample_group(7, 2), False),
+        (lambda: conjugate(sample_group(5, 2), "x/p^3"), True),
+        (lambda: conjugate(sample_group(3, 2), "x+1/p^2"), True),
+    ],
+    ids=["5-1", "5-3", "3-2-m4", "7-2", "5-2-x/p^3", "3-2-x+1/p^2"],
+)
+def test_group_file_reloads_to_its_bytes(make, fractional, tmp_path):
+    """A saved group serializes back to the file's bytes once loaded with
+    its integral entries as ints, fractional disk centers included."""
+    path = tmp_path / "g.json"
+    save_group(make(), path)
+    text = path.read_text()
+    assert "/" in text or not fractional
+    assert canonical_json(group_to_dict(load_group(path))) == text
 
 
 _exact_values = (
@@ -226,7 +264,6 @@ def _mutated(data, draw):
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(g5, tmp_path_factory):
-    from schottky.groups import sample_group
     from schottky.heights import upsilon_scan
 
     g25 = group_to_dict(sample_group(5, 2, multiplier_exponent=4))
