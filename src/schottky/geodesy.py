@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .errors import CyclicLinks, InvalidArgument, SchottkyError
-from .groups import SchottkyGroup
+from .groups import SchottkyGroup, _refuse_long_walk
 from .padic import valuation
 from .proj import Homography, ProjPoint
 from .words import Word
@@ -71,6 +71,24 @@ class NormalizedFlat:
         return len(self.free_indices)
 
 
+def _resolve(coords: Tuple[CoordSpec, ...]) -> List[Tuple[int, Homography]]:
+    """(j, h) for each coordinate i: the index j of the Free or Fixed
+    coordinate its link chain ends at, and the composed map with
+    z_i = h(z_j).  A link cycle raises CyclicLinks."""
+    roots = []
+    for i in range(len(coords)):
+        trail = []
+        j, h = i, Homography.identity()
+        while isinstance(coords[j], Linked):
+            if j in trail:
+                raise CyclicLinks(f"coordinates {trail} form a link cycle")
+            trail.append(j)
+            h = h * coords[j].map
+            j = coords[j].source
+        roots.append((j, h))
+    return roots
+
+
 def normalize_flat(spec: FlatSpec) -> NormalizedFlat:
     """Compose link chains down to their roots.
 
@@ -78,24 +96,15 @@ def normalize_flat(spec: FlatSpec) -> NormalizedFlat:
     raise CyclicLinks.  Fixed values are checked to reduce into the
     fundamental domain, certifying they avoid the limit set.
     """
-    n = spec.n
-    resolved: List[Optional[CoordSpec]] = [None] * n
-    for i in range(n):
-        trail = []
-        j, h = i, Homography.identity()
-        while isinstance(spec.coords[j], Linked):
-            if j in trail:
-                raise CyclicLinks(f"coordinates {trail} form a link cycle")
-            trail.append(j)
-            h = h * spec.coords[j].map
-            j = spec.coords[j].source
+    resolved: List[CoordSpec] = []
+    for i, (j, h) in enumerate(_resolve(spec.coords)):
         root = spec.coords[j]
         if i == j:
-            resolved[i] = root
+            resolved.append(root)
         elif isinstance(root, Fixed):
-            resolved[i] = Fixed(h.apply(root.point))
+            resolved.append(Fixed(h.apply(root.point)))
         else:
-            resolved[i] = Linked(j, h)
+            resolved.append(Linked(j, h))
 
     for i, c in enumerate(resolved):
         if isinstance(c, Fixed):
@@ -105,25 +114,14 @@ def normalize_flat(spec: FlatSpec) -> NormalizedFlat:
 
 
 def apply_flat(coords: Tuple[CoordSpec, ...], free_values) -> Tuple[ProjPoint, ...]:
-    """Fill all coordinates from values at the free ones."""
-    out: List[Optional[ProjPoint]] = [None] * len(coords)
+    """Fill all coordinates from values at the free ones: each is its
+    root's value, the free value or the fixed point, under the composed
+    link map.  A link cycle raises CyclicLinks."""
     values = dict(free_values)
-    for i, c in enumerate(coords):
-        if isinstance(c, Free):
-            out[i] = values[i]
-        elif isinstance(c, Fixed):
-            out[i] = c.point
-
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(coords):
-            if out[i] is None and isinstance(c, Linked) and out[c.source] is not None:
-                out[i] = c.map.apply(out[c.source])
-                changed = True
-    if any(v is None for v in out):
-        raise ValueError("unresolvable coordinates; normalize the spec first")
-    return tuple(out)
+    return tuple(
+        h.apply(values[j] if isinstance(coords[j], Free) else coords[j].point)
+        for j, h in _resolve(coords)
+    )
 
 
 @dataclass(frozen=True)
@@ -133,13 +131,20 @@ class StabilizerResult:
 
 
 def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
-    """Search words up to the depth for elements fixing the pair.
+    """The first word, in walk order, that fixes both points of the pair.
 
-    Conjugating a find so the pair becomes (0, inf) turns it into
-    z -> lambda z; the element with multiplier slowest p-adically
-    (|v_p(lambda)| minimal) is returned, with lambda normalized to the
-    orientation of archimedean size >= 1.  Its p-adic absolute value is
-    never 1: nontrivial stabilizing elements are hyperbolic.
+    The integer conjugator s = (x.den, -x.num; y.den, -y.num) sends x to
+    0 and y to infinity, with infinity on either side, so s h s^-1 is
+    z -> lambda z for every word h fixing the pair.  These words commute,
+    so in a free group they form a cyclic group <gamma>; and with
+    gamma = u c u^-1, c cyclically reduced, |gamma^k| = 2|u| + |k||c| is
+    longer than gamma for |k| >= 2.  So the first hit, by length then
+    lexicographically, is gamma or gamma^-1: of all stabilizing words up
+    to the depth, the first with |v_p(lambda)| minimal.  lambda is
+    normalized to the orientation of archimedean size >= 1; its p-adic
+    absolute value is never 1, since nontrivial stabilizing elements are
+    hyperbolic.  A depth with more than MAX_WALK_WORDS words up to it is
+    refused with InvalidArgument before the walk starts.
     """
     G.ensure_verified()
     x, y = pair
@@ -147,35 +152,19 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
         raise InvalidArgument("need two distinct points")
     if depth < 1:
         raise InvalidArgument("depth must be >= 1")
-    conj = _pair_to_zero_infinity(x, y)
-    conj_inv = conj.inverse()
-    best = None
-    order = 0
-    for _, word, h in G.iter_words_with_matrices(depth):
-        if not (h.apply(x) == x and h.apply(y) == y):
-            continue
-        d = conj * h * conj_inv
-        if d.b != 0 or d.c != 0:  # setwise swap; impossible without torsion
-            continue
-        lam = Fraction(d.a, d.d)
-        v = valuation(lam, G.p)
-        if v == 0:
-            raise SchottkyError(f"stabilizer {word} has |multiplier| = 1; group is not Schottky")
-        key = (abs(v), order)
-        if best is None or key < best[0]:
-            best = (key, word, lam if abs(lam) >= 1 else 1 / lam)
-        order += 1
-    if best is None:
+    _refuse_long_walk(G.rank, depth)
+    for _, letters, h in G._walk(depth):
+        if h.apply(x) == x and h.apply(y) == y:
+            break
+    else:
         return StabilizerResult(None, None)
-    return StabilizerResult(best[1], best[2])
-
-
-def _pair_to_zero_infinity(x: ProjPoint, y: ProjPoint) -> Homography:
-    if y.is_infinity:
-        return Homography(1, -x.value, 0, 1)
-    if x.is_infinity:
-        return Homography(0, 1, 1, -y.value)
-    return Homography(1, -x.value, 1, -y.value)
+    conj = Homography(x.den, -x.num, y.den, -y.num)
+    d = conj * h * conj.inverse()  # fixes 0 and infinity, so diagonal
+    lam = Fraction(d.a, d.d)
+    word = Word(letters)
+    if valuation(lam, G.p) == 0:
+        raise SchottkyError(f"stabilizer {word} has |multiplier| = 1; group is not Schottky")
+    return StabilizerResult(word, lam if abs(lam) >= 1 else 1 / lam)
 
 
 class Verdict(enum.Enum):

@@ -63,7 +63,7 @@ MAX_WALK_WORDS = 5 * 10**5
 def _refuse_long_walk(rank: int, depth: int):
     """InvalidArgument if the reduced words up to the depth are more than
     MAX_WALK_WORDS; the count is exact and takes no product."""
-    if count_words_up_to(rank, depth, MAX_WALK_WORDS) > MAX_WALK_WORDS:
+    if count_words_up_to(2 * rank, 2 * rank - 1, depth, MAX_WALK_WORDS) > MAX_WALK_WORDS:
         raise InvalidArgument(
             f"a walk to depth {depth} has more than {MAX_WALK_WORDS} reduced words; lower depth"
         )

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import InvalidArgument
 from .proj import Homography
-from .words import walk
+from .words import count_words_up_to, walk
 
 
 def height_rational(x) -> int:
@@ -140,16 +140,6 @@ def _branch_worker(payload):
 MAX_SCAN_WORDS = 10**6
 
 
-def _positive_word_count(q: int, max_length: int) -> int:
-    """The number of positive words of length 1 .. max_length in q
-    generators, or MAX_SCAN_WORDS + 1 if that is larger."""
-    if q == 1:
-        return max_length
-    if max_length >= MAX_SCAN_WORDS.bit_length():  # q**max_length alone exceeds the cap
-        return MAX_SCAN_WORDS + 1
-    return min((q ** (max_length + 1) - q) // (q - 1), MAX_SCAN_WORDS + 1)
-
-
 def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     """Enumerate positive words (generators only, no inverses) up to the
     length, count them under height thresholds, and fit the log-log slope.
@@ -165,7 +155,7 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     if workers < 1:
         raise InvalidArgument("workers must be >= 1")
     q = G.rank
-    if _positive_word_count(q, max_length) > MAX_SCAN_WORDS:
+    if count_words_up_to(q, q, max_length, MAX_SCAN_WORDS) > MAX_SCAN_WORDS:
         raise InvalidArgument(
             f"a scan to length {max_length} has more than {MAX_SCAN_WORDS} positive words;"
             " lower max_length"

@@ -189,13 +189,16 @@ def count_reduced_words(rank: int, length: int) -> int:
     return 2 * rank * (2 * rank - 1) ** (length - 1)
 
 
-def count_words_up_to(rank: int, max_length: int, cap: int) -> int:
-    """The number of nonempty reduced words of length at most max_length,
-    r((2r-1)**max_length - 1)/(r - 1) for rank r > 1, or cap + 1 if that
-    is larger; a length past the cap's bit length takes no power."""
+def count_words_up_to(first: int, branching: int, max_length: int, cap: int) -> int:
+    """The number of words of length 1 .. max_length in a tree with
+    ``first`` words of length 1, each with ``branching`` children:
+    first * (branching**max_length - 1) / (branching - 1), or
+    first * max_length for branching 1, or cap + 1 if that is larger.
+    Reduced words of rank r take (2r, 2r - 1), positive words (r, r).
+    A length past the cap's bit length takes no power."""
     max_length = operator.index(max_length)
-    if rank == 1:
-        return min(2 * max_length, cap + 1)
-    if max_length >= cap.bit_length():  # (2r-1)**max_length alone exceeds the cap
+    if branching == 1:
+        return min(first * max_length, cap + 1)
+    if max_length > cap.bit_length():  # the count is at least 2**max_length - 1 > cap
         return cap + 1
-    return min(rank * ((2 * rank - 1) ** max_length - 1) // (rank - 1), cap + 1)
+    return min(first * (branching**max_length - 1) // (branching - 1), cap + 1)

@@ -1,7 +1,7 @@
 import functools
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, event, settings, strategies as st
 
 from schottky import PrimeContext, sample_group
 from schottky.disks import image
@@ -89,3 +89,18 @@ def permuted(G, order):
         [G.B[i] for i in order],
         [G.C[i] for i in order],
     )
+
+
+@st.composite
+def drawn_groups(draw, primes):
+    """A sample group of rank 1-3 at one of the primes with multiplier
+    exponent 2 or 4, possibly conjugated, with its generators permuted."""
+    rank = draw(st.integers(1, 3))
+    G = cached_sample_group(draw(st.sampled_from(primes)), rank, draw(st.sampled_from((2, 4))))
+    assume(G is not None)
+    name = draw(st.sampled_from((None,) + CONJUGATOR_NAMES))
+    if name is not None:
+        G = conjugate(G, name)
+        assume(G is not None)
+    event(f"rank {rank}, {name or 'unconjugated'}")
+    return permuted(G, draw(st.permutations(range(rank))))

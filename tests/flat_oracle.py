@@ -1,0 +1,78 @@
+"""Reference flats and pair stabilizers: the rules ``geodesy`` followed
+before one resolver served ``normalize_flat`` and ``apply_flat`` and the
+stabilizer search returned its first hit.
+
+``apply_flat`` propagates values along links until nothing changes.
+``pair_stabilizer`` scans every word up to the depth, conjugates each
+hit so the pair becomes (0, inf) through the Fraction conjugator, and
+keeps the hit with the least (|v_p(lambda)|, walk order).
+``test_geodesy.py`` compares the library with both.
+"""
+
+from fractions import Fraction
+
+from schottky.errors import InvalidArgument, SchottkyError
+from schottky.geodesy import Fixed, Free, Linked, StabilizerResult
+from schottky.padic import valuation
+from schottky.proj import Homography
+
+
+def apply_flat(coords, free_values):
+    """The library's ``apply_flat`` on an acyclic spec."""
+    out = [None] * len(coords)
+    values = dict(free_values)
+    for i, c in enumerate(coords):
+        if isinstance(c, Free):
+            out[i] = values[i]
+        elif isinstance(c, Fixed):
+            out[i] = c.point
+
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(coords):
+            if out[i] is None and isinstance(c, Linked) and out[c.source] is not None:
+                out[i] = c.map.apply(out[c.source])
+                changed = True
+    if any(v is None for v in out):
+        raise ValueError("unresolvable coordinates; normalize the spec first")
+    return tuple(out)
+
+
+def _pair_to_zero_infinity(x, y):
+    if y.is_infinity:
+        return Homography(1, -x.value, 0, 1)
+    if x.is_infinity:
+        return Homography(0, 1, 1, -y.value)
+    return Homography(1, -x.value, 1, -y.value)
+
+
+def pair_stabilizer(G, pair, depth):
+    """The library's ``pair_stabilizer`` below the walk cap."""
+    G.ensure_verified()
+    x, y = pair
+    if x == y:
+        raise InvalidArgument("need two distinct points")
+    if depth < 1:
+        raise InvalidArgument("depth must be >= 1")
+    conj = _pair_to_zero_infinity(x, y)
+    conj_inv = conj.inverse()
+    best = None
+    order = 0
+    for _, word, h in G.iter_words_with_matrices(depth):
+        if not (h.apply(x) == x and h.apply(y) == y):
+            continue
+        d = conj * h * conj_inv
+        if d.b != 0 or d.c != 0:  # setwise swap; impossible without torsion
+            continue
+        lam = Fraction(d.a, d.d)
+        v = valuation(lam, G.p)
+        if v == 0:
+            raise SchottkyError(f"stabilizer {word} has |multiplier| = 1; group is not Schottky")
+        key = (abs(v), order)
+        if best is None or key < best[0]:
+            best = (key, word, lam if abs(lam) >= 1 else 1 / lam)
+        order += 1
+    if best is None:
+        return StabilizerResult(None, None)
+    return StabilizerResult(best[1], best[2])

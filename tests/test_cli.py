@@ -473,12 +473,14 @@ def _sweep_cases():
         # first height past the text limit, near length 3,076
         argv = with_flag(runs[cmd], "--max-length", "100000")
         yield f"{cmd}-rank-one-huge-length", [cmd, "{rank1}", *argv[2:]]
-    for cmd in ("limit-cover", "proper-fit"):
+    for cmd in ("limit-cover", "proper-fit", "stabilizer"):
         # far more words than the walk cap, refused before the walk starts
         argv = with_flag(runs[cmd], "--depth", "1000000000")
         yield f"{cmd}--depth=huge", argv
         # a rank-1 cover has two disks at every depth, but its walk has 2 * depth words
         yield f"{cmd}-rank-one-huge-depth", [cmd, "{rank1}", *argv[2:]]
+    # the first depth past the walk cap on rank 2: 1,062,880 words
+    yield "stabilizer--depth=12-huge-walk", with_flag(runs["stabilizer"], "--depth", "12")
     yield "geodesic-probe--window=0", ["geodesic-probe", "{pair}", "--window", "0"]
     yield "sample-group--p=4", ["sample-group", "--p", "4", "--rank", "2"]
     yield "sample-group--rank=0", ["sample-group", "--p", "5", "--rank", "0"]

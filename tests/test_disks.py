@@ -233,3 +233,37 @@ def test_affinoid_intersection():
     assert not ring.intersects(inner)
     assert ring.intersects(Affinoid(E(0, 0), ()))
     assert ring.intersects(ring)
+
+
+def _in_disk(x: ProjPoint, D: Disk) -> bool:
+    """Membership from the definition: |x - c| < p**e (open) or <= p**e
+    (closed) for a bounded disk; an unbounded disk holds infinity and
+    the points outside its complementary bounded disk."""
+    if not D.bounded:
+        return x.is_infinity or not _in_disk(x, D.complement())
+    if x.is_infinity:
+        return False
+    d = abs_exponent(x.value - D.center, P)
+    return d < D.radius_exp if D.is_open else d <= D.radius_exp
+
+
+def test_affinoid_contains_points_of_the_outer_disk_outside_the_holes():
+    points = [INFINITY] + [
+        ProjPoint(Fraction(n, d)) for n in range(-30, 31) for d in (1, 2, 5, 25, 125)
+    ]
+    regions = [
+        Affinoid(E(0, 0), (B(0, -1), B(3, -2))),
+        Affinoid(E(1, 1), ()),
+        Affinoid(None, (B(0, 0), E(0, 2).complement())),  # an unbounded hole
+        # an unbounded outer disk
+        Affinoid(E(0, 1).complement().closure(), (B(Fraction(1, 5), 0),)),
+    ]
+    for region in regions:
+        inside = 0
+        for x in points:
+            want = (region.outer is None or _in_disk(x, region.outer)) and not any(
+                _in_disk(x, h) for h in region.holes
+            )
+            assert region.contains(x) == want
+            inside += want
+        assert 0 < inside < len(points)

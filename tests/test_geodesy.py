@@ -1,8 +1,13 @@
+import functools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import event, given, strategies as st
 
+import flat_oracle
+from conftest import conjugate, drawn_groups, permuted
 from schottky.errors import CyclicLinks
 from schottky.geodesy import (
     Fixed,
@@ -72,6 +77,122 @@ def test_normalize_preserves_solutions(g5):
             3: ProjPoint(Fraction(rng.randint(-50, 50), rng.randint(1, 20))),
         }
         assert apply_flat(spec.coords, values) == apply_flat(normal.coords, values)
+
+
+def test_apply_flat_follows_a_chain_to_a_fixed_root(g5):
+    g, h = g5.generators
+    x = ProjPoint(Fraction(3, 7))
+    coords = (Linked(2, h), Fixed(x), Linked(1, g))
+    assert apply_flat(coords, {}) == (h.apply(g.apply(x)), x, g.apply(x))
+
+
+def test_apply_flat_detects_cycles(g5):
+    g = g5.generators[0]
+    coords = (Free(), Linked(2, g), Linked(3, g), Linked(1, g))
+    with pytest.raises(CyclicLinks):
+        apply_flat(coords, {0: ProjPoint(1)})
+
+
+def test_flat_spec_needs_one_group_per_coordinate(g5):
+    for n_coords in range(4):
+        for n_groups in range(4):
+            coords, groups = [Free()] * n_coords, [g5] * n_groups
+            if n_coords == n_groups:
+                assert FlatSpec(coords, groups).n == n_coords
+            else:
+                with pytest.raises(ValueError, match="one group per coordinate"):
+                    FlatSpec(coords, groups)
+
+
+_finite = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(ProjPoint)
+_points = st.one_of(st.just(INFINITY), _finite)
+
+
+@st.composite
+def _homographies(draw):
+    entries = st.tuples(*[st.integers(-6, 6)] * 4)
+    a, b, c, d = draw(entries.filter(lambda m: m[0] * m[3] != m[1] * m[2]))
+    return Homography(a, b, c, d)
+
+
+@st.composite
+def acyclic_flats(draw):
+    """(coords, free values) of a random acyclic link graph: each linked
+    coordinate points at one earlier in a random order, and the roots
+    are Free or Fixed."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    coords = [None] * n
+    for k, i in enumerate(order):
+        kind = draw(st.sampled_from(("free", "fixed", "linked") if k else ("free", "fixed")))
+        if kind == "linked":
+            coords[i] = Linked(order[draw(st.integers(0, k - 1))], draw(_homographies()))
+        else:
+            coords[i] = Free() if kind == "free" else Fixed(draw(_points))
+    values = {i: draw(_points) for i, c in enumerate(coords) if isinstance(c, Free)}
+    return tuple(coords), values
+
+
+@given(acyclic_flats())
+def test_apply_flat_matches_propagation(flat):
+    coords, values = flat
+    assert apply_flat(coords, values) == flat_oracle.apply_flat(coords, values)
+
+
+@functools.lru_cache(maxsize=None)
+def _rational_fixed_pairs(G, max_length=3):
+    """The two fixed points of each word up to the length whose fixed
+    points are rational, from c z^2 + (d - a) z - b = 0."""
+    pairs = []
+    for n in range(1, max_length + 1):
+        for w in G.enumerate_words(n):
+            a, b, c, d = G.word_homography(w).entries
+            if c == 0:
+                if a != d:
+                    pairs.append((INFINITY, ProjPoint(b, d - a)))
+                continue
+            disc = (d - a) ** 2 + 4 * b * c
+            s = isqrt(max(disc, 0))
+            if disc > 0 and s * s == disc:
+                pairs.append((ProjPoint(a - d + s, 2 * c), ProjPoint(a - d - s, 2 * c)))
+    return tuple(pairs)
+
+
+@st.composite
+def stabilizer_cases(draw):
+    """(group, pair): fixed points of a short word, a random rational
+    pair or a pair with infinity on one side, in either order."""
+    G = draw(drawn_groups((3, 5, 7)))
+    kind = draw(st.sampled_from(("fixed points", "random", "infinity")))
+    if kind == "fixed points":
+        x, y = draw(st.sampled_from(_rational_fixed_pairs(G)))
+    else:
+        x = INFINITY if kind == "infinity" else draw(_points)
+        y = draw((_finite if kind == "infinity" else _points).filter(lambda z: z != x))
+    event(kind)
+    return G, (x, y) if draw(st.booleans()) else (y, x)
+
+
+@given(stabilizer_cases(), st.integers(1, 4))
+def test_pair_stabilizer_matches_the_scan(case, depth):
+    G, pair = case
+    got = pair_stabilizer(G, pair, depth)
+    event("hit" if got.word else "no hit")
+    assert got == flat_oracle.pair_stabilizer(G, pair, depth)
+
+
+@pytest.mark.parametrize("name", (None, "x/(px+1)", "x+1/p^2"))
+def test_pair_stabilizer_sweep_of_fixed_pairs(name):
+    """Every rational fixed pair of a word up to length 3 has a stabilizer
+    within length 3: the scan's word and multiplier, in both orders."""
+    G = permuted(sample_group(5, 2), (1, 0))
+    if name:
+        G = conjugate(G, name)
+    for x, y in _rational_fixed_pairs(G):
+        got = pair_stabilizer(G, (x, y), 3)
+        assert got.word is not None
+        assert got == flat_oracle.pair_stabilizer(G, (x, y), 3)
+        assert got == pair_stabilizer(G, (y, x), 3)
 
 
 def test_pair_stabilizer_finds_generator(g5):

@@ -6,7 +6,7 @@ from hypothesis import assume, event, given, strategies as st
 
 import cover_oracle
 import floor_oracle
-from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate, permuted
+from conftest import CONJUGATOR_NAMES, conjugate, drawn_groups
 from schottky.disks import Affinoid, Disk, contains_disk
 from schottky.errors import (
     AxiomViolation,
@@ -15,6 +15,7 @@ from schottky.errors import (
     MaxStepsExceeded,
     PointNearLimitSet,
 )
+from schottky.geodesy import pair_stabilizer
 from schottky.groups import MAX_WALK_WORDS, SchottkyGroup, sample_group
 from schottky.padic import NEG_INF
 from schottky.proj import INFINITY, ElementClass, Homography, ProjPoint, classify
@@ -116,22 +117,7 @@ def _disk_fields(D):
     return (D, type(D.radius_exp), D._m, D._pk, D._s)
 
 
-@st.composite
-def cover_groups(draw):
-    """A sample group of rank 1-3 at p in {2, 3, 5, 7} with multiplier
-    exponent 2 or 4, possibly conjugated, with its generators permuted."""
-    rank = draw(st.integers(1, 3))
-    G = cached_sample_group(draw(st.sampled_from((2, 3, 5, 7))), rank, draw(st.sampled_from((2, 4))))
-    assume(G is not None)
-    name = draw(st.sampled_from((None,) + CONJUGATOR_NAMES))
-    if name is not None:
-        G = conjugate(G, name)
-        assume(G is not None)
-    event(f"rank {rank}, {name or 'unconjugated'}")
-    return permuted(G, draw(st.permutations(range(rank))))
-
-
-@given(G=cover_groups(), depth=st.integers(1, 5))
+@given(G=drawn_groups((2, 3, 5, 7)), depth=st.integers(1, 5))
 def test_limit_cover_matches_the_closed_leaf_disks(G, depth):
     """Each cover disk, imaged from the closed domain disk by the parent
     word, equals the closure of the leaf word's open disk, field by field,
@@ -536,11 +522,16 @@ def test_non_integer_counts_raise_type_error(g5, call):
 
 @pytest.mark.parametrize(
     "call",
-    (lambda G, depth: G.limit_cover(depth), lambda G, depth: G.fit_proper_constants(depth)),
-    ids=("limit_cover", "fit_proper_constants"),
+    (
+        lambda G, depth: G.limit_cover(depth),
+        lambda G, depth: G.fit_proper_constants(depth),
+        # (0, 1) is fixed by g1, a hit at length 1: the refusal comes first
+        lambda G, depth: pair_stabilizer(G, (ProjPoint(0), ProjPoint(1)), depth),
+    ),
+    ids=("limit_cover", "fit_proper_constants", "pair_stabilizer"),
 )
 def test_walks_past_the_word_cap_are_refused(g5, call):
     # rank 2 has 354,292 words up to length 11 and 1,062,880 up to length 12
-    assert count_words_up_to(2, 11, MAX_WALK_WORDS) <= MAX_WALK_WORDS
+    assert count_words_up_to(4, 3, 11, MAX_WALK_WORDS) <= MAX_WALK_WORDS
     with pytest.raises(InvalidArgument, match="^a walk to depth 12 has more than 500000 reduced"):
         call(g5, 12)

@@ -18,7 +18,6 @@ from schottky.heights import (
     _height_at_most,
     _iroot,
     _ls_slope,
-    _positive_word_count,
     growth_base,
     height_matrix,
     height_rational,
@@ -26,6 +25,7 @@ from schottky.heights import (
     upsilon_scan,
 )
 from schottky.proj import Homography
+from schottky.words import count_words_up_to
 
 
 def test_height_rational_examples():
@@ -196,11 +196,11 @@ def test_positive_word_count_is_exact_up_to_the_cap():
     for q in (1, 2, 3, 5):
         for L in range(1, 30):
             exact = sum(q**n for n in range(1, L + 1))
-            assert _positive_word_count(q, L) == min(exact, MAX_SCAN_WORDS + 1)
-    assert _positive_word_count(1, 10**12) == 10**12
-    assert _positive_word_count(2, 10**12) == MAX_SCAN_WORDS + 1
+            assert count_words_up_to(q, q, L, MAX_SCAN_WORDS) == min(exact, MAX_SCAN_WORDS + 1)
+    assert count_words_up_to(1, 1, 10**12, MAX_SCAN_WORDS) == MAX_SCAN_WORDS + 1
+    assert count_words_up_to(2, 2, 10**12, MAX_SCAN_WORDS) == MAX_SCAN_WORDS + 1
     # the benchmark's rank-3 scan to length 9 stays far below the cap
-    assert _positive_word_count(3, 9) == 29523
+    assert count_words_up_to(3, 3, 9, MAX_SCAN_WORDS) == 29523
 
 
 @given(st.one_of(st.integers(1, 10**40), st.integers(1, 2**5000)), st.integers(1, 70))

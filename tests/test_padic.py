@@ -3,10 +3,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, example, given, strategies as st
 
 import fraction_oracle as oracle
-from schottky.errors import InvalidArgument, NotASquare, OddValuation, UnsupportedPrime
+from schottky.errors import (
+    InvalidArgument,
+    NotASquare,
+    OddValuation,
+    PrecisionExhausted,
+    UnsupportedPrime,
+)
 from schottky.padic import (
     NEG_INF,
     POS_INF,
@@ -167,6 +173,37 @@ def test_approx_add_rational_tracks_cancellation():
     y = x.add_rational(-7 + 125)
     assert y.valuation == 3
     assert y.residue(4) == 125
+
+
+@given(
+    a=st.integers(-(10**4), 10**4).filter(bool),
+    u=st.integers(-50, 50),
+    j=st.integers(0, 6),
+    precision=st.integers(1, 4),
+)
+@example(a=7, u=0, j=0, precision=3)  # r = -7
+@example(a=7, u=1, j=6, precision=3)  # r = 5**6 - 7
+def test_approx_add_rational_raises_when_every_known_digit_cancels(a, u, j, precision):
+    """a known modulo 5**k, k = v(a) + precision, plus r = t - a with
+    t = u * 5**j: the sum is unknown when v(t) >= k, and otherwise has
+    valuation v(t) and the residue of t; an r with v(r) >= k leaves a."""
+    ctx = PrimeContext(5, precision)
+    x = approx_from_rational(a, ctx)
+    k = x.modulus_exponent
+    t = u * 5**j
+    r = t - a
+    if r == 0 or valuation(r, 5) >= k:
+        event("unchanged")
+        assert x.add_rational(r) == x
+    elif t == 0 or valuation(t, 5) >= k:
+        event("cancelled")
+        with pytest.raises(PrecisionExhausted):
+            x.add_rational(r)
+    else:
+        event("digits left")
+        y = x.add_rational(r)
+        assert y.valuation == valuation(t, 5)
+        assert y.residue(k) == t % 5**k
 
 
 def test_approx_mul_rational():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schottky.words import (
     Word,
@@ -85,6 +85,18 @@ def test_count_words_up_to_is_exact_below_the_cap(rank):
     for cap in (1, 10, 1000, 5 * 10**5):
         for max_length in range(0, 25):
             exact = sum(count_reduced_words(rank, n) for n in range(1, max_length + 1))
-            assert count_words_up_to(rank, max_length, cap) == min(exact, cap + 1)
+            assert count_words_up_to(2 * rank, 2 * rank - 1, max_length, cap) == min(exact, cap + 1)
     # a huge length is capped without taking the power
-    assert count_words_up_to(rank, 10**12, 5 * 10**5) == 5 * 10**5 + 1
+    assert count_words_up_to(2 * rank, 2 * rank - 1, 10**12, 5 * 10**5) == 5 * 10**5 + 1
+
+
+@given(
+    first=st.integers(1, 6),
+    branching=st.integers(1, 6),
+    max_length=st.integers(0, 60),
+    cap=st.sampled_from((1, 7, 5 * 10**5, 10**6)),
+)
+@example(first=1, branching=2, max_length=3, cap=7)  # 1 + 2 + 4 is the cap itself
+def test_count_words_up_to_is_the_capped_tree_sum(first, branching, max_length, cap):
+    exact = sum(first * branching ** (n - 1) for n in range(1, max_length + 1))
+    assert count_words_up_to(first, branching, max_length, cap) == min(exact, cap + 1)
