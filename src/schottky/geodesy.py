@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .errors import CyclicLinks, InvalidArgument, SchottkyError
+from .errors import CyclicLinks, InvalidArgument, MaxStepsExceeded, SchottkyError
 from .groups import SchottkyGroup, _refuse_long_walk
 from .padic import valuation
 from .proj import Homography, ProjPoint
@@ -50,6 +50,10 @@ class FlatSpec:
         coords, groups = tuple(coords), tuple(groups)
         if len(coords) != len(groups):
             raise ValueError("need one group per coordinate")
+        n = len(coords)
+        for c in coords:
+            if isinstance(c, Linked) and not (type(c.source) is int and 0 <= c.source < n):
+                raise InvalidArgument(f"link source {c.source!r} is not in 0..{n - 1}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "groups", groups)
 
@@ -145,6 +149,14 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     absolute value is never 1, since nontrivial stabilizing elements are
     hyperbolic.  A depth with more than MAX_WALK_WORDS words up to it is
     refused with InvalidArgument before the walk starts.
+
+    A pair with a point that reduces into the fundamental domain F has no
+    stabilizer, and no walk is made.  The limit set lies in the union of
+    the open domain disks D_l, because each cover disk of a length-2 word
+    lies in one; F misses every D_l, and the limit set is G-invariant, so
+    the point is off it.  Every nontrivial element is hyperbolic with both
+    fixed points on the limit set.  A point that does not reduce within
+    ``reduce_point``'s default budget is left to the walk.
     """
     G.ensure_verified()
     x, y = pair
@@ -153,6 +165,12 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     if depth < 1:
         raise InvalidArgument("depth must be >= 1")
     _refuse_long_walk(G.rank, depth)
+    for z in pair:
+        try:
+            G.reduce_point(z)
+        except MaxStepsExceeded:
+            continue
+        return StabilizerResult(None, None)
     for _, letters, h in G._walk(depth):
         if h.apply(x) == x and h.apply(y) == y:
             break

@@ -132,22 +132,19 @@ def unit_residue(x: Rational, p: int, k: int = 1) -> int:
 
 @dataclass(frozen=True)
 class PadicApprox:
-    """A p-adic number known modulo p**(valuation + precision).
+    """A nonzero p-adic number known modulo p**(valuation + precision).
 
-    Represents unit * p**valuation with 0 <= unit < p**precision and
-    p not dividing unit, or zero (flagged).  ``precision`` is the number
-    of known base-p digits and may be smaller than the context default
-    when digits were lost to cancellation.
+    Represents unit * p**valuation with 0 < unit < p**precision and p not
+    dividing unit.  ``precision`` is the number of known base-p digits and
+    may be smaller than the context default when digits were lost to
+    cancellation.
     """
 
     valuation: int
     unit: int
     context: PrimeContext
-    is_zero: bool = False
 
     def __post_init__(self):
-        if self.is_zero:
-            return
         p, n = self.context.p, self.context.precision
         if not (0 < self.unit < p**n):
             raise ValueError("unit out of range for the stated precision")
@@ -164,62 +161,37 @@ class PadicApprox:
         return self.valuation + self.precision
 
     def abs_exponent(self) -> Exponent:
-        return NEG_INF if self.is_zero else -self.valuation
+        return -self.valuation
 
     def residue(self, k: int) -> int:
         """The value modulo p**k, for k <= valuation + precision."""
-        if k > self.modulus_exponent and not self.is_zero:
+        if k > self.modulus_exponent:
             raise PrecisionExhausted(f"only {self.precision} digits known")
-        if self.is_zero:
-            return 0
         p = self.context.p
         if k <= self.valuation:
             return 0
         return self.unit * p**self.valuation % p**k
 
-    def add_rational(self, r: Rational) -> "PadicApprox":
-        """self + r, tracking the surviving precision exactly."""
-        r = Fraction(r)
-        p = self.context.p
-        if self.is_zero:
-            return approx_from_rational(r, self.context)
-        if r == 0:
-            return self
-        k = self.modulus_exponent
-        vr = valuation(r, p)
-        if vr >= k:
-            return self
-        m = p**k
-        total = (self.unit * p**self.valuation + r.numerator * pow(r.denominator, -1, m)) % m
-        if total == 0:
-            raise PrecisionExhausted("all known digits cancelled in addition")
-        v = valuation(total, p)
-        unit = total // p**v % p ** (k - v)
-        return PadicApprox(v, unit, PrimeContext(p, k - v))
-
-    def mul_rational(self, r: Rational) -> "PadicApprox":
-        r = Fraction(r)
-        p, n = self.context.p, self.precision
-        if self.is_zero or r == 0:
-            return PadicApprox(0, 0, self.context, is_zero=True)
-        vr = valuation(r, p)
-        m = p**n
-        ur = unit_residue(r, p, n)
-        return PadicApprox(self.valuation + vr, self.unit * ur % m, self.context)
-
     def __str__(self):
-        if self.is_zero:
-            return "0"
         p = self.context.p
         return f"{self.unit}*{p}^{self.valuation} + O({p}^{self.modulus_exponent})"
 
 
-def approx_from_rational(x: Rational, ctx: PrimeContext) -> PadicApprox:
-    x = Fraction(x)
-    if x == 0:
-        return PadicApprox(0, 0, ctx, is_zero=True)
-    v = valuation(x, ctx.p)
-    return PadicApprox(v, unit_residue(x, ctx.p, ctx.precision), ctx)
+def quotient(num: int, den: int, p: int, k: int) -> PadicApprox:
+    """num / den for an integer num known modulo p**k and an exact nonzero
+    integer den.
+
+    The digits of num below p**k are its residue r; the quotient has
+    valuation v(r) - v(den) and the k - v(r) digits that r determines.
+    PrecisionExhausted when r = 0, where no digit is known.
+    """
+    r = num % p**k
+    if r == 0:
+        raise PrecisionExhausted(f"the numerator is 0 modulo {p}^{k}; no digit is known")
+    v, w = valuation(r, p), valuation(den, p)
+    m = p ** (k - v)
+    unit = r // p**v * pow(den // p**w, -1, m) % m
+    return PadicApprox(v - w, unit, PrimeContext(p, k - v))
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
@@ -272,15 +244,14 @@ def hensel_sqrt(a: Rational, ctx: PrimeContext) -> PadicApprox:
     v = valuation(a, p)
     if v % 2 != 0:
         raise OddValuation(f"v_{p}({a}) = {v} is odd")
-    u0 = unit_residue(a, p, 1)
-    r = sqrt_mod_prime(u0, p)  # raises NotASquare
+    u = unit_residue(a, p, n)
+    r = sqrt_mod_prime(u, p)  # raises NotASquare
     # Newton lifting of the unit square root, doubling digits each pass.
     k = 1
     while k < n:
         k = min(2 * k, n)
         m = p**k
-        uk = unit_residue(a, p, k)
-        r = (r + uk * pow(r, -1, m)) * pow(2, -1, m) % m
+        r = (r + u % m * pow(r, -1, m)) * pow(2, -1, m) % m
     if r % p > (p - 1) // 2:
         r = p**n - r
     return PadicApprox(v // 2, r, ctx)

@@ -273,7 +273,16 @@ def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     Returns exact points when the discriminant is a rational square and
     Hensel approximations when it is only a p-adic square; raises
     NotASquareInQp otherwise (the fixed points then live in a quadratic
-    extension, which only happens for non-hyperbolic elements).
+    extension, which only happens for non-hyperbolic elements).  The
+    Hensel root s is known modulo p**k, so z+- = (a - d +- s) / (2c) are
+    quotients of numerators known modulo p**k (PrecisionExhausted if one
+    is 0 there).
+
+    z+ attracts iff v(tr + s) < v(tr - s), the eigenvalues being
+    (tr +- s) / 2.  For hyperbolic g, v(s) = v(tr) = t, and exactly one
+    of tr +- s has valuation t: their sum 2 tr has valuation t, their
+    product 4 det more than 2t.  A Hensel s is known modulo p**k with
+    k > t, so its integer representative decides the same way.
     """
     if g.is_identity:
         raise ValueError("every point is fixed by the identity")
@@ -301,26 +310,16 @@ def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     if s * s == disc:
         z_plus = ProjPoint(a - d + s, 2 * c)
         z_minus = ProjPoint(a - d - s, 2 * c)
-        if not cls.is_hyperbolic:
-            return FixedPointPair((z_plus, z_minus), cls)
-        # the eigenvalues are (tr +- s) / 2; the common /2 cancels
-        if valuation(a + d + s, p) < valuation(a + d - s, p):
-            return FixedPointPair((z_plus, z_minus), cls, z_plus, z_minus)
-        return FixedPointPair((z_minus, z_plus), cls, z_minus, z_plus)
-
-    try:
-        s_approx = padic.hensel_sqrt(disc, ctx)
-    except (OddValuation, NotASquare) as exc:
-        raise NotASquareInQp(f"discriminant {disc} is not a square in Q_{p}") from exc
-
-    half_c = Fraction(1, 2 * c)
-    z_plus = s_approx.add_rational(a - d).mul_rational(half_c)
-    z_minus = s_approx.mul_rational(-1).add_rational(a - d).mul_rational(half_c)
+    else:
+        try:
+            root = padic.hensel_sqrt(disc, ctx)
+        except (OddValuation, NotASquare) as exc:
+            raise NotASquareInQp(f"discriminant {disc} is not a square in Q_{p}") from exc
+        s, k = root.unit * p**root.valuation, root.modulus_exponent
+        z_plus = padic.quotient(a - d + s, 2 * c, p, k)
+        z_minus = padic.quotient(a - d - s, 2 * c, p, k)
     if not cls.is_hyperbolic:
         return FixedPointPair((z_plus, z_minus), cls)
-    # Hyperbolic: v(s) = v(tr) and the dominant eigenvalue (tr +- s)/2 is
-    # the branch where the leading digits add instead of cancelling.
-    plus_dominant = (padic.unit_residue(a + d, p) + s_approx.unit) % p != 0
-    if plus_dominant:
+    if valuation(a + d + s, p) < valuation(a + d - s, p):
         return FixedPointPair((z_plus, z_minus), cls, z_plus, z_minus)
     return FixedPointPair((z_minus, z_plus), cls, z_minus, z_plus)

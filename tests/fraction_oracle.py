@@ -9,8 +9,9 @@ intermediate disk.  The text formatters are the ones that ``str()``
 replaced in ``schottky.serialize`` and ``schottky.cli``.  Element
 classification, fixed points and the least-squares envelope fit are the
 Fraction versions that integer arithmetic replaced in ``schottky.proj``
-and ``schottky.groups``.  They import nothing from the library (the
-p-adic square root of a fixed-point discriminant is passed in), so the
+and ``schottky.groups``; irrational fixed points are divided out in
+``Fraction``.  They import nothing from the library (the p-adic square
+root of a fixed-point discriminant is passed in), so the
 property tests in ``test_kernel_oracle.py`` compare two independent
 computations.
 
@@ -312,14 +313,31 @@ def _rational_isqrt(n: Fraction):
     return Fraction(rn, rd)
 
 
+class Cancelled(Exception):
+    """Every known digit of a fixed point's numerator is zero."""
+
+
+def _approx_quotient(num: int, k: int, den: Fraction, p: int):
+    """(valuation, unit, precision) of num / den for num known modulo p**k:
+    the quotient is known modulo p**(k - v(den)), and its digits from the
+    valuation up to that modulus are the ones known."""
+    z = Fraction(num % p**k) / den
+    if z == 0:
+        raise Cancelled
+    v = valuation(z, p)
+    precision = k - valuation(den, p) - v
+    return v, unit_residue(z, p, precision), precision
+
+
 def fixed_points(entries, p: int, hensel_sqrt):
     """(points, class, attracting, repelling) for a non-identity canonical
     matrix, solving c z^2 + (d - a) z - b = 0 over Fraction coefficients.
 
     Rational points are oracle pairs.  ``hensel_sqrt(disc)`` supplies the
     p-adic square root of a discriminant that is no rational square, as a
-    value with ``add_rational``, ``mul_rational`` and ``unit``; the fixed
-    points are then built from it as such values.
+    value with ``valuation``, ``unit`` and ``precision``; the fixed points
+    are then (valuation, unit, precision) triples, and ``Cancelled`` is
+    raised when one of them has no known digit.
     """
     a, b, c, d = (Fraction(e) for e in entries)
     cls = classify(entries, p)
@@ -347,8 +365,10 @@ def fixed_points(entries, p: int, hensel_sqrt):
             return (z_plus, z_minus), cls, z_plus, z_minus
         return (z_minus, z_plus), cls, z_minus, z_plus
     root = hensel_sqrt(disc)
-    z_plus = root.add_rational(a - d).mul_rational(Fraction(1, 2) / c)
-    z_minus = root.mul_rational(-1).add_rational(a - d).mul_rational(Fraction(1, 2) / c)
+    s = root.unit * p**root.valuation
+    k = root.valuation + root.precision
+    z_plus = _approx_quotient(int(a - d) + s, k, 2 * c, p)
+    z_minus = _approx_quotient(int(a - d) - s, k, 2 * c, p)
     if not hyperbolic:
         return (z_plus, z_minus), cls, None, None
     # the dominant eigenvalue (tr +- s)/2 is where the leading digits add

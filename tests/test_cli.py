@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import schottky
 from conftest import cached_sample_group, permuted
@@ -596,3 +599,109 @@ def test_delta_at_depth_1000_finishes(capsys, g5_file):
     word = "*".join(["g1^-1"] * 1000)
     assert json.loads(out) == {"error": f"0 lies in the depth-1000 cover disk of {word}"}
     assert elapsed < 5, f"took {elapsed:.2f} s"
+
+
+# -- argv drawn from the command table ------------------------------------------
+
+# (valid, malformed) values per argument; other int options draw from
+# _SMALL_INTS, and options with choices from their choices
+_POINTS = st.sampled_from(["inf", "0", "1", "7", "3/5", "-47/528"])
+_BAD_POINTS = st.sampled_from(["abc", "1/0", "", "1.5", "1e5000", "inf,"])
+_BAD_INTS = st.sampled_from(["x", "-2", "1.5", ""])
+_SMALL_INTS = st.integers(0, 4)
+_ARGUMENT_VALUES = {
+    "group": (
+        st.sampled_from(["{group}", "{group}", "{rank1}", "{unverified}"]),
+        st.sampled_from(["{dir}/missing.json", "{dir}"]),
+    ),
+    "pair": (st.just("{pair}"), st.sampled_from(["{dir}/missing.json", "{group}"])),
+    "--point": (_POINTS, _BAD_POINTS),
+    "--pair": (
+        st.builds("{},{}".format, _POINTS, _POINTS),
+        st.sampled_from(["0", "a,b", "0,1,2", "inf,"]),
+    ),
+    "--out": (st.just("{dir}/out.csv"), st.just("{dir}/no-such-dir/out.csv")),
+    "--depth": (st.integers(1, 4), _BAD_INTS),
+    "--max-length": (st.integers(1, 4), _BAD_INTS),
+    "--max-steps": (st.integers(0, 64), _BAD_INTS),
+    "--threads": (st.just(1), _BAD_INTS),
+    "--p": (st.sampled_from([3, 5, 7]), st.sampled_from(["4", "1", "-5", "x"])),
+    "--rank": (st.integers(1, 2), _BAD_INTS),
+    "--multiplier-exponent": (st.sampled_from([2, 4]), st.sampled_from(["3", "0", "x"])),
+}
+
+
+@st.composite
+def command_argv(draw):
+    """argv for one command of ``COMMANDS``: every argument of its table
+    valid most of the time, else malformed or left out; an optional one is
+    left out half the time."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    argv = [name]
+    for flags, options in COMMANDS[name][2]:
+        flag = flags[0]
+        if flag in _ARGUMENT_VALUES:
+            valid, malformed = _ARGUMENT_VALUES[flag]
+        elif "choices" in options:
+            valid, malformed = st.sampled_from(options["choices"]), st.just("xml")
+        else:
+            assert options.get("type") is int, f"{name} {flag} needs an entry in _ARGUMENT_VALUES"
+            valid, malformed = _SMALL_INTS, _BAD_INTS
+        positional = not flag.startswith("-")
+        if not (positional or options.get("required")) and draw(st.booleans()):
+            continue
+        kind = draw(st.sampled_from(["valid"] * 10 + ["malformed", "left out"]))
+        if kind == "left out":
+            continue
+        value = str(draw(valid if kind == "valid" else malformed))
+        argv.append(value if positional else f"{flag}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The files that drawn argv name, made once for the module."""
+    from schottky.serialize import group_to_dict
+
+    d = tmp_path_factory.mktemp("argv")
+    names = {"dir": str(d)}
+    for key, G in (("group", sample_group(5, 2)), ("rank1", sample_group(5, 1))):
+        names[key] = str(d / f"{key}.json")
+        save_group(G, names[key])
+    data = group_to_dict(sample_group(5, 2))
+    data["C"][1] = dict(data["B"][1])  # a duplicate disk fails verification
+    names["unverified"] = str(d / "unverified.json")
+    Path(names["unverified"]).write_text(canonical_json(data))
+    identity = [["1", "0"], ["0", "1"]]
+    names["pair"] = str(d / "pair.json")
+    Path(names["pair"]).write_text(
+        json.dumps({"gamma1": names["group"], "g": identity, "gamma2": names["rank1"], "depth": 2})
+    )
+    return names
+
+
+@settings(max_examples=400)
+@given(argv=command_argv())
+def test_drawn_argv_exits_cleanly(argv_files, argv):
+    """Every drawn call exits 0, or prints exactly one {"error": ...} line
+    and exits 2 (1 for a group that fails verify); no other exception
+    escapes, and usage errors exit through SystemExit(2)."""
+    argv = [arg.format(**argv_files) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"{argv[0]} exit {code}")
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        return
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    if code == 1:
+        assert argv[0] == "verify" and result["all_passed"] is False
+    else:
+        assert code == 2
+        assert list(result) == ["error"] and isinstance(result["error"], str)

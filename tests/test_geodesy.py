@@ -8,12 +8,13 @@ from hypothesis import event, given, strategies as st
 
 import flat_oracle
 from conftest import conjugate, drawn_groups, permuted
-from schottky.errors import CyclicLinks
+from schottky.errors import CyclicLinks, InvalidArgument
 from schottky.geodesy import (
     Fixed,
     FlatSpec,
     Free,
     Linked,
+    StabilizerResult,
     Verdict,
     apply_flat,
     double_coset_scan,
@@ -102,6 +103,13 @@ def test_flat_spec_needs_one_group_per_coordinate(g5):
             else:
                 with pytest.raises(ValueError, match="one group per coordinate"):
                     FlatSpec(coords, groups)
+
+
+@pytest.mark.parametrize("source", (-3, -1, 5, 1.0))
+def test_flat_spec_range_checks_link_sources(g5, source):
+    g = g5.generators[0]
+    with pytest.raises(InvalidArgument, match="not in 0..2"):
+        FlatSpec([Free(), Linked(source, g), Free()], [g5] * 3)
 
 
 _finite = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(ProjPoint)
@@ -205,6 +213,21 @@ def test_pair_stabilizer_finds_generator(g5):
 def test_pair_stabilizer_generic_pair_empty(g5):
     res = pair_stabilizer(g5, (INFINITY, ProjPoint(7)), 4)
     assert res.word is None and res.multiplier is None
+
+
+@pytest.mark.parametrize("pair", ((INFINITY, ProjPoint(7)), (ProjPoint(0), ProjPoint(7))))
+def test_pair_stabilizer_skips_the_walk_off_the_limit_set(g5, pair, monkeypatch):
+    """7 reduces into the fundamental domain, so it is off the limit set
+    and no word fixes it, whichever side of the pair it is on; 0 is a
+    fixed point of g1 and does not reduce."""
+    G = sample_group(5, 2)
+
+    def no_walk(depth):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(G, "_walk", no_walk)
+    for x, y in (pair, pair[::-1]):
+        assert pair_stabilizer(G, (x, y), 11) == StabilizerResult(None, None)
 
 
 def test_pair_stabilizer_finds_only_powers(g5):

@@ -19,9 +19,9 @@ from schottky.padic import (
     PadicApprox,
     PrimeContext,
     abs_exponent,
-    approx_from_rational,
     hensel_sqrt,
     is_prime,
+    quotient,
     unit_residue,
     valuation,
 )
@@ -167,50 +167,36 @@ def test_hensel_sqrt_refinement(a):
         assert hi.unit % 5**n == lo.unit
 
 
-def test_approx_add_rational_tracks_cancellation():
-    ctx = PrimeContext(5, 6)
-    x = approx_from_rational(Fraction(7), ctx)
-    y = x.add_rational(-7 + 125)
-    assert y.valuation == 3
-    assert y.residue(4) == 125
-
-
 @given(
-    a=st.integers(-(10**4), 10**4).filter(bool),
+    p=st.sampled_from([2, 3, 5, 7]),
+    k=st.integers(1, 6),
     u=st.integers(-50, 50),
-    j=st.integers(0, 6),
-    precision=st.integers(1, 4),
+    j=st.integers(0, 8),
+    q=st.integers(-3, 3),
+    den=st.integers(-(10**4), 10**4).filter(bool),
+    e=st.integers(0, 3),
 )
-@example(a=7, u=0, j=0, precision=3)  # r = -7
-@example(a=7, u=1, j=6, precision=3)  # r = 5**6 - 7
-def test_approx_add_rational_raises_when_every_known_digit_cancels(a, u, j, precision):
-    """a known modulo 5**k, k = v(a) + precision, plus r = t - a with
-    t = u * 5**j: the sum is unknown when v(t) >= k, and otherwise has
-    valuation v(t) and the residue of t; an r with v(r) >= k leaves a."""
-    ctx = PrimeContext(5, precision)
-    x = approx_from_rational(a, ctx)
-    k = x.modulus_exponent
-    t = u * 5**j
-    r = t - a
-    if r == 0 or valuation(r, 5) >= k:
-        event("unchanged")
-        assert x.add_rational(r) == x
-    elif t == 0 or valuation(t, 5) >= k:
-        event("cancelled")
+@example(p=5, k=3, u=0, j=0, q=1, den=1, e=0)  # num = 5**3, known to be 0
+@example(p=5, k=3, u=1, j=2, q=-2, den=2, e=0)  # num = 25 - 250
+def test_quotient_matches_its_fraction_definition(p, k, u, j, q, den, e):
+    """num = t + q * p**k is known modulo p**k through t = u * p**j, so
+    num / den is known modulo p**(k - v(den)); the quotient has exactly
+    the digits from its valuation up to there, and none when t = 0
+    modulo p**k."""
+    num, den = u * p**j + q * p**k, den * p**e
+    if num % p**k == 0:
+        event("no digit known")
         with pytest.raises(PrecisionExhausted):
-            x.add_rational(r)
-    else:
-        event("digits left")
-        y = x.add_rational(r)
-        assert y.valuation == valuation(t, 5)
-        assert y.residue(k) == t % 5**k
-
-
-def test_approx_mul_rational():
-    ctx = PrimeContext(5, 6)
-    x = approx_from_rational(2, ctx).mul_rational(Fraction(3, 7))
-    want = approx_from_rational(Fraction(6, 7), ctx)
-    assert (x.valuation, x.unit) == (want.valuation, want.unit)
+            quotient(num, den, p, k)
+        return
+    z = quotient(num, den, p, k)
+    event(f"precision {z.precision}")
+    assert z.valuation == valuation(num % p**k, p) - valuation(den, p)
+    assert z.precision == k - valuation(num % p**k, p)
+    assert z.modulus_exponent == k - valuation(den, p)
+    assert 0 < z.unit < p**z.precision and z.unit % p != 0
+    error = Fraction(num, den) - z.unit * Fraction(p) ** z.valuation
+    assert valuation(error, p) >= z.modulus_exponent
 
 
 def test_approx_rejects_bad_units():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from schottky.errors import NotASquareInQp
+from schottky.errors import NotASquareInQp, PrecisionExhausted
 from schottky.padic import NEG_INF, PadicApprox, PrimeContext, valuation
 from schottky.proj import (
     INFINITY,
@@ -191,6 +191,16 @@ def test_fixed_points_not_a_square():
     z = fp.points[0]
     assert isinstance(z, PadicApprox)
     assert (z.residue(6) ** 2 + 1) % 5**6 == 0
+
+
+def test_fixed_points_cancellation_leaves_no_digit():
+    # disc = 21 has the 5-adic root 1 + 2*5 + ...; a - d + s = -1 + 1 = 0 mod 5
+    g = Homography(0, 5, 1, 1)
+    with pytest.raises(PrecisionExhausted):
+        fixed_points(g, PrimeContext(5, 1))
+    # at two digits a - d + s = 10, one digit of 10 / 2 = 5 survives
+    att = fixed_points(g, PrimeContext(5, 2)).attracting
+    assert (att.valuation, att.unit, att.precision) == (1, 1, 1)
 
 
 def test_fixed_points_identity_rejected():
