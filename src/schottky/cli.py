@@ -102,7 +102,7 @@ def cmd_heights_scan(args) -> int:
                 # the entries run in product() order: each name of the last
                 # level, extended by every letter in turn
                 names = [name + tail for name in names for tail in tails]
-            level = [h for _, _, h in scan.entries[start : start + len(names)]]
+            level = scan.entries[start : start + len(names)]
             start += len(names)
             writer.writerows(zip(repeat(length), names, level, map(scan.threshold_bin, level)))
     _emit(scan.summary_dict())

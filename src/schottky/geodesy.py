@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
+from . import groups
 from .errors import CyclicLinks, InvalidArgument, MaxStepsExceeded, SchottkyError
 from .groups import SchottkyGroup, _refuse_long_walk
 from .padic import valuation
@@ -41,6 +42,14 @@ class Linked:
 CoordSpec = Union[Free, Fixed, Linked]
 
 
+def _check_link_sources(coords: Tuple[CoordSpec, ...]):
+    """InvalidArgument unless every link's source is an index of coords."""
+    n = len(coords)
+    for c in coords:
+        if isinstance(c, Linked) and not (type(c.source) is int and 0 <= c.source < n):
+            raise InvalidArgument(f"link source {c.source!r} is not in 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class FlatSpec:
     coords: Tuple[CoordSpec, ...]
@@ -50,10 +59,7 @@ class FlatSpec:
         coords, groups = tuple(coords), tuple(groups)
         if len(coords) != len(groups):
             raise ValueError("need one group per coordinate")
-        n = len(coords)
-        for c in coords:
-            if isinstance(c, Linked) and not (type(c.source) is int and 0 <= c.source < n):
-                raise InvalidArgument(f"link source {c.source!r} is not in 0..{n - 1}")
+        _check_link_sources(coords)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "groups", groups)
 
@@ -120,7 +126,9 @@ def normalize_flat(spec: FlatSpec) -> NormalizedFlat:
 def apply_flat(coords: Tuple[CoordSpec, ...], free_values) -> Tuple[ProjPoint, ...]:
     """Fill all coordinates from values at the free ones: each is its
     root's value, the free value or the fixed point, under the composed
-    link map.  A link cycle raises CyclicLinks."""
+    link map.  A link source out of range raises InvalidArgument, and a
+    link cycle CyclicLinks."""
+    _check_link_sources(coords)
     values = dict(free_values)
     return tuple(
         h.apply(values[j] if isinstance(coords[j], Free) else coords[j].point)
@@ -236,7 +244,8 @@ def _coset_counts(
     expanding each state once, at its first length, reaches by length n
     exactly the keys of the words of length at most n, and the cumulative
     counts equal the word-by-word scan's.  Once no new state appears, the
-    counts are constant and the rest are filled in.
+    counts are constant and the rest are filled in.  More than
+    MAX_WALK_WORDS states are refused with InvalidArgument.
     """
     root = G2.coset_key(g)[1]
     keys = {root}
@@ -249,6 +258,11 @@ def _coset_counts(
             for l in G1._after[last]:
                 child = (G2.coset_key(key * G1._steps[l])[1], l)
                 if child not in visited:
+                    if len(visited) >= groups.MAX_WALK_WORDS:
+                        raise InvalidArgument(
+                            f"a coset search to depth {depth} visits more than"
+                            f" {groups.MAX_WALK_WORDS} states; lower depth"
+                        )
                     visited.add(child)
                     keys.add(child[0])
                     level.append(child)

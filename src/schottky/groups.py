@@ -598,9 +598,11 @@ class SchottkyGroup:
         at depth 4 to the distance floor of A2 over the depth-2 cover: if
         a + b * (-log_p floor) does not exceed the scanned depth, no longer
         word can produce an intersection witness inside A2 (empirically,
-        since (a, b) are envelope constants over orbit samples).
+        since (a, b) are envelope constants over orbit samples).  A depth
+        with more than MAX_WALK_WORDS words up to it is refused.
         """
         self.ensure_verified()
+        _refuse_long_walk(self.rank, depth)
         hits = []
         if A.intersects(A2):
             hits.append(Word(()))

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import repeat
 from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import InvalidArgument
@@ -59,10 +59,9 @@ class CountingScan:
     the L-th root of the largest height at the deepest length; threshold
     comparisons H <= growth**l are performed exactly as H**L <= M**l.
 
-    ``entries`` holds ``(length, letters, height)`` for every positive
-    word, by length, then lexicographically (the order of ``product()``);
-    ``letters`` is the tuple of generator indices, so ``Word(letters)``
-    is the word.  ``bins`` maps each scan height at most the peak to its
+    Entry i of ``entries`` is the height of the i-th positive word in the
+    order of ``product()``: by length, then lexicographically in the
+    generator indices.  ``bins`` maps each scan height at most the peak to its
     threshold bin; row l counts the heights at most peak**(l/L), so the
     sorted heights sliced at the row counts fill it.
     """
@@ -74,7 +73,7 @@ class CountingScan:
     rows: Tuple[CountRow, ...]
     slope: float
     reference_exponent: float
-    entries: Tuple[Tuple[int, Tuple[int, ...], int], ...]
+    entries: Tuple[int, ...]
     bins: Dict[int, int] = field(repr=False, compare=False)
 
     def threshold_bin(self, height: int) -> int:
@@ -135,8 +134,9 @@ def _branch_worker(payload):
     return _positive_branch([Homography(*m) for m in matrices], first, max_length, digit_limit)
 
 
-# ~0.5 KB of memory per word (measured on rank-2 and rank-3 sample groups,
-# lengths 9 to 16), so the largest admitted scan holds about 0.6 GB
+# 0.2-0.35 KB of memory per word (heights-scan peak RSS on rank-2 sample
+# groups at lengths 14 to 18 and rank-3 at 10 to 12), so the largest
+# admitted scan needs about 0.35 GB
 MAX_SCAN_WORDS = 10**6
 
 
@@ -180,13 +180,13 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
         size = q ** (length - 1)
         level = [h for branch in branches for h in branch[start : start + size]]
         start += size
-        entries.extend(zip(repeat(length), product(range(1, q + 1), repeat=length), level))
+        entries.extend(level)
 
     L = max_length
     peak = max(level)
     huge = peak >= _FLOAT_OVERFLOW  # then its powers are taken in the log domain
     growth = math.exp(math.log(peak) / L) if huge else peak ** (1.0 / L)
-    heights = sorted(chain.from_iterable(branches))
+    heights = sorted(entries)
     rows = []
     pts = []
     bins = {}

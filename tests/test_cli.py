@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from conftest import cached_sample_group, permuted
 from schottky.cli import COMMANDS, build_parser, main
 from schottky.errors import SchottkyError
 from schottky.groups import sample_group
-from schottky.heights import upsilon_scan
+from schottky.heights import height_matrix, upsilon_scan
 from schottky.serialize import canonical_json, load_group, save_group
 from schottky.words import Word
 
@@ -150,7 +151,9 @@ def test_upsilon_and_heights_scan(capsys, g5_file, tmp_path):
 def test_heights_scan_rows_name_the_scan_entries(
     capsys, tmp_path, p, rank, order, max_length, threads
 ):
-    """Row i of the CSV is entry i of the scan, its word named as str(Word(letters))."""
+    """Row i of the CSV is the i-th word of product() by length, named as
+    str(Word(letters)), with its height and that height's bin; the heights
+    are entry i of the scan."""
     group = tmp_path / "g.json"
     save_group(permuted(cached_sample_group(p, rank), order), group)
     path = tmp_path / "scan.csv"
@@ -161,10 +164,17 @@ def test_heights_scan_rows_name_the_scan_entries(
     assert code == 0
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    scan = upsilon_scan(load_group(group), max_length)
+    G = load_group(group)
+    scan = upsilon_scan(G, max_length)
+    words = [
+        Word(letters)
+        for n in range(1, max_length + 1)
+        for letters in itertools.product(range(1, rank + 1), repeat=n)
+    ]
+    heights = [height_matrix(G.word_homography(w)) for w in words]
+    assert list(scan.entries) == heights
     assert rows == [
-        [str(n), str(Word(letters)), str(h), str(scan.threshold_bin(h))]
-        for n, letters, h in scan.entries
+        [str(len(w)), str(w), str(h), str(scan.threshold_bin(h))] for w, h in zip(words, heights)
     ]
 
 
@@ -310,6 +320,25 @@ def test_geodesic_probe_depth_zero_is_an_error_line(capsys, g5_file, tmp_path):
     identity = [["1", "0"], ["0", "1"]]
     pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": 0}))
     assert_single_error_line(*run_cli(capsys, "geodesic-probe", str(pair)))
+
+
+def test_geodesic_probe_past_the_state_cap_is_an_error_line(
+    capsys, g5_file, tmp_path, monkeypatch
+):
+    from schottky import groups
+
+    # the cross search passes 61 (key, last letter) states at depth 5
+    monkeypatch.setattr(groups, "MAX_WALK_WORDS", 61)
+    g25 = tmp_path / "g25.json"
+    save_group(sample_group(5, 2, multiplier_exponent=4), g25)
+    pair = tmp_path / "pair.json"
+    identity = [["1", "0"], ["0", "1"]]
+    pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": str(g25), "depth": 5}))
+    code = main(["geodesic-probe", str(pair)])
+    out, err = capsys.readouterr()
+    assert_single_error_line(code, out)
+    assert err == ""
+    assert json.loads(out)["error"].startswith("a coset search to depth 5 visits more than 61")
 
 
 @pytest.mark.parametrize("window", ("0", "-2"))

@@ -9,11 +9,13 @@ matrix or a short word of the second group.
 
 import functools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coset_oracle as oracle
-from schottky.errors import MaxStepsExceeded
+from schottky import groups
+from schottky.errors import InvalidArgument, MaxStepsExceeded
 from schottky.geodesy import _coset_counts, double_coset_scan
 from schottky.groups import sample_group
 from schottky.proj import Homography
@@ -102,6 +104,19 @@ def test_stabilized_scan_stops_early(g5, monkeypatch):
     assert report.coset_counts == (1,) * 201
     assert report.reverse_counts == (1,) * 201
     assert len(calls) == 2 * (1 + 4 + 4 * 3)
+
+
+def test_coset_search_refuses_more_states_than_the_walk_cap(g5, monkeypatch):
+    """The cross search visits 61 (key, last letter) states to depth 4 and
+    more to depth 5, three times as many per level; a stabilized search
+    stays below the cap at any depth."""
+    monkeypatch.setattr(groups, "MAX_WALK_WORDS", 61)
+    G2 = _group(5, 2, 4)
+    assert len(_coset_counts(g5, Homography.identity(), G2, 4)) == 5
+    with pytest.raises(InvalidArgument, match="^a coset search to depth 5 visits more than 61 "):
+        _coset_counts(g5, Homography.identity(), G2, 5)
+    report = double_coset_scan(g5, Homography.identity(), g5, 50)
+    assert report.coset_counts == report.reverse_counts == (1,) * 51
 
 
 def test_index_two_scan_fills_in_its_last_count():

@@ -94,6 +94,17 @@ def test_apply_flat_detects_cycles(g5):
         apply_flat(coords, {0: ProjPoint(1)})
 
 
+@pytest.mark.parametrize("source, at", ((-2, 0), (5, 1), (-2, 1), (5, 0)))
+def test_apply_flat_range_checks_link_sources(g5, source, at):
+    """A source below 0 would be followed as an index from the end, and one
+    past the end would raise IndexError; apply_flat refuses both as
+    FlatSpec does."""
+    coords = [Free(), Free()]
+    coords[at] = Linked(source, g5.generators[0])
+    with pytest.raises(InvalidArgument, match=rf"^link source {source} is not in 0\.\.1$"):
+        apply_flat(tuple(coords), {0: ProjPoint(1), 1: ProjPoint(2)})
+
+
 def test_flat_spec_needs_one_group_per_coordinate(g5):
     for n_coords in range(4):
         for n_groups in range(4):

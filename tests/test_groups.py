@@ -527,8 +527,11 @@ def test_non_integer_counts_raise_type_error(g5, call):
         lambda G, depth: G.fit_proper_constants(depth),
         # (0, 1) is fixed by g1, a hit at length 1: the refusal comes first
         lambda G, depth: pair_stabilizer(G, (ProjPoint(0), ProjPoint(1)), depth),
+        lambda G, depth: G.intersecting_translates(
+            G.fundamental_domain(), G.fundamental_domain(), depth
+        ),
     ),
-    ids=("limit_cover", "fit_proper_constants", "pair_stabilizer"),
+    ids=("limit_cover", "fit_proper_constants", "pair_stabilizer", "intersecting_translates"),
 )
 def test_walks_past_the_word_cap_are_refused(g5, call):
     # rank 2 has 354,292 words up to length 11 and 1,062,880 up to length 12

@@ -92,7 +92,8 @@ def test_conjugate_power_growth():
 
 def test_positive_word_count(g5):
     scan = upsilon_scan(g5, 3)
-    assert sum(1 for length, _, _ in scan.entries if length == 3) == 8  # q^3
+    assert len(scan.entries) == 2 + 4 + 8  # q + q^2 + q^3
+    assert all(type(h) is int for h in scan.entries)
 
 
 def test_upsilon_scan_slope_positive(g5):
@@ -110,7 +111,7 @@ def test_upsilon_scan_workers_match(g5):
     assert seq.entries == par.entries
     assert seq.rows == par.rows
     assert seq.slope == par.slope
-    for _, _, h in seq.entries:
+    for h in seq.entries:
         assert seq.threshold_bin(h) == par.threshold_bin(h)
 
 
@@ -137,7 +138,7 @@ def test_threshold_bins(g5):
     # on rank 1 most heights tie their bin edge past float precision
     for scan in (upsilon_scan(g5, 4), upsilon_scan(sample_group(5, 1), 60)):
         bins = []
-        for length, word, h in scan.entries:
+        for h in scan.entries:
             b = scan.threshold_bin(h)
             assert 1 <= b <= 4 * scan.max_length
             # the bin is the first threshold at or above the height, exactly
@@ -172,7 +173,7 @@ def test_upsilon_scan_refuses_heights_past_the_text_limit():
         while height_matrix(h * g) < 10**640:
             h, fits = h * g, fits + 1
         scan = upsilon_scan(G, fits)
-        assert all(int(str(height)) == height for _, _, height in scan.entries)
+        assert all(int(str(height)) == height for height in scan.entries)
         with pytest.raises(InvalidArgument, match="640 decimal digits"):
             upsilon_scan(G, fits + 1)
     finally:
@@ -236,7 +237,7 @@ def test_rank_one_scan_settles_every_tie_without_big_powers():
     start = time.perf_counter()
     scan = upsilon_scan(sample_group(5, 1), 1000)
     assert [row.count for row in scan.rows] == list(range(1, 1001))
-    assert [scan.threshold_bin(h) for _, _, h in scan.entries] == list(range(1, 1001))
+    assert [scan.threshold_bin(h) for h in scan.entries] == list(range(1, 1001))
     assert time.perf_counter() - start < 10
 
 
@@ -257,7 +258,7 @@ def test_threshold_bin_matches_the_oracle(p, rank, data):
     L = data.draw(st.integers(1, _MAX_LENGTH[rank]))
     scan = _scan(p, rank, L)
     peak = scan.peak_height
-    heights = sorted({h for _, _, h in scan.entries})
+    heights = sorted(set(scan.entries))
     unseen = [1, peak, peak + 1, 2 * peak]
     unseen += [(x + y) // 2 for x, y in zip(heights, heights[1:])]
     unseen += data.draw(st.lists(st.integers(1, 2 * peak), max_size=8))
@@ -279,9 +280,9 @@ class _HeightsAbovePeak:
 
 def test_threshold_bin_of_a_scan_height_above_the_peak():
     scan = upsilon_scan(_HeightsAbovePeak(), 4)
-    assert [h for _, _, h in scan.entries] == [5, 5, 15, 6]
+    assert scan.entries == (5, 5, 15, 6)
     assert scan.threshold_bin(15) == 7  # 15**4 <= 6**7, past the rows' lengths
-    for _, _, h in scan.entries:
+    for h in scan.entries:
         assert scan.threshold_bin(h) == threshold_oracle.threshold_bin(h, 6, 4)
 
 
@@ -300,7 +301,7 @@ def test_bin_table_at_the_row_cuts(scan):
     row's cut and the first beyond it; a height above the peak, here a
     shorter word's, is not in the table and still gets the oracle's bin."""
     L, peak = scan.max_length, scan.peak_height
-    heights = sorted(h for _, _, h in scan.entries)
+    heights = sorted(scan.entries)
     assert set(scan.bins) == {h for h in heights if h <= peak}
     for row in scan.rows:
         for i in (row.count - 1, row.count):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import sys
@@ -273,8 +274,9 @@ def fuzz_inputs(g5, tmp_path_factory):
         for w, D in g5.limit_cover(2).entries
     ]
     scan = upsilon_scan(g5, 3, workers=1)
+    words = [Word(w) for n in (1, 2, 3) for w in itertools.product((1, 2), repeat=n)]
     rows = ["length,word,height,threshold_bin"] + [
-        f"{n},{Word(letters)},{h},{scan.threshold_bin(h)}" for n, letters, h in scan.entries
+        f"{len(w)},{w},{h},{scan.threshold_bin(h)}" for w, h in zip(words, scan.entries)
     ]
     seeds = {
         load_cover_csv: ("\n".join(cover) + "\n").encode(),

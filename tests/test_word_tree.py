@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONJUGATOR_NAMES, conjugate
+from conftest import CONJUGATOR_NAMES, conjugate, permuted
 from schottky import INFINITY, PointNearLimitSet, ProjPoint, Word, sample_group
 from schottky.disks import point_to_disk_delta
 from schottky.heights import height_matrix, upsilon_scan
@@ -55,14 +55,17 @@ def test_walk_matches_reduced_words_and_products(rank):
 
 @pytest.mark.parametrize("rank", (1, 2, 3))
 def test_height_scan_lists_the_sorted_positive_words(rank):
-    G = GROUPS[rank]
-    scan = upsilon_scan(G, 5)
-    want = []
-    for n in range(1, 6):
-        for letters in itertools.product(range(1, rank + 1), repeat=n):
-            want.append((n, letters, height_matrix(G.word_homography(Word(letters)))))
-    # by length, then lexicographically
-    assert list(scan.entries) == sorted(want)
+    """Entry i is the height of the i-th word of product(): by length, then
+    lexicographically, whether the branches run in one process or two, and
+    with the generators taken in reverse order."""
+    for G in (GROUPS[rank], permuted(GROUPS[rank], range(rank - 1, -1, -1))):
+        want = tuple(
+            height_matrix(G.word_homography(Word(letters)))
+            for n in range(1, 6)
+            for letters in itertools.product(range(1, rank + 1), repeat=n)
+        )
+        for workers in (1, 2):
+            assert upsilon_scan(G, 5, workers=workers).entries == want
 
 
 def brute_delta(G, x, depth):
