@@ -145,18 +145,24 @@ class StabilizerResult:
 def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     """The first word, in walk order, that fixes both points of the pair.
 
+    Stab(x) is trivial or cyclic.  Two hyperbolic elements with a common
+    fixed point commute: conjugated to fix infinity they are affine, their
+    commutator is a translation fixing that point, and a Schottky group
+    has no parabolic elements.  Commuting elements of a free group lie in
+    one cyclic group <gamma>; and with gamma = u c u^-1, c cyclically
+    reduced, |gamma^k| = 2|u| + |k||c| is longer than gamma for |k| >= 2.
+    So the first word that fixes x, by length then lexicographically, is
+    gamma or gamma^-1.  A power of gamma fixes y only if gamma does, so the
+    search returns that first word if it also fixes y, and no word
+    otherwise.
+
     The integer conjugator s = (x.den, -x.num; y.den, -y.num) sends x to
     0 and y to infinity, with infinity on either side, so s h s^-1 is
-    z -> lambda z for every word h fixing the pair.  These words commute,
-    so in a free group they form a cyclic group <gamma>; and with
-    gamma = u c u^-1, c cyclically reduced, |gamma^k| = 2|u| + |k||c| is
-    longer than gamma for |k| >= 2.  So the first hit, by length then
-    lexicographically, is gamma or gamma^-1: of all stabilizing words up
-    to the depth, the first with |v_p(lambda)| minimal.  lambda is
-    normalized to the orientation of archimedean size >= 1; its p-adic
-    absolute value is never 1, since nontrivial stabilizing elements are
-    hyperbolic.  A depth with more than MAX_WALK_WORDS words up to it is
-    refused with InvalidArgument before the walk starts.
+    z -> lambda z for the word h found.  lambda is normalized to the
+    orientation of archimedean size >= 1; its p-adic absolute value is
+    never 1, since nontrivial stabilizing elements are hyperbolic.  A
+    depth with more than MAX_WALK_WORDS words up to it is refused with
+    InvalidArgument before the walk starts.
 
     A pair with a point that reduces into the fundamental domain F has no
     stabilizer, and no walk is made.  The limit set lies in the union of
@@ -180,9 +186,11 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
             continue
         return StabilizerResult(None, None)
     for _, letters, h in G._walk(depth):
-        if h.apply(x) == x and h.apply(y) == y:
+        if h.apply(x) == x:
             break
     else:
+        return StabilizerResult(None, None)
+    if h.apply(y) != y:
         return StabilizerResult(None, None)
     conj = Homography(x.den, -x.num, y.den, -y.num)
     d = conj * h * conj.inverse()  # fixes 0 and infinity, so diagonal

@@ -271,15 +271,17 @@ class SchottkyGroup:
         return h
 
     def _walk(self, max_length: int):
-        """``iter_words_with_matrices`` over letter tuples, building no words."""
+        """``iter_words_with_matrices`` over letter tuples, building no words;
+        a length past the walk cap is refused at the call, before any word."""
+        _refuse_long_walk(self.rank, max_length)
         return walk([((l,), g) for l, g in self._steps.items()], self._steps, max_length)
 
     def iter_words_with_matrices(self, max_length: int):
         """(length, word, homography) for all reduced words of length
         1..max_length, by length then lexicographically, with incremental
-        products."""
-        for length, letters, h in self._walk(max_length):
-            yield length, Word(letters), h
+        products.  A length with more than MAX_WALK_WORDS words up to it is
+        refused with InvalidArgument at the call."""
+        return ((length, Word(letters), h) for length, letters, h in self._walk(max_length))
 
     # -- word disks and covers -------------------------------------------
 
@@ -598,15 +600,18 @@ class SchottkyGroup:
         at depth 4 to the distance floor of A2 over the depth-2 cover: if
         a + b * (-log_p floor) does not exceed the scanned depth, no longer
         word can produce an intersection witness inside A2 (empirically,
-        since (a, b) are envelope constants over orbit samples).  A depth
-        with more than MAX_WALK_WORDS words up to it is refused.
+        since (a, b) are envelope constants over orbit samples).  A negative
+        depth, or one with more than MAX_WALK_WORDS words up to it, is
+        refused; depth 0 scans the identity alone.
         """
         self.ensure_verified()
-        _refuse_long_walk(self.rank, depth)
+        if depth < 0:
+            raise InvalidArgument("depth must be >= 0")
+        words = self.iter_words_with_matrices(depth)  # refuses a depth past the walk cap
         hits = []
         if A.intersects(A2):
             hits.append(Word(()))
-        for _, word, h in self.iter_words_with_matrices(depth):
+        for _, word, h in words:
             if A.transform(h).intersects(A2):
                 hits.append(word)
         floor = self._delta_floor(A2, 2)

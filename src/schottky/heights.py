@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -86,14 +85,12 @@ class CountingScan:
         found = self.bins.get(height)
         if found is not None:
             return found
-        # a height the scan never saw, or one above the peak: start from the
-        # logarithmic estimate, then settle the exact bin
+        # a height the scan never saw, or one above the peak: the comparison
+        # holds from its bin on, so the bin is found by bisection
         L, peak = self.max_length, self.peak_height
-        l = min(max(1, math.ceil(L * math.log(height) / math.log(peak))), 4 * L + 1)
-        while l > 1 and _height_at_most(height, peak, l - 1, L):
-            l -= 1
-        while l <= 4 * L and not _height_at_most(height, peak, l, L):
-            l += 1
+        l = 1 + bisect_left(
+            range(1, 4 * L + 1), True, key=lambda l: _height_at_most(height, peak, l, L)
+        )
         return l if l <= 4 * L else -1
 
     def summary_dict(self):
@@ -112,12 +109,12 @@ class CountingScan:
 
 
 def _positive_branch(generators, first: int, max_length: int, digit_limit: int):
-    """The heights of the positive words that start with ``first``, in
-    walk order: by length, then lexicographically."""
+    """The heights of the positive words that start with ``first``, one
+    list per length, each in lexicographic order."""
     step = {i: g for i, g in enumerate(generators, 1)}
     too_long = 10**digit_limit if digit_limit else None
-    heights = []
-    for _, _, h in walk([((first,), step[first])], step, max_length):
+    levels = [[] for _ in range(max_length)]
+    for length, _, h in walk([((first,), step[first])], step, max_length):
         height = height_matrix(h)
         if too_long is not None and height >= too_long:
             # a height that str() cannot write could not be printed or reloaded either
@@ -125,8 +122,8 @@ def _positive_branch(generators, first: int, max_length: int, digit_limit: int):
                 f"a height has more than {digit_limit} decimal digits, the limit for integer"
                 " text; lower max_length"
             )
-        heights.append(height)
-    return heights
+        levels[length - 1].append(height)
+    return levels
 
 
 def _branch_worker(payload):
@@ -162,6 +159,8 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
         )
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if workers > 1 and q > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pooled scan
+
         matrices = tuple(g.entries for g in G.generators)
         payloads = [(matrices, first, max_length, digit_limit) for first in range(1, q + 1)]
         with ProcessPoolExecutor(max_workers=min(workers, q)) as pool:
@@ -171,19 +170,12 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
             _positive_branch(G.generators, first, max_length, digit_limit)
             for first in range(1, q + 1)
         ]
-    # Each branch holds q**(n-1) heights of length n, after its shorter
-    # words; taking the branches in turn at each length gives the words in
-    # lexicographic order, which is the order of product().
-    entries = []
-    start = 0
-    for length in range(1, max_length + 1):
-        size = q ** (length - 1)
-        level = [h for branch in branches for h in branch[start : start + size]]
-        start += size
-        entries.extend(level)
+    # taking the branches in turn at each length gives the words in
+    # lexicographic order, which is the order of product()
+    entries = [h for levels in zip(*branches) for level in levels for h in level]
 
     L = max_length
-    peak = max(level)
+    peak = max(max(levels[-1]) for levels in branches)
     huge = peak >= _FLOAT_OVERFLOW  # then its powers are taken in the log domain
     growth = math.exp(math.log(peak) / L) if huge else peak ** (1.0 / L)
     heights = sorted(entries)

@@ -195,8 +195,11 @@ def count_words_up_to(first: int, branching: int, max_length: int, cap: int) -> 
     first * (branching**max_length - 1) / (branching - 1), or
     first * max_length for branching 1, or cap + 1 if that is larger.
     Reduced words of rank r take (2r, 2r - 1), positive words (r, r).
-    A length past the cap's bit length takes no power."""
+    A length past the cap's bit length takes no power; a negative length
+    is refused with InvalidArgument."""
     max_length = operator.index(max_length)
+    if max_length < 0:
+        raise InvalidArgument("max_length must be >= 0")
     if branching == 1:
         return min(first * max_length, cap + 1)
     if max_length > cap.bit_length():  # the count is at least 2**max_length - 1 > cap

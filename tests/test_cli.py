@@ -276,6 +276,14 @@ def test_console_entry_point(g5_file):
     assert json.loads(proc.stdout) == {"point": "inf", "word": "id"}
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only a pooled heights scan imports the process pool, so a plain
+    command does not pay for multiprocessing at startup."""
+    code = "import schottky.cli, sys; sys.exit('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env())
+    assert proc.returncode == 0
+
+
 def test_enumerate_streams_words_past_the_recursion_limit(g5_file):
     proc = subprocess.Popen(
         [sys.executable, "-m", "schottky.cli", "enumerate", g5_file, "--length", "3000"],

@@ -241,6 +241,32 @@ def test_pair_stabilizer_skips_the_walk_off_the_limit_set(g5, pair, monkeypatch)
         assert pair_stabilizer(G, (x, y), 11) == StabilizerResult(None, None)
 
 
+@pytest.mark.parametrize(
+    "pair, want",
+    (
+        ((ProjPoint(0), ProjPoint(3)), StabilizerResult(None, None)),
+        ((ProjPoint(3), ProjPoint(0)), StabilizerResult(None, None)),
+        ((ProjPoint(0), ProjPoint(1)), StabilizerResult(Word((1,)), Fraction(25))),
+    ),
+)
+def test_pair_stabilizer_stops_at_the_first_word_fixing_x(pair, want, monkeypatch):
+    """g1 fixes 0 and 1, g2 fixes 2 and 3: the first word fixing x is a
+    generator, so the search takes at most the 4 words of length 1, and
+    answers by whether that word also fixes y."""
+    G = sample_group(5, 2)
+    walk = G._walk
+    taken = []
+
+    def counted_walk(depth):
+        for node in walk(depth):
+            taken.append(node)
+            yield node
+
+    monkeypatch.setattr(G, "_walk", counted_walk)
+    assert pair_stabilizer(G, pair, 11) == want
+    assert 1 <= len(taken) <= 4
+
+
 def test_pair_stabilizer_finds_only_powers(g5):
     # every stabilizing word of the pair {0, 1} is a power of g1
     found = []

@@ -530,11 +530,37 @@ def test_non_integer_counts_raise_type_error(g5, call):
         lambda G, depth: G.intersecting_translates(
             G.fundamental_domain(), G.fundamental_domain(), depth
         ),
+        # refused at the call, before the first word is asked for
+        lambda G, depth: G.iter_words_with_matrices(depth),
+        lambda G, depth: G._walk(depth),
     ),
-    ids=("limit_cover", "fit_proper_constants", "pair_stabilizer", "intersecting_translates"),
+    ids=(
+        "limit_cover",
+        "fit_proper_constants",
+        "pair_stabilizer",
+        "intersecting_translates",
+        "iter_words_with_matrices",
+        "_walk",
+    ),
 )
 def test_walks_past_the_word_cap_are_refused(g5, call):
     # rank 2 has 354,292 words up to length 11 and 1,062,880 up to length 12
     assert count_words_up_to(4, 3, 11, MAX_WALK_WORDS) <= MAX_WALK_WORDS
     with pytest.raises(InvalidArgument, match="^a walk to depth 12 has more than 500000 reduced"):
         call(g5, 12)
+
+
+def test_negative_depths_and_lengths_are_refused(g5):
+    F = g5.fundamental_domain()
+    with pytest.raises(InvalidArgument, match="^depth must be >= 0"):
+        g5.intersecting_translates(F, F, -1)
+    with pytest.raises(InvalidArgument, match="^max_length must be >= 0"):
+        count_words_up_to(4, 3, -1, MAX_WALK_WORDS)
+    with pytest.raises(InvalidArgument, match="^max_length must be >= 0"):
+        count_words_up_to(1, 1, -1, MAX_WALK_WORDS)
+    with pytest.raises(InvalidArgument, match="^max_length must be >= 0"):
+        g5.iter_words_with_matrices(-1)
+    # depth 0 scans the identity alone
+    scan = g5.intersecting_translates(F, F, 0)
+    assert scan.words == (Word(()),)
+    assert scan.depth == 0

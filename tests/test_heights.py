@@ -18,6 +18,7 @@ from schottky.heights import (
     _height_at_most,
     _iroot,
     _ls_slope,
+    _positive_branch,
     growth_base,
     height_matrix,
     height_rational,
@@ -94,6 +95,16 @@ def test_positive_word_count(g5):
     scan = upsilon_scan(g5, 3)
     assert len(scan.entries) == 2 + 4 + 8  # q + q^2 + q^3
     assert all(type(h) is int for h in scan.entries)
+
+
+def test_positive_branch_keeps_one_list_per_length(g5):
+    """The branch of g2 holds 2**(n-1) heights of length n, each level in
+    lexicographic order."""
+    g1, g2 = g5.generators
+    levels = _positive_branch(g5.generators, 2, 3, 0)
+    assert [len(level) for level in levels] == [1, 2, 4]
+    words = [[g2], [g2 * g1, g2 * g2], [g2 * u * v for u in (g1, g2) for v in (g1, g2)]]
+    assert levels == [[height_matrix(h) for h in level] for level in words]
 
 
 def test_upsilon_scan_slope_positive(g5):
