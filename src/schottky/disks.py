@@ -65,9 +65,13 @@ class Disk:
     _s: Exponent = field(compare=False, repr=False)
 
     def __init__(self, bounded, is_open, center, radius_exp, p):
-        c, e = Fraction(center), Fraction(radius_exp)
-        e = e.numerator if e.denominator == 1 else e
-        _set_canonical(self, bool(bounded), bool(is_open), c.numerator, c.denominator, e, int(p))
+        # ints are kept as they are; anything else goes through Fraction
+        num, den = (center, 1) if type(center) is int else Fraction(center).as_integer_ratio()
+        e = radius_exp
+        if type(e) is not int:
+            e = Fraction(e)
+            e = e.numerator if e.denominator == 1 else e
+        _set_canonical(self, bool(bounded), bool(is_open), num, den, e, int(p))
 
     @property
     def center(self) -> Fraction:

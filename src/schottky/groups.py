@@ -59,6 +59,13 @@ _COVER_CACHE_CAP = 1 << 15
 # cache's cap for a fit), so the largest admitted request needs about 0.4 GB.
 MAX_WALK_WORDS = 5 * 10**5
 
+# (letters, homography) of the identity, where a descent from the root starts
+_ROOT = (), Homography.identity()
+
+
+def _near_limit(x: ProjPoint, depth: int, letters) -> PointNearLimitSet:
+    return PointNearLimitSet(f"{x} lies in the depth-{depth} cover disk of {Word(letters)}")
+
 
 def _refuse_long_walk(rank: int, depth: int):
     """InvalidArgument if the reduced words up to the depth are more than
@@ -111,8 +118,13 @@ class DeltaGammaBound:
     """A certified interval around the chordal distance to the limit set.
 
     The cover is ultrametric, so a nearest cover disk is a chordal ball
-    whose points all lie at one distance from the query point: the lower
-    and upper exponents are equal."""
+    whose points all lie at one distance from the query point, limit
+    points among them: the lower and upper exponents are equal, and they
+    are the exponent of delta(x, Lambda) itself, the same at every depth
+    from the first one that answers.  ``delta_to_limit`` starts its
+    descent at the point's reduction word when that word's closed cover
+    disk is a chordal ball, so it costs the word's pull-back steps and at
+    most 4r - 1 cover nodes."""
 
     lower_exponent: Exponent
     upper_exponent: Exponent
@@ -265,6 +277,8 @@ class SchottkyGroup:
         return reduced_words(self.rank, length)
 
     def word_homography(self, word: Word) -> Homography:
+        """The product of the generators of the word's letters, left to
+        right; a sequence of letters is taken as well."""
         h = Homography.identity()
         for letter in word:
             h = h * self.generator(letter)
@@ -337,22 +351,54 @@ class SchottkyGroup:
 
     def delta_to_limit(self, x: ProjPoint, depth: int) -> DeltaGammaBound:
         """Certified interval for the chordal distance from x to the limit
-        set, from the cover at the given depth.
+        set, from the cover at the given depth; PointNearLimitSet if x lies
+        in a cover disk of the depth.
 
-        The lower bound is the least point-to-disk distance over the cover;
-        the upper bound is the least distance to a cover-disk center, valid
-        because every cover disk contains limit points and canonical
-        centers minimize |center| within their disk.  The two coincide:
-        ``_descend`` finds a nearest cover disk that is a chordal ball
-        missing x, and every point of such a ball, its center included,
-        lies at the same distance from x.
+        The start rule: x is first pulled back toward the fundamental
+        domain F, x = w(y) with y in F.  Each step lies in an open domain
+        disk inside the matching closed one, so x lies in the closed cover
+        disk E(v) of every prefix v of w: the first |w| levels of the chain
+        that ``_descend`` follows from the identity are w's prefixes.  A
+        pull-back that reaches the depth names its depth-long prefix, and
+        no disk is imaged.  Otherwise the descent starts at w when E(w) is
+        a chordal ball (``_start``, the rule ``envelope_samples`` also
+        follows): every point outside E(w) is farther from x than every
+        point inside it, and the cover disks of w's subtree lie inside it,
+        so no sibling of a prefix is nearest.  When E(w) is not a chordal
+        ball, no prefix's disk is either, and the descent starts at the
+        identity.
+
+        The answer is delta(x, Lambda) exactly, not only a bound: the
+        nearest cover disk is a chordal ball missing x that holds limit
+        points, all its points lie at one distance from x, and the limit
+        set lies in the cover.  So the lower bound (the least point-to-disk
+        distance) equals the upper bound (the distance to that disk's
+        center), and the answer is the same at every depth from the first
+        one that answers.
+
+        The cost is |w| pull-back steps and, when the descent starts at w
+        or w is empty, at most 4r - 1 cover nodes (7 at rank 2): E(w) and
+        its 2r - 1 children, or the 2r letter disks, and then the 2r - 1
+        children of the one of them that holds x when y lies on a boundary
+        circle; those children all miss x.
         """
         self.ensure_verified()
         depth = operator.index(depth)
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
-        lower, disk = self._descend(x, depth, (), Homography.identity())
+        letters = tuple(self._pull_back(x, depth)[0])
+        if len(letters) == depth:
+            raise _near_limit(x, depth, letters)
+        start = self._start(letters, self.word_homography(letters)) if letters else _ROOT
+        lower, disk = self._descend(x, depth, *start)
         return DeltaGammaBound(lower, delta(x, disk.center_point(), self.ctx), depth)
+
+    def _start(self, letters, h: Homography):
+        """The node where a descent for a point in the closed cover disk of
+        the nonempty word (letters, h) starts: the word when that disk is
+        a chordal ball (``in_residue_disk``), the identity otherwise."""
+        _, disk = self._cover_cache.get(letters) or self._cover_node(letters, h)
+        return (letters, h) if disk.in_residue_disk else _ROOT
 
     def _descend(self, x: ProjPoint, depth: int, letters, h: Homography):
         """(exponent, disk): the exponent of the distance from x to the
@@ -386,39 +432,48 @@ class SchottkyGroup:
             if inside is None:
                 return lower, nearest
             letters, h = inside
-        raise PointNearLimitSet(f"{x} lies in the depth-{depth} cover disk of {Word(letters)}")
+        raise _near_limit(x, depth, letters)
 
     # -- reduction and membership ------------------------------------------
 
-    def _containing_letter(self, x: ProjPoint) -> Optional[int]:
-        for l, D, _ in self._domain:
-            if D.contains(x):
-                return l
-        return None
+    def _pull_back(self, x: ProjPoint, max_steps: int):
+        """(letters, y, letter) with x = w(y) for the word w of the letters:
+        while an open domain disk D_l holds y and fewer than max_steps
+        steps are made, append l and replace y by generator(-l)(y).  The
+        last item is the letter whose open domain disk still holds y, or
+        None when y is in the fundamental domain; no product is made."""
+        letters = []
+        y = x
+        while True:
+            for letter, D, _ in self._domain:
+                if D.contains(y):
+                    break
+            else:
+                return letters, y, None
+            if len(letters) == max_steps:
+                return letters, y, letter
+            letters.append(letter)
+            y = self._steps[-letter].apply(y)
 
     def _reduce_with_matrix(
         self, x: ProjPoint, max_steps: int
     ) -> Tuple[Word, ProjPoint, Homography]:
         """Reduce x in at most max_steps generator steps; a domain check
-        is not a step, so a point already in the domain needs none."""
+        is not a step, so a point already in the domain needs none.  The
+        word's homography is composed once y has arrived."""
         max_steps = operator.index(max_steps)
         if max_steps < 0:
             raise InvalidArgument("max_steps must be >= 0")
         self.ensure_verified()
-        letters = []
+        letters, y, letter = self._pull_back(x, max_steps)
+        if letter is not None:
+            raise MaxStepsExceeded(
+                f"{x} did not reach the fundamental domain in {max_steps} steps"
+            )
         h = Homography.identity()
-        y = x
-        while True:
-            letter = self._containing_letter(y)
-            if letter is None:
-                return Word(letters), y, h
-            if len(letters) == max_steps:
-                raise MaxStepsExceeded(
-                    f"{x} did not reach the fundamental domain in {max_steps} steps"
-                )
-            letters.append(letter)
-            h = h * self.generator(letter)
-            y = self.generator(-letter).apply(y)
+        for letter in letters:
+            h = h * self._steps[letter]
+        return Word(letters), y, h
 
     def reduce_point(self, x: ProjPoint, max_steps: int = 64) -> Tuple[Word, ProjPoint]:
         """Ping-pong a point into the fundamental domain.
@@ -543,12 +598,8 @@ class SchottkyGroup:
         # cover levels below the word: children for infinity, else grandchildren
         levels = [1 if x is INFINITY else 2 for x in bases]
         samples = [(0, -self.delta_to_limit(x, n).upper_exponent) for x, n in zip(bases, levels)]
-        root = (), Homography.identity()
-        cache = self._cover_cache
         for length, word, h in self.iter_words_with_matrices(depth):
-            letters = word.letters
-            _, disk = cache.get(letters) or self._cover_node(letters, h)
-            start = (letters, h) if disk.in_residue_disk else root
+            start = self._start(word.letters, h)
             for x, n in zip(bases, levels):
                 bound, _ = self._descend(h.apply(x), length + n, *start)
                 samples.append((length, -bound))

@@ -37,7 +37,10 @@ def parse_rational(text: str, field: str = "rational") -> Union[int, Fraction]:
     a FormatError."""
     s = str(text)
     try:
-        if _RATIONAL.fullmatch(s):
+        match = _RATIONAL.fullmatch(s)
+        if match and match.group(1) is None:
+            return int(s)
+        if match:
             q = Fraction(s)
             return q.numerator if q.denominator == 1 else q
     except (ValueError, ZeroDivisionError):  # ValueError: past int's digit limit

@@ -1,4 +1,5 @@
 import functools
+from math import isqrt
 
 import pytest
 from hypothesis import assume, event, settings, strategies as st
@@ -7,7 +8,7 @@ from schottky import PrimeContext, sample_group
 from schottky.disks import image
 from schottky.errors import InvalidArgument
 from schottky.groups import SchottkyGroup
-from schottky.proj import Homography
+from schottky.proj import INFINITY, Homography, ProjPoint
 
 # Derandomized examples make every run check the same inputs, and no
 # deadline keeps slow or throttled hosts from failing correct code.
@@ -104,3 +105,22 @@ def drawn_groups(draw, primes):
         assume(G is not None)
     event(f"rank {rank}, {name or 'unconjugated'}")
     return permuted(G, draw(st.permutations(range(rank))))
+
+
+@functools.lru_cache(maxsize=None)
+def rational_fixed_pairs(G, max_length=3):
+    """The two fixed points of each word up to the length whose fixed
+    points are rational, from c z^2 + (d - a) z - b = 0."""
+    pairs = []
+    for n in range(1, max_length + 1):
+        for w in G.enumerate_words(n):
+            a, b, c, d = G.word_homography(w).entries
+            if c == 0:
+                if a != d:
+                    pairs.append((INFINITY, ProjPoint(b, d - a)))
+                continue
+            disc = (d - a) ** 2 + 4 * b * c
+            s = isqrt(max(disc, 0))
+            if disc > 0 and s * s == disc:
+                pairs.append((ProjPoint(a - d + s, 2 * c), ProjPoint(a - d - s, 2 * c)))
+    return tuple(pairs)

@@ -1,13 +1,11 @@
-import functools
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import event, given, strategies as st
 
 import flat_oracle
-from conftest import conjugate, drawn_groups, permuted
+from conftest import conjugate, drawn_groups, permuted, rational_fixed_pairs
 from schottky.errors import CyclicLinks, InvalidArgument
 from schottky.geodesy import (
     Fixed,
@@ -158,25 +156,6 @@ def test_apply_flat_matches_propagation(flat):
     assert apply_flat(coords, values) == flat_oracle.apply_flat(coords, values)
 
 
-@functools.lru_cache(maxsize=None)
-def _rational_fixed_pairs(G, max_length=3):
-    """The two fixed points of each word up to the length whose fixed
-    points are rational, from c z^2 + (d - a) z - b = 0."""
-    pairs = []
-    for n in range(1, max_length + 1):
-        for w in G.enumerate_words(n):
-            a, b, c, d = G.word_homography(w).entries
-            if c == 0:
-                if a != d:
-                    pairs.append((INFINITY, ProjPoint(b, d - a)))
-                continue
-            disc = (d - a) ** 2 + 4 * b * c
-            s = isqrt(max(disc, 0))
-            if disc > 0 and s * s == disc:
-                pairs.append((ProjPoint(a - d + s, 2 * c), ProjPoint(a - d - s, 2 * c)))
-    return tuple(pairs)
-
-
 @st.composite
 def stabilizer_cases(draw):
     """(group, pair): fixed points of a short word, a random rational
@@ -184,7 +163,7 @@ def stabilizer_cases(draw):
     G = draw(drawn_groups((3, 5, 7)))
     kind = draw(st.sampled_from(("fixed points", "random", "infinity")))
     if kind == "fixed points":
-        x, y = draw(st.sampled_from(_rational_fixed_pairs(G)))
+        x, y = draw(st.sampled_from(rational_fixed_pairs(G)))
     else:
         x = INFINITY if kind == "infinity" else draw(_points)
         y = draw((_finite if kind == "infinity" else _points).filter(lambda z: z != x))
@@ -207,7 +186,7 @@ def test_pair_stabilizer_sweep_of_fixed_pairs(name):
     G = permuted(sample_group(5, 2), (1, 0))
     if name:
         G = conjugate(G, name)
-    for x, y in _rational_fixed_pairs(G):
+    for x, y in rational_fixed_pairs(G):
         got = pair_stabilizer(G, (x, y), 3)
         assert got.word is not None
         assert got == flat_oracle.pair_stabilizer(G, (x, y), 3)

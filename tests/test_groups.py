@@ -184,6 +184,32 @@ def test_delta_to_limit_computes_one_level_for_a_point_off_the_cover():
     bound = G.delta_to_limit(INFINITY, 1000)
     assert bound.lower_exponent == bound.upper_exponent == 0
     assert len(computed) <= 4
+    # x = w(7/3) with 7/3 inside F: the descent starts at w, whose closed
+    # cover disk is a chordal ball (a descent from the identity computes 40)
+    x0 = ProjPoint(7, 3)
+    letters = (1, 2, -1, -2) * 3
+    x = G.word_homography(letters).apply(x0)
+    computed.clear()
+    G._cover_cache.clear()
+    bound = G.delta_to_limit(x, 32)
+    assert len(computed) <= 7
+    want, _ = G._descend(x, 32, (), Homography.identity())
+    assert bound.lower_exponent == bound.upper_exponent == want == -24
+    # a reduction word as long as the depth names its depth-long prefix
+    # and images no disk
+    for length in (32, 35):
+        letters = ((1, 2) * 18)[:length]
+        x = G.word_homography(letters).apply(x0)
+        computed.clear()
+        with pytest.raises(PointNearLimitSet) as info:
+            G.delta_to_limit(x, 32)
+        assert str(info.value).endswith(f"cover disk of {Word(letters[:32])}")
+        assert computed == []
+    # 0 is the fixed point of g1 in B1: 2000 pull-back steps, no cover node
+    with pytest.raises(PointNearLimitSet) as info:
+        G.delta_to_limit(ProjPoint(0), 2000)
+    assert str(info.value) == f"0 lies in the depth-2000 cover disk of {Word((-1,) * 2000)}"
+    assert computed == []
 
 
 def test_delta_to_limit_near_limit_point(g5):

@@ -57,6 +57,28 @@ def test_parse_rational_is_int_when_integral():
             parse_rational(text)
 
 
+def test_integral_group_file_loads_without_a_fraction(g5, tmp_path):
+    """Integral text is read with int(), and a disk keeps int centers and
+    radii as they are, so loading sample_group(5, 2) builds no Fraction."""
+    path = tmp_path / "g.json"
+    save_group(g5, path)
+    built = []
+    new = vars(Fraction)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        G = load_group(path)
+    finally:
+        Fraction.__new__ = new
+    assert built == []
+    assert group_to_dict(G) == group_to_dict(g5)
+    assert type(G.B[1].center) is Fraction  # the output form is unchanged
+
+
 @pytest.mark.parametrize(
     "make, fractional",
     [
