@@ -9,9 +9,7 @@ machine-readable {"error": ...} line.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from itertools import repeat
 
 from . import geodesy, heights
 from .errors import SchottkyError
@@ -53,9 +51,10 @@ def cmd_limit_cover(args) -> int:
         (str(word), str(disk.center_point()), str(disk.radius_exp)) for word, disk in cover.entries
     ]
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(rows)
+        # plain lines: no field holds a comma, a quote or a line break, so
+        # csv's minimal quoting would write the same bytes
+        sys.stdout.write(",".join(fields) + "\n")
+        sys.stdout.writelines(f"{word},{center},{exp}\n" for word, center, exp in rows)
     else:
         _emit(
             {
@@ -93,10 +92,11 @@ def cmd_heights_scan(args) -> int:
     letters = range(1, G.rank + 1)
     tails = ["*" + letter_name(l) for l in letters]
     names = [str(Word((l,))) for l in letters]
+    threshold_bin = scan.threshold_bin
     start = 0
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["length", "word", "height", "threshold_bin"])
+        # plain lines, as in limit-cover: integers and word names need no quoting
+        fh.write("length,word,height,threshold_bin\n")
         for length in range(1, scan.max_length + 1):
             if length > 1:
                 # the entries run in product() order: each name of the last
@@ -104,7 +104,10 @@ def cmd_heights_scan(args) -> int:
                 names = [name + tail for name in names for tail in tails]
             level = scan.entries[start : start + len(names)]
             start += len(names)
-            writer.writerows(zip(repeat(length), names, level, map(scan.threshold_bin, level)))
+            fh.writelines(
+                f"{length},{name},{height},{threshold_bin(height)}\n"
+                for name, height in zip(names, level)
+            )
     _emit(scan.summary_dict())
     return 0
 

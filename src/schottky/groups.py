@@ -49,7 +49,15 @@ from .errors import (
 )
 from .padic import NEG_INF, POS_INF, Exponent, PrimeContext, valuation
 from .proj import INFINITY, Homography, ProjPoint, delta
-from .words import Word, alphabet, count_words_up_to, extensions, reduced_words, walk
+from .words import (
+    Word,
+    _trusted_word,
+    alphabet,
+    count_words_up_to,
+    extensions,
+    reduced_words,
+    walk,
+)
 
 _COVER_CACHE_CAP = 1 << 15
 
@@ -320,17 +328,18 @@ class SchottkyGroup:
         which is the closure of the open word disk h_v(D_l) because the
         pole of h_v lies in a domain disk apart from K_l (see the module
         docstring).  At depth 1 the parent is the identity and the disks
-        are the K_l themselves."""
+        are the K_l themselves.  The walk makes reduced letter tuples only,
+        so their Words skip the checks of ``Word(...)``."""
         self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         _refuse_long_walk(self.rank, depth)
         closed = {l: K for l, _, K in self._domain}
         if depth == 1:
-            entries = [(Word((l,)), closed[l]) for l in self._after[0]]
+            entries = [(_trusted_word((l,)), closed[l]) for l in self._after[0]]
         else:
             entries = [
-                (Word(letters + (l,)), image(h, closed[l]))
+                (_trusted_word(letters + (l,)), image(h, closed[l]))
                 for length, letters, h in self._walk(depth - 1)
                 if length == depth - 1
                 for l in self._after[letters[-1]]

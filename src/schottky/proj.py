@@ -92,14 +92,14 @@ _new_point = object.__new__
 INFINITY = ProjPoint.infinity()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Homography:
     """A PGL(2, Q) class in canonical integer form."""
 
     entries: tuple  # (a, b, c, d)
 
     def __init__(self, a, b, c, d):
-        object.__setattr__(self, "entries", _canonical_entries(a, b, c, d))
+        _set_entries(self, _canonical_entries(a, b, c, d))
 
     @staticmethod
     def identity() -> "Homography":
@@ -137,8 +137,19 @@ class Homography:
     def compose(self, other: "Homography") -> "Homography":
         a, b, c, d = self.entries
         e, f, g, h = other.entries
-        # a product of nonsingular matrices is nonsingular
-        return _trusted(_primitive(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        # The rule of _primitive in one pass: a product of nonsingular
+        # matrices is nonsingular, so a = 0 leaves b != 0, and dividing by
+        # the content with the sign of the first nonzero entry leaves that
+        # entry positive.
+        content = gcd(a, b, c, d)
+        if a < 0 or (a == 0 and b < 0):
+            content = -content
+        if content != 1:
+            a, b, c, d = a // content, b // content, c // content, d // content
+        product = _new_homography(Homography)
+        _set_entries(product, (a, b, c, d))
+        return product
 
     __mul__ = compose
 
@@ -184,11 +195,16 @@ def _signed(a: int, b: int, c: int, d: int) -> tuple:
     return (a, b, c, d)
 
 
+_new_homography = object.__new__
+# The slot's own setter, which the frozen __setattr__ does not guard.
+_set_entries = vars(Homography)["entries"].__set__
+
+
 def _trusted(entries: tuple) -> Homography:
     """A Homography over entries that are already canonical, without the
     type and determinant checks of ``Homography(...)``."""
-    g = object.__new__(Homography)
-    object.__setattr__(g, "entries", entries)
+    g = _new_homography(Homography)
+    _set_entries(g, entries)
     return g
 
 

@@ -115,6 +115,18 @@ class Word:
         return Word(letters)
 
 
+_new_word = object.__new__
+_set_letters = Word.letters.__set__
+
+
+def _trusted_word(letters: tuple) -> Word:
+    """A Word over a tuple of letters that is already reduced, without the
+    checks of ``Word(...)``; the word-tree walk makes only such tuples."""
+    w = _new_word(Word)
+    _set_letters(w, letters)
+    return w
+
+
 def alphabet(rank: int) -> Tuple[int, ...]:
     letters = []
     for i in range(1, rank + 1):

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import csv_oracle
 import schottky
-from conftest import cached_sample_group, permuted
+from conftest import cached_sample_group, drawn_groups, permuted
 from schottky.cli import COMMANDS, build_parser, main
 from schottky.errors import SchottkyError
 from schottky.groups import sample_group
@@ -176,6 +177,46 @@ def test_heights_scan_rows_name_the_scan_entries(
     assert rows == [
         [str(len(w)), str(w), str(h), str(scan.threshold_bin(h))] for w, h in zip(words, heights)
     ]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def _cli_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=80)
+@given(G=drawn_groups((3, 5, 7)), depth=st.integers(1, 3))
+def test_limit_cover_csv_matches_csv_writer(csv_dir, G, depth):
+    """limit-cover's plain lines are the bytes csv.writer writes for the
+    same rows, on conjugated groups too, whose centers may be fractions."""
+    path = csv_dir / "cover_group.json"
+    save_group(G, path)
+    code, out = _cli_text(["limit-cover", str(path), "--depth", str(depth)])
+    assert code == 0
+    want = csv_oracle.limit_cover_csv(G, depth)
+    event("a fractional center" if "/" in want else "integral centers only")
+    assert out == want
+
+
+@settings(max_examples=60)
+@given(G=drawn_groups((3, 5, 7)), max_length=st.integers(1, 5))
+def test_heights_scan_csv_matches_csv_writer(csv_dir, G, max_length):
+    """heights-scan's plain lines are the bytes csv.writer writes for the
+    same rows."""
+    path, out_path = csv_dir / "scan_group.json", csv_dir / "scan.csv"
+    save_group(G, path)
+    code, _ = _cli_text(
+        ["heights-scan", str(path), "--max-length", str(max_length), "--out", str(out_path)]
+    )
+    assert code == 0
+    assert out_path.read_bytes() == csv_oracle.heights_scan_csv(G, max_length).encode()
 
 
 def test_output_files_reload(capsys, g5_file, tmp_path):

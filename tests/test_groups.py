@@ -6,7 +6,7 @@ from hypothesis import assume, event, given, strategies as st
 
 import cover_oracle
 import floor_oracle
-from conftest import CONJUGATOR_NAMES, conjugate, drawn_groups
+from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate, drawn_groups
 from schottky.disks import Affinoid, Disk, contains_disk
 from schottky.errors import (
     AxiomViolation,
@@ -130,6 +130,20 @@ def test_limit_cover_matches_the_closed_leaf_disks(G, depth):
     assert type(got.max_radius_exponent) is type(want.max_radius_exponent)
     for letters, h, D in cover_oracle.leaves(G, depth):
         assert _disk_fields(G._cover_node(letters, h)[1]) == _disk_fields(D)
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3))
+def test_limit_cover_words_equal_the_checked_words(rank):
+    """The cover's Words, built without the checks of Word(...), are the
+    reduced words of the depth in walk order, each equal to Word(letters)."""
+    G = cached_sample_group(5, rank)
+    for depth in range(1, 5):
+        words = [w for w, _ in G.limit_cover(depth).entries]
+        assert words == list(reduced_words(rank, depth))
+        for w in words:
+            assert type(w) is Word and type(w.letters) is tuple
+            assert all(type(l) is int for l in w.letters)
+            assert w == Word(w.letters) and hash(w) == hash(Word(w.letters))
 
 
 def test_delta_to_limit_at_infinity(g5):

@@ -1,8 +1,9 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schottky.errors import NotASquareInQp, PrecisionExhausted
 from schottky.padic import NEG_INF, PadicApprox, PrimeContext, valuation
@@ -71,6 +72,11 @@ nonsingular = matrices.filter(lambda m: m[0] * m[3] != m[1] * m[2])
 
 
 @given(m1=nonsingular, m2=nonsingular)
+# raw products (0, -1, 1, 0) and (0, -2, 2, 0), with a = 0 and b < 0, and
+# (-2, -2, 4, 6), whose content is divided out with a negative sign
+@example(m1=(0, 1, 1, 0), m2=(1, 0, 0, -1))
+@example(m1=(1, -1, 1, 1), m2=(1, -1, 1, 1))
+@example(m1=(1, -1, 1, 1), m2=(1, 2, 3, 4))
 def test_trusted_product_and_inverse_match_the_checked_constructor(m1, m2):
     g, h = Homography(*m1), Homography(*m2)
     a, b, c, d = g.entries
@@ -80,6 +86,28 @@ def test_trusted_product_and_inverse_match_the_checked_constructor(m1, m2):
     assert g.inverse().entries == Homography(d, -b, -c, a).entries
     assert g * h == product and hash(g * h) == hash(product)
     assert (g * g.inverse()).is_identity
+
+
+@given(m1=nonsingular, m2=nonsingular)
+def test_homography_is_a_frozen_slot_instance(m1, m2):
+    """A checked, product, inverse or identity Homography has no __dict__,
+    refuses assignment and deletion, and its == and hash are those of the
+    checked constructor over its entries."""
+    g, h = Homography(*m1), Homography(*m2)
+    for x in (g, g * h, g.inverse(), Homography.identity()):
+        checked = Homography(*x.entries)
+        assert x == checked and hash(x) == hash(checked)
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            x.entries = (1, 0, 0, 1)
+        with pytest.raises(FrozenInstanceError):
+            del x.entries
+        # a name outside the fields is refused too; Python 3.11's frozen
+        # __setattr__ raises TypeError there, as it still names the class
+        # that slots=True replaced
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            x.scale = 2
+    assert Homography.__slots__ == ("entries",)
 
 
 def test_delta_examples():
