@@ -3,7 +3,9 @@
 Every subcommand reads canonical JSON/CSV and writes deterministic
 output: identical inputs and flags give byte-identical bytes, and
 --threads only changes wall time.  Failures exit nonzero with a
-machine-readable {"error": ...} line.
+machine-readable {"error": ...} line.  ``geodesy`` and ``heights`` are
+imported by the handlers that run them, so other commands do not load
+them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import geodesy, heights
 from .errors import SchottkyError
 from .groups import sample_group
 from .serialize import (
@@ -87,6 +88,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_heights_scan(args) -> int:
+    from . import heights
+
     G = load_group(args.group)
     scan = heights.upsilon_scan(G, args.max_length, workers=args.threads)
     letters = range(1, G.rank + 1)
@@ -113,6 +116,8 @@ def cmd_heights_scan(args) -> int:
 
 
 def cmd_upsilon(args) -> int:
+    from . import heights
+
     G = load_group(args.group)
     scan = heights.upsilon_scan(G, args.max_length, workers=args.threads)
     _emit(scan.summary_dict())
@@ -136,6 +141,8 @@ def cmd_proper_fit(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
+    from . import geodesy
+
     G = load_group(args.group)
     try:
         raw_x, raw_y = args.pair.split(",")
@@ -152,6 +159,8 @@ def cmd_stabilizer(args) -> int:
 
 
 def cmd_geodesic_probe(args) -> int:
+    from . import geodesy
+
     G1, g, G2, depth = load_pair(args.pair)
     if args.depth is not None:
         depth = args.depth

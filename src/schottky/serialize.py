@@ -11,7 +11,6 @@ identity on canonical files and outputs diff cleanly.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from fractions import Fraction
@@ -204,6 +203,8 @@ def canonical_json(obj) -> str:
 def _load_csv(path, kind, header, parse_row):
     """parse_row applied to the fields of each row of a CSV export; a row
     that does not parse raises FormatError with the path and line."""
+    import csv
+
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:

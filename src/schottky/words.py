@@ -33,7 +33,7 @@ class _LetterNames(dict):
 
 _NAMES = _LetterNames((l, letter_name(l)) for i in range(1, 65) for l in (i, -i))
 
-_LETTER_RE = re.compile(r"^g(\d+)(\^-1)?$")
+_LETTER_RE = re.compile(r"g([1-9][0-9]*)(\^-1)?")
 
 
 class Word:
@@ -107,9 +107,9 @@ class Word:
             return Word(())
         letters = []
         for piece in text.split("*"):
-            m = _LETTER_RE.match(piece.strip())
+            m = _LETTER_RE.fullmatch(piece.strip())
             if not m:
-                raise ValueError(f"cannot parse letter {piece!r}")
+                raise ValueError(f"{piece.strip()!r} is not a letter")
             idx = int(m.group(1))
             letters.append(-idx if m.group(2) else idx)
         return Word(letters)

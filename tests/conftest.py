@@ -1,9 +1,12 @@
 import functools
+import os
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, settings, strategies as st
 
+import schottky
 from schottky import PrimeContext, sample_group
 from schottky.disks import image
 from schottky.errors import InvalidArgument
@@ -14,6 +17,14 @@ from schottky.proj import INFINITY, Homography, ProjPoint
 # deadline keeps slow or throttled hosts from failing correct code.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+def child_env():
+    """The environment of a child Python that imports the package from
+    where this process found it."""
+    src = str(Path(schottky.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` patches entry points by identity and reads two
 group caches by attribute name, so a rename in the library would only
-show as a failed self-check of a traced benchmark run.  One test loads
-the tracer from its file and runs its hooks once; the other runs the
-benchmark's own self-test, which checks every workload's output.
+show as a failed self-check of a traced benchmark run.  Two tests load
+the tracer from its file: one runs its hooks once, and one checks that
+the package's exported names follow its patches in and out.  The last
+runs the benchmark's own self-test, which checks every workload's output.
 """
 
 import importlib.util
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import schottky
 from schottky.groups import sample_group
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -35,6 +37,33 @@ def test_tracer_reaches_every_traced_name():
         tracer.uninstall()
     assert tracer.maxima["groups.cover_cache.entries"] == 0
     assert tracer.maxima["groups.bdisk_cache.entries"] == 0
+
+
+def package_bindings():
+    """Each exported name as the package gives it, with the object its
+    defining module binds now."""
+    bindings = {}
+    for name in schottky.__all__:
+        value = getattr(schottky, name)
+        bindings[name] = (value, getattr(sys.modules[value.__module__], name))
+    return bindings
+
+
+def test_package_names_follow_the_tracer_in_and_out():
+    tracer_module = load_tracer_module()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        traced = package_bindings()
+    finally:
+        tracer.uninstall()
+    restored = package_bindings()
+    for name in schottky.__all__:
+        assert traced[name][0] is traced[name][1], name
+        assert restored[name][0] is restored[name][1], name
+    # the tracer wraps some exported functions, and they are unwrapped again
+    assert any(hasattr(traced[name][0], "__wrapped__") for name in schottky.__all__)
+    assert not any(hasattr(restored[name][0], "__wrapped__") for name in schottky.__all__)
 
 
 def test_benchmark_selftest_passes():

@@ -5,7 +5,6 @@ import io
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -15,8 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import csv_oracle
-import schottky
-from conftest import cached_sample_group, drawn_groups, permuted
+from conftest import cached_sample_group, child_env, drawn_groups, permuted
 from schottky.cli import COMMANDS, build_parser, main
 from schottky.errors import SchottkyError
 from schottky.groups import sample_group
@@ -299,29 +297,27 @@ def test_machine_readable_errors(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
-def _child_env():
-    # the child imports the package from where this process found it
-    src = str(Path(schottky.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 def test_console_entry_point(g5_file):
     proc = subprocess.run(
         [sys.executable, "-m", "schottky.cli", "reduce", g5_file, "--point", "inf"],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"point": "inf", "word": "id"}
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    """Only a pooled heights scan imports the process pool, so a plain
-    command does not pay for multiprocessing at startup."""
-    code = "import schottky.cli, sys; sys.exit('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=_child_env())
+    """Only a pooled heights scan imports the process pool, and only the
+    commands that run them import geodesy and heights, so a plain command
+    pays for none of them at startup."""
+    code = (
+        "import schottky.cli, sys; "
+        "sys.exit(any(m in sys.modules for m in "
+        "('multiprocessing', 'schottky.geodesy', 'schottky.heights')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env())
     assert proc.returncode == 0
 
 
@@ -330,7 +326,7 @@ def test_enumerate_streams_words_past_the_recursion_limit(g5_file):
         [sys.executable, "-m", "schottky.cli", "enumerate", g5_file, "--length", "3000"],
         stdout=subprocess.PIPE,
         text=True,
-        env={**_child_env(), "PYTHONUNBUFFERED": "1"},
+        env={**child_env(), "PYTHONUNBUFFERED": "1"},
     )
     try:
         first = proc.stdout.readline()

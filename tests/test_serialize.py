@@ -226,8 +226,13 @@ def test_missing_precision_defaults_to_64(g5):
         (load_scan_csv, "length,word,height,threshold_bin\n1,g1\n", "4 fields"),
         (load_cover_csv, "word,center,radius_exp\ng0,1,-1\n", "not a letter"),
         (load_cover_csv, "word,center,radius_exp\ng1\n", "3 fields"),
+        (load_scan_csv, "length,word,height,threshold_bin\n1,g\u0661,5,1\n", "not a letter"),
+        (load_cover_csv, "word,center,radius_exp\ng01,1,-1\n", "not a letter"),
     ),
-    ids=("scan_bad_int", "scan_bad_word", "scan_short_row", "cover_bad_word", "cover_short_row"),
+    ids=(
+        "scan_bad_int", "scan_bad_word", "scan_short_row", "cover_bad_word", "cover_short_row",
+        "scan_non_ascii_digit", "cover_leading_zero",
+    ),
 )
 def test_csv_row_errors_name_path_and_line(tmp_path, loader, text, needle):
     path = tmp_path / "rows.csv"

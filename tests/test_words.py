@@ -65,6 +65,20 @@ def test_serialization_round_trip():
         Word.parse("h1")
 
 
+@pytest.mark.parametrize("rank", (1, 2, 3))
+def test_every_word_name_parses_back(rank):
+    for length in range(4):
+        for w in reduced_words(rank, length):
+            assert Word.parse(str(w)) == w
+
+
+@pytest.mark.parametrize("text", ("g\u0661", "g01", "g0", "g1^-1*g\u0662", "g+1", "g 1"))
+def test_letter_names_take_ascii_digits_without_a_leading_zero(text):
+    # the names str(Word) writes, as parse_rational takes only [0-9] for points
+    with pytest.raises(ValueError, match="is not a letter"):
+        Word.parse(text)
+
+
 def test_alphabet_order():
     assert alphabet(2) == (1, -1, 2, -2)
 
