@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import groups
-from .errors import CyclicLinks, InvalidArgument, MaxStepsExceeded, SchottkyError
+from .errors import CyclicLinks, InvalidArgument, SchottkyError
 from .groups import SchottkyGroup, _refuse_long_walk
 from .padic import valuation
 from .proj import Homography, ProjPoint
@@ -149,28 +149,27 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     fixed point commute: conjugated to fix infinity they are affine, their
     commutator is a translation fixing that point, and a Schottky group
     has no parabolic elements.  Commuting elements of a free group lie in
-    one cyclic group <gamma>; and with gamma = u c u^-1, c cyclically
-    reduced, |gamma^k| = 2|u| + |k||c| is longer than gamma for |k| >= 2.
-    So the first word that fixes x, by length then lexicographically, is
-    gamma or gamma^-1.  A power of gamma fixes y only if gamma does, so the
-    search returns that first word if it also fixes y, and no word
-    otherwise.
+    one cyclic group <gamma>, and with gamma = u c u^-1, c cyclically
+    reduced, |gamma^k| = 2|u| + |k||c| > |gamma| for |k| >= 2.  So the
+    first word fixing x is gamma or gamma^-1, and it fixes y or none does.
+
+    gamma is read off the pull-back z_0 = x, z_k = generator(-l_k)(z_{k-1})
+    of ``_pull_back``.  A z in the fundamental domain is off the limit set,
+    which lies in the open domain disks and is G-invariant, so no element
+    fixes x.  At the first repeat z_j = z_i, i < j, with u = l_1..l_i and
+    c = l_{i+1}..l_j, c fixes z_i and gamma = u c u^-1 fixes x; gamma is
+    reduced (the pull-back letters are, and l_i != l_j as the repeat is
+    the first), c is primitive, and gamma generates Stab(x), of length
+    i + j.  A stabilizer u c u^-1 makes the pull-back repeat by step
+    |u| + |c|, so depth steps, one word product and no walk decide it.
 
     The integer conjugator s = (x.den, -x.num; y.den, -y.num) sends x to
-    0 and y to infinity, with infinity on either side, so s h s^-1 is
-    z -> lambda z for the word h found.  lambda is normalized to the
-    orientation of archimedean size >= 1; its p-adic absolute value is
-    never 1, since nontrivial stabilizing elements are hyperbolic.  A
-    depth with more than MAX_WALK_WORDS words up to it is refused with
-    InvalidArgument before the walk starts.
-
-    A pair with a point that reduces into the fundamental domain F has no
-    stabilizer, and no walk is made.  The limit set lies in the union of
-    the open domain disks D_l, because each cover disk of a length-2 word
-    lies in one; F misses every D_l, and the limit set is G-invariant, so
-    the point is off it.  Every nontrivial element is hyperbolic with both
-    fixed points on the limit set.  A point that does not reduce within
-    ``reduce_point``'s default budget is left to the walk.
+    0 and y to infinity, so s h s^-1 is z -> lambda z for the word h
+    found; lambda is taken with archimedean size >= 1, and its p-adic
+    size is never 1, since stabilizing elements are hyperbolic.  A depth
+    with more than MAX_WALK_WORDS words up to it is refused with
+    InvalidArgument, as a walk of the word tree is: that keeps every CLI
+    answer, and it bounds the pull-back of a point whose height grows.
     """
     G.ensure_verified()
     x, y = pair
@@ -179,23 +178,21 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     if depth < 1:
         raise InvalidArgument("depth must be >= 1")
     _refuse_long_walk(G.rank, depth)
-    for z in pair:
-        try:
-            G.reduce_point(z)
-        except MaxStepsExceeded:
-            continue
-        return StabilizerResult(None, None)
-    for _, letters, h in G._walk(depth):
-        if h.apply(x) == x:
-            break
-    else:
-        return StabilizerResult(None, None)
-    if h.apply(y) != y:
+    letters, z, first = [], x, {x: 0}
+    for _ in range(depth):
+        step, z, letter = G._pull_back(z, 1)
+        letters += step
+        if first.setdefault(z, len(letters)) < len(letters) or letter is None:
+            break  # a repeat, or z is in the fundamental domain
+    u = letters[: first[z]]  # every letter when z is new, and gamma = 1
+    gamma = Word.reduced(letters + [-l for l in reversed(u)])
+    word = min(gamma, gamma.inverse())
+    h = G.word_homography(word)
+    if not word or len(word) > depth or h.apply(y) != y:
         return StabilizerResult(None, None)
     conj = Homography(x.den, -x.num, y.den, -y.num)
     d = conj * h * conj.inverse()  # fixes 0 and infinity, so diagonal
     lam = Fraction(d.a, d.d)
-    word = Word(letters)
     if valuation(lam, G.p) == 0:
         raise SchottkyError(f"stabilizer {word} has |multiplier| = 1; group is not Schottky")
     return StabilizerResult(word, lam if abs(lam) >= 1 else 1 / lam)

@@ -1,20 +1,27 @@
 """Reference flats and pair stabilizers: the rules ``geodesy`` followed
-before one resolver served ``normalize_flat`` and ``apply_flat`` and the
-stabilizer search returned its first hit.
+before one resolver served ``normalize_flat`` and ``apply_flat``, before
+the stabilizer search returned its first hit, and before the stabilizer
+was read off the pull-back of x.
 
 ``apply_flat`` propagates values along links until nothing changes.
 ``pair_stabilizer`` scans every word up to the depth, conjugates each
 hit so the pair becomes (0, inf) through the Fraction conjugator, and
 keeps the hit with the least (|v_p(lambda)|, walk order).
-``test_geodesy.py`` compares the library with both.
+``walk_pair_stabilizer`` walks the word tree to the first word that
+fixes x, after a reduction of each point that skips the walk when the
+point reduces into the fundamental domain.
+``test_geodesy.py`` compares the library with all three, and
+``test_subgroups.py`` with the walk.
 """
 
 from fractions import Fraction
 
-from schottky.errors import InvalidArgument, SchottkyError
+from schottky.errors import InvalidArgument, MaxStepsExceeded, SchottkyError
 from schottky.geodesy import Fixed, Free, Linked, StabilizerResult
+from schottky.groups import _refuse_long_walk
 from schottky.padic import valuation
 from schottky.proj import Homography
+from schottky.words import Word
 
 
 def apply_flat(coords, free_values):
@@ -76,3 +83,36 @@ def pair_stabilizer(G, pair, depth):
     if best is None:
         return StabilizerResult(None, None)
     return StabilizerResult(best[1], best[2])
+
+
+def walk_pair_stabilizer(G, pair, depth):
+    """The library's ``pair_stabilizer`` when it walked the word tree: the
+    first word, by length then lexicographically, that fixes x, kept if
+    it also fixes y."""
+    G.ensure_verified()
+    x, y = pair
+    if x == y:
+        raise InvalidArgument("need two distinct points")
+    if depth < 1:
+        raise InvalidArgument("depth must be >= 1")
+    _refuse_long_walk(G.rank, depth)
+    for z in pair:
+        try:
+            G.reduce_point(z)
+        except MaxStepsExceeded:
+            continue
+        return StabilizerResult(None, None)
+    for _, letters, h in G._walk(depth):
+        if h.apply(x) == x:
+            break
+    else:
+        return StabilizerResult(None, None)
+    if h.apply(y) != y:
+        return StabilizerResult(None, None)
+    conj = Homography(x.den, -x.num, y.den, -y.num)
+    d = conj * h * conj.inverse()  # fixes 0 and infinity, so diagonal
+    lam = Fraction(d.a, d.d)
+    word = Word(letters)
+    if valuation(lam, G.p) == 0:
+        raise SchottkyError(f"stabilizer {word} has |multiplier| = 1; group is not Schottky")
+    return StabilizerResult(word, lam if abs(lam) >= 1 else 1 / lam)

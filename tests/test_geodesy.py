@@ -1,8 +1,9 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import flat_oracle
 from conftest import conjugate, drawn_groups, permuted, rational_fixed_pairs
@@ -23,7 +24,7 @@ from schottky.geodesy import (
 from schottky.groups import sample_group
 from schottky.padic import valuation
 from schottky.proj import INFINITY, Homography, ProjPoint
-from schottky.words import Word
+from schottky.words import Word, alphabet
 
 
 def test_normalize_simple_link(g5):
@@ -205,19 +206,84 @@ def test_pair_stabilizer_generic_pair_empty(g5):
     assert res.word is None and res.multiplier is None
 
 
+@st.composite
+def conjugate_fixed_pairs(draw):
+    """(group, pair): the fixed pair u(x), u(y) of u w u^-1, in either
+    order, with (x, y) the rational fixed pair of a word w up to length 3
+    and u a reduced word up to length 3, so that the pull-back of either
+    point repeats after the prefix u."""
+    G = draw(drawn_groups((3, 5, 7)))
+    pairs = rational_fixed_pairs(G)
+    assume(pairs)
+    x, y = draw(st.sampled_from(pairs))
+    u = []
+    for _ in range(draw(st.integers(0, 3))):
+        u.append(draw(st.sampled_from([l for l in alphabet(G.rank) if u[-1:] != [-l]])))
+    h = G.word_homography(u)
+    event(f"|u| = {len(u)}")
+    pair = h.apply(x), h.apply(y)
+    return G, pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def walk_reference_cases(draw):
+    """(group, pair, depth): a ``stabilizer_cases`` pair or a conjugate
+    fixed pair, at depths up to 7 at ranks 1 and 2 and up to 5 at rank 3."""
+    G, pair = draw(st.one_of(stabilizer_cases(), conjugate_fixed_pairs()))
+    return G, pair, draw(st.integers(1, 7 if G.rank < 3 else 5))
+
+
+def _no_walk(*args):
+    raise AssertionError("walked the word tree")
+
+
+@contextmanager
+def counted_pull_backs(G, depth):
+    """Patch G so that walking the word tree, reducing a point or more
+    than depth pull-back calls fail; yields the list of steps each
+    pull-back call made."""
+    pull_back = G._pull_back
+    steps = []
+
+    def counted(z, max_steps):
+        if len(steps) == depth:
+            raise AssertionError(f"more than {depth} pull-back calls")
+        letters, z, letter = pull_back(z, max_steps)
+        steps.append(len(letters))
+        return letters, z, letter
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_walk", "iter_words_with_matrices", "reduce_point"):
+            mp.setattr(G, name, _no_walk)
+        mp.setattr(G, "_pull_back", counted)
+        yield steps
+
+
+@settings(max_examples=300)
+@given(walk_reference_cases())
+def test_pair_stabilizer_matches_the_walk(case):
+    """The pull-back answers as the walk to the first word fixing x did,
+    with no word-tree walk and no reduction: at most depth pull-back
+    calls, of one step each, and none after a call that found x's
+    pull-back in the fundamental domain."""
+    G, pair, depth = case
+    want = flat_oracle.walk_pair_stabilizer(G, pair, depth)
+    event("hit" if want.word else "no hit")
+    with counted_pull_backs(G, depth) as steps:
+        assert pair_stabilizer(G, pair, depth) == want
+    assert steps and set(steps) <= {0, 1} and 0 not in steps[:-1]
+
+
 @pytest.mark.parametrize("pair", ((INFINITY, ProjPoint(7)), (ProjPoint(0), ProjPoint(7))))
-def test_pair_stabilizer_skips_the_walk_off_the_limit_set(g5, pair, monkeypatch):
+def test_pair_stabilizer_skips_the_walk_off_the_limit_set(pair):
     """7 reduces into the fundamental domain, so it is off the limit set
-    and no word fixes it, whichever side of the pair it is on; 0 is a
-    fixed point of g1 and does not reduce."""
+    and no word fixes it, whichever side of the pair it is on; infinity
+    lies in the fundamental domain, and 0 is a fixed point of g1."""
     G = sample_group(5, 2)
-
-    def no_walk(depth):
-        raise AssertionError("walked")
-
-    monkeypatch.setattr(G, "_walk", no_walk)
     for x, y in (pair, pair[::-1]):
-        assert pair_stabilizer(G, (x, y), 11) == StabilizerResult(None, None)
+        with counted_pull_backs(G, 11) as steps:
+            assert pair_stabilizer(G, (x, y), 11) == StabilizerResult(None, None)
+        assert len(steps) <= 3
 
 
 @pytest.mark.parametrize(
@@ -228,22 +294,37 @@ def test_pair_stabilizer_skips_the_walk_off_the_limit_set(g5, pair, monkeypatch)
         ((ProjPoint(0), ProjPoint(1)), StabilizerResult(Word((1,)), Fraction(25))),
     ),
 )
-def test_pair_stabilizer_stops_at_the_first_word_fixing_x(pair, want, monkeypatch):
-    """g1 fixes 0 and 1, g2 fixes 2 and 3: the first word fixing x is a
-    generator, so the search takes at most the 4 words of length 1, and
-    answers by whether that word also fixes y."""
+def test_pair_stabilizer_stops_at_the_first_word_fixing_x(pair, want):
+    """g1 fixes 0 and 1, g2 fixes 2 and 3: the pull-back of x repeats at
+    its first step, and the answer is whether that generator fixes y."""
     G = sample_group(5, 2)
-    walk = G._walk
-    taken = []
+    with counted_pull_backs(G, 11) as steps:
+        assert pair_stabilizer(G, pair, 11) == want
+    assert steps == [1]
 
-    def counted_walk(depth):
-        for node in walk(depth):
-            taken.append(node)
-            yield node
 
-    monkeypatch.setattr(G, "_walk", counted_walk)
-    assert pair_stabilizer(G, pair, 11) == want
-    assert 1 <= len(taken) <= 4
+# g2^6(0), fixed by no word up to length 11; and the fixed pair of
+# g2^5 g1 g2^-5, a hit of length 11, the longest below the walk cap
+_G2_6_OF_0 = ProjPoint(1464843744, 732421873)
+_CONJUGATE_PAIR = ProjPoint(58593744, 29296873), ProjPoint(39062497, 19531249)
+
+
+@pytest.mark.parametrize(
+    "pair, depth, want",
+    (
+        ((_G2_6_OF_0, ProjPoint(3)), 11, StabilizerResult(None, None)),
+        (_CONJUGATE_PAIR, 11, StabilizerResult(Word((2,) * 5 + (1,) + (-2,) * 5), Fraction(25))),
+        (_CONJUGATE_PAIR[::-1], 11, StabilizerResult(Word((2,) * 5 + (1,) + (-2,) * 5), Fraction(25))),
+        (_CONJUGATE_PAIR, 10, StabilizerResult(None, None)),
+    ),
+)
+def test_pair_stabilizer_answers_at_the_walk_cap(pair, depth, want):
+    """The walk's answers at depths 10 and 11, where it took up to
+    354,292 words."""
+    G = sample_group(5, 2)
+    assert G.word_homography(Word((2,) * 6)).apply(ProjPoint(0)) == _G2_6_OF_0
+    with counted_pull_backs(G, depth):
+        assert pair_stabilizer(G, pair, depth) == want
 
 
 def test_pair_stabilizer_finds_only_powers(g5):
