@@ -18,15 +18,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "disks": "Affinoid Disk contains_disk disjoint image point_to_disk_delta poly_distance_exponent",
     "errors": "AxiomViolation CoefficientTooLarge ConstantPolynomial CyclicLinks DepthExceeded"
-    " FormatError InvalidArgument MaxStepsExceeded NotASquare NotASquareInQp OddValuation"
-    " PointNearLimitSet PrecisionExhausted SchottkyError UnsupportedPrime",
+    " FormatError InvalidArgument MaxStepsExceeded NotASquare NotASquareInQp PointNearLimitSet"
+    " SchottkyError UnsupportedPrime",
     "geodesy": "CommensurabilityReport Fixed FlatSpec Free GeodesicReport Linked StabilizerResult"
     " Verdict double_coset_scan geodesic_report normalize_flat pair_stabilizer",
     "groups": "AxiomReport DeltaGammaBound LimitCover Membership ProperFit SchottkyGroup"
     " TranslateScan sample_group",
     "heights": "CountingScan height_matrix height_rational height_tuple upsilon_scan",
-    "padic": "PadicApprox PrimeContext abs_exponent hensel_sqrt valuation",
-    "proj": "INFINITY ElementClass FixedPointPair Homography ProjPoint classify delta fixed_points",
+    "padic": "PrimeContext abs_exponent valuation",
+    "proj": "INFINITY ElementClass FixedPointPair Homography ProjPoint QuadPoint classify delta"
+    " fixed_points",
     "words": "Word",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

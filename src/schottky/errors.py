@@ -9,20 +9,12 @@ class UnsupportedPrime(SchottkyError):
     """Operation not implemented for this prime (p = 2 square roots)."""
 
 
-class OddValuation(SchottkyError):
-    """Square root requested for an element of odd valuation."""
-
-
 class NotASquare(SchottkyError):
     """Residue is a quadratic non-residue mod p."""
 
 
 class NotASquareInQp(SchottkyError):
     """Fixed-point discriminant is not a square in Q_p."""
-
-
-class PrecisionExhausted(SchottkyError):
-    """A p-adic approximation lost all significant digits."""
 
 
 class ConstantPolynomial(SchottkyError):

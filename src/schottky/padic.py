@@ -12,15 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidArgument, NotASquare, OddValuation, PrecisionExhausted, UnsupportedPrime
+from .errors import InvalidArgument, NotASquare
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
 
 #: exact exponent of a p-adic absolute value (or +-inf sentinels)
 Exponent = Union[int, Fraction, float]
-
-DEFAULT_PRECISION = 64
 
 Rational = Union[int, Fraction]
 
@@ -59,16 +57,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A prime p together with the digit precision N used by approximations."""
+    """A certified prime p."""
 
     p: int
-    precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise InvalidArgument(f"p = {self.p} is not prime")
-        if self.precision < 1:
-            raise InvalidArgument("precision must be >= 1")
 
 
 def valuation(x: Rational, p: int) -> Exponent:
@@ -130,70 +125,6 @@ def unit_residue(x: Rational, p: int, k: int = 1) -> int:
     return num // p ** valuation(num, p) * pow(den // p ** valuation(den, p), -1, m) % m
 
 
-@dataclass(frozen=True)
-class PadicApprox:
-    """A nonzero p-adic number known modulo p**(valuation + precision).
-
-    Represents unit * p**valuation with 0 < unit < p**precision and p not
-    dividing unit.  ``precision`` is the number of known base-p digits and
-    may be smaller than the context default when digits were lost to
-    cancellation.
-    """
-
-    valuation: int
-    unit: int
-    context: PrimeContext
-
-    def __post_init__(self):
-        p, n = self.context.p, self.context.precision
-        if not (0 < self.unit < p**n):
-            raise ValueError("unit out of range for the stated precision")
-        if self.unit % p == 0:
-            raise ValueError("unit must be prime to p")
-
-    @property
-    def precision(self) -> int:
-        return self.context.precision
-
-    @property
-    def modulus_exponent(self) -> int:
-        """The power of p modulo which the value is known."""
-        return self.valuation + self.precision
-
-    def abs_exponent(self) -> Exponent:
-        return -self.valuation
-
-    def residue(self, k: int) -> int:
-        """The value modulo p**k, for k <= valuation + precision."""
-        if k > self.modulus_exponent:
-            raise PrecisionExhausted(f"only {self.precision} digits known")
-        p = self.context.p
-        if k <= self.valuation:
-            return 0
-        return self.unit * p**self.valuation % p**k
-
-    def __str__(self):
-        p = self.context.p
-        return f"{self.unit}*{p}^{self.valuation} + O({p}^{self.modulus_exponent})"
-
-
-def quotient(num: int, den: int, p: int, k: int) -> PadicApprox:
-    """num / den for an integer num known modulo p**k and an exact nonzero
-    integer den.
-
-    The digits of num below p**k are its residue r; the quotient has
-    valuation v(r) - v(den) and the k - v(r) digits that r determines.
-    PrecisionExhausted when r = 0, where no digit is known.
-    """
-    r = num % p**k
-    if r == 0:
-        raise PrecisionExhausted(f"the numerator is 0 modulo {p}^{k}; no digit is known")
-    v, w = valuation(r, p), valuation(den, p)
-    m = p ** (k - v)
-    unit = r // p**v * pow(den // p**w, -1, m) % m
-    return PadicApprox(v - w, unit, PrimeContext(p, k - v))
-
-
 def sqrt_mod_prime(a: int, p: int) -> int:
     """A square root of a modulo an odd prime p (Tonelli-Shanks)."""
     a %= p
@@ -225,33 +156,3 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         c = b * b % p
         m = i
     return x
-
-
-def hensel_sqrt(a: Rational, ctx: PrimeContext) -> PadicApprox:
-    """Square root of a nonzero rational in Q_p, to N digits.
-
-    Requires p odd and v_p(a) even, with the unit part a quadratic
-    residue mod p.  Of the two roots the one whose leading digit lies
-    in {1, ..., (p-1)/2} is returned, so refining the precision only
-    appends digits.
-    """
-    p, n = ctx.p, ctx.precision
-    if p == 2:
-        raise UnsupportedPrime("p = 2 square roots are not supported")
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("square root of zero: use the zero approximation directly")
-    v = valuation(a, p)
-    if v % 2 != 0:
-        raise OddValuation(f"v_{p}({a}) = {v} is odd")
-    u = unit_residue(a, p, n)
-    r = sqrt_mod_prime(u, p)  # raises NotASquare
-    # Newton lifting of the unit square root, doubling digits each pass.
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        m = p**k
-        r = (r + u % m * pow(r, -1, m)) * pow(2, -1, m) % m
-    if r % p > (p - 1) // 2:
-        r = p**n - r
-    return PadicApprox(v // 2, r, ctx)

@@ -13,9 +13,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
-from . import padic
-from .errors import NotASquare, NotASquareInQp, OddValuation
-from .padic import Exponent, PadicApprox, PrimeContext, valuation
+from .errors import NotASquare, NotASquareInQp, UnsupportedPrime
+from .padic import Exponent, PrimeContext, sqrt_mod_prime, unit_residue, valuation
 
 
 class ProjPoint:
@@ -264,8 +263,24 @@ def lipschitz_exponent(g: Homography, ctx: PrimeContext) -> Exponent:
     return valuation(g.det, ctx.p)
 
 
-#: a fixed point is exact when rational, approximate otherwise
-FixedPoint = Union[ProjPoint, PadicApprox]
+@dataclass(frozen=True)
+class QuadPoint:
+    """The point x + w of Q_p, for p odd, where w**2 = D is rational and a
+    p-adic square but no rational square, and r (0 < r < p) is the unit
+    part of w modulo p, which tells w from -w.
+
+    Such a point has one representation, so equality and the hash are
+    those of the fields.
+    """
+
+    x: Fraction
+    D: Fraction
+    r: int
+    p: int
+
+
+#: a fixed point is exact: rational, or rational plus a quadratic irrationality
+FixedPoint = Union[ProjPoint, QuadPoint]
 
 
 @dataclass(frozen=True)
@@ -286,19 +301,23 @@ class FixedPointPair:
 def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     """Solve c z^2 + (d - a) z - b = 0 in P^1.
 
-    Returns exact points when the discriminant is a rational square and
-    Hensel approximations when it is only a p-adic square; raises
-    NotASquareInQp otherwise (the fixed points then live in a quadratic
-    extension, which only happens for non-hyperbolic elements).  The
-    Hensel root s is known modulo p**k, so z+- = (a - d +- s) / (2c) are
-    quotients of numerators known modulo p**k (PrecisionExhausted if one
-    is 0 there).
+    The roots are z+- = (a - d +- s) / (2c) with s**2 = disc = tr^2 - 4 det.
+    They are ``ProjPoint``s when disc is a rational square, and otherwise
+    ``QuadPoint(x, D, r, p)`` with x = (a - d) / 2c and D = disc / 4c^2
+    when disc is a p-adic square (NotASquareInQp when it is not: the fixed
+    points then lie in a quadratic extension, which only happens for
+    non-hyperbolic elements).  Write rho for the unit part modulo p, which
+    is multiplicative.  The root s is the one with rho(s) in 1..(p-1)/2,
+    and z+- = x +- s/2c carry the digits r = +-rho(s) / rho(2c) mod p.
 
     z+ attracts iff v(tr + s) < v(tr - s), the eigenvalues being
-    (tr +- s) / 2.  For hyperbolic g, v(s) = v(tr) = t, and exactly one
-    of tr +- s has valuation t: their sum 2 tr has valuation t, their
-    product 4 det more than 2t.  A Hensel s is known modulo p**k with
-    k > t, so its integer representative decides the same way.
+    (tr +- s) / 2.  For hyperbolic g, v(tr^2) < v(det), so v(s) = v(tr) = t,
+    and exactly one of tr +- s has valuation t: their sum 2 tr has
+    valuation t, their product 4 det more than 2t.  The difference of two
+    numbers of valuation t has valuation more than t iff their unit parts
+    agree modulo p, so v(tr - s) > t iff rho(s) = rho(tr) mod p: z+
+    attracts exactly then.  A rational s is tagged by its valuations,
+    which is the same rule for p odd and also serves p = 2.
     """
     if g.is_identity:
         raise ValueError("every point is fixed by the identity")
@@ -326,16 +345,23 @@ def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     if s * s == disc:
         z_plus = ProjPoint(a - d + s, 2 * c)
         z_minus = ProjPoint(a - d - s, 2 * c)
+        plus_attracts = cls.is_hyperbolic and valuation(a + d + s, p) < valuation(a + d - s, p)
     else:
+        if p == 2:
+            raise UnsupportedPrime("p = 2 square roots are not supported")
         try:
-            root = padic.hensel_sqrt(disc, ctx)
-        except (OddValuation, NotASquare) as exc:
+            if valuation(disc, p) % 2:
+                raise NotASquare(f"v_{p}({disc}) is odd")
+            rho = sqrt_mod_prime(unit_residue(disc, p), p)
+        except NotASquare as exc:
             raise NotASquareInQp(f"discriminant {disc} is not a square in Q_{p}") from exc
-        s, k = root.unit * p**root.valuation, root.modulus_exponent
-        z_plus = padic.quotient(a - d + s, 2 * c, p, k)
-        z_minus = padic.quotient(a - d - s, 2 * c, p, k)
+        rho = min(rho, p - rho)
+        x, D = Fraction(a - d, 2 * c), Fraction(disc, 4 * c * c)
+        r = unit_residue(Fraction(rho, 2 * c), p)
+        z_plus, z_minus = QuadPoint(x, D, r, p), QuadPoint(x, D, p - r, p)
+        plus_attracts = cls.is_hyperbolic and rho == unit_residue(a + d, p)
     if not cls.is_hyperbolic:
         return FixedPointPair((z_plus, z_minus), cls)
-    if valuation(a + d + s, p) < valuation(a + d - s, p):
+    if plus_attracts:
         return FixedPointPair((z_plus, z_minus), cls, z_plus, z_minus)
     return FixedPointPair((z_minus, z_plus), cls, z_minus, z_plus)

@@ -3,10 +3,13 @@
 Exact values serialize as their str(): "a" or "a/b" in lowest terms;
 points add "inf".  They load back as ``int`` when integral and as
 ``Fraction`` otherwise.
-Group files carry the prime, the digit precision, generator matrices in
-row-major rational strings, and the two disk lists.  Serialization is
-canonical (sorted keys, exact strings), so parse-then-serialize is the
-identity on canonical files and outputs diff cleanly.
+Group files carry the prime, generator matrices in row-major rational
+strings, and the two disk lists; the loader ignores a ``precision`` key,
+which older files carry.  The prime and a pair's depth are a JSON integer
+or integer text: a float or a boolean is refused, not truncated.
+Serialization is canonical (sorted keys, exact strings), so
+parse-then-serialize is the identity on canonical files and outputs diff
+cleanly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Tuple, Union
 from .disks import Disk
 from .errors import FormatError
 from .groups import SchottkyGroup
-from .padic import DEFAULT_PRECISION, PrimeContext
+from .padic import PrimeContext
 from .proj import Homography, ProjPoint
 from .words import Word
 
@@ -101,11 +104,21 @@ def parse_disk(data: dict, p: int, field: str = "disk") -> Disk:
     return Disk(kind == "bounded", is_open, center, radius_exp, p)
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer or integer text as an int; a float or a boolean,
+    which int() would truncate, is a FormatError."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise FormatError(f"{field}: missing or not an integer")
+
+
 def group_to_dict(G: SchottkyGroup) -> dict:
     return {
         "version": FORMAT_VERSION,
         "p": G.p,
-        "precision": G.ctx.precision,
         "generators": [homography_to_lists(g) for g in G.generators],
         "B": [disk_to_dict(D) for D in G.B],
         "C": [disk_to_dict(D) for D in G.C],
@@ -115,19 +128,12 @@ def group_to_dict(G: SchottkyGroup) -> dict:
 def group_from_dict(data: dict, field: str = "group") -> SchottkyGroup:
     if not isinstance(data, dict):
         raise FormatError(f"{field}: expected a JSON object")
-    try:
-        p = int(data["p"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise FormatError(f"{field}.p: missing or not an integer")
+    p = _integer(data.get("p"), f"{field}.p")
     version = data.get("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise FormatError(f"{field}.version: unsupported version {version}")
     try:
-        precision = int(data.get("precision", DEFAULT_PRECISION))
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"{field}.precision: expected an integer")
-    try:
-        ctx = PrimeContext(p, precision)
+        ctx = PrimeContext(p)
     except ValueError as exc:
         raise FormatError(f"{field}: {exc}") from exc
     for key in ("generators", "B", "C"):
@@ -184,11 +190,7 @@ def pair_from_dict(data: dict, base_dir=None) -> Tuple[SchottkyGroup, Homography
     G1 = resolve_group(data["gamma1"], "pair.gamma1")
     G2 = resolve_group(data["gamma2"], "pair.gamma2")
     g = parse_homography(data["g"], "pair.g")
-    try:
-        depth = int(data["depth"])
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError("pair.depth: expected an integer")
-    return G1, g, G2, depth
+    return G1, g, G2, _integer(data["depth"], "pair.depth")
 
 
 def load_pair(path) -> Tuple[SchottkyGroup, Homography, SchottkyGroup, int]:

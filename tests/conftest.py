@@ -29,7 +29,7 @@ def child_env():
 
 @pytest.fixture(scope="session")
 def ctx5():
-    return PrimeContext(5, 16)
+    return PrimeContext(5)
 
 
 @pytest.fixture(scope="session")

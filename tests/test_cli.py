@@ -419,16 +419,47 @@ def test_malformed_group_field_is_an_error_line(capsys, g5, tmp_path, key, value
     assert f"group.{key}" in json.loads(out)["error"]
 
 
-def test_non_integer_precision_is_an_error_line(capsys, g5, tmp_path):
+@pytest.mark.parametrize("precision", (64, 1, 0, -3, "x", 2.5, None))
+def test_group_file_with_any_precision_still_verifies(capsys, g5, tmp_path, precision):
+    # group files once carried a digit precision; the loader ignores it
     from schottky.serialize import canonical_json, group_to_dict
 
     data = group_to_dict(g5)
-    data["precision"] = "x"
-    path = tmp_path / "bad_precision.json"
+    assert "precision" not in data
+    data["precision"] = precision
+    path = tmp_path / "old.json"
     path.write_text(canonical_json(data))
     code, out = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+
+
+@pytest.mark.parametrize("value", (5.9, 5.0, True), ids=("float", "integral_float", "bool"))
+def test_float_or_boolean_prime_is_an_error_line(capsys, g5, tmp_path, value):
+    from schottky.serialize import canonical_json, group_to_dict
+
+    data = group_to_dict(g5)
+    data["p"] = value
+    path = tmp_path / "bad_p.json"
+    path.write_text(canonical_json(data))
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
     assert_single_error_line(code, out)
-    assert "precision" in json.loads(out)["error"]
+    assert err == ""
+    assert json.loads(out)["error"] == "group.p: missing or not an integer"
+
+
+@pytest.mark.parametrize("depth", (2.9, True), ids=("float", "bool"))
+def test_float_or_boolean_pair_depth_is_an_error_line(capsys, g5_file, tmp_path, depth):
+    pair = tmp_path / "pair.json"
+    identity = [["1", "0"], ["0", "1"]]
+    data = {"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": depth}
+    pair.write_text(json.dumps(data))
+    code = main(["geodesic-probe", str(pair)])
+    out, err = capsys.readouterr()
+    assert_single_error_line(code, out)
+    assert err == ""
+    assert json.loads(out)["error"] == "pair.depth: missing or not an integer"
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,9 @@ digests in ``COVER_COMMANDS`` were recorded while ``limit-cover`` still
 built each cover disk as the closure of the child word's open disk,
 before it imaged the closed domain disks by the parent word; they pin
 the rank-1 and rank-3 groups and the ``x/p^3`` conjugate of the rank-2
-group, whose cover disks are not chordal balls.
+group, whose cover disks are not chordal balls.  The ``sample_group``
+digest was recorded once group files stopped carrying a digit precision:
+it is the earlier output without its ``"precision":64`` key.
 """
 
 import hashlib
@@ -117,6 +119,11 @@ COMMANDS = {
         ["geodesic-probe", "{pair}"],
         0,
         "88404b0e43e2d9640cf00d58909f488163edca859ef40d9c278c10aac674a536",
+    ),
+    "sample_group": (
+        ["sample-group", "--p", "5", "--rank", "2"],
+        0,
+        "6d24125f846075e5123d34e043f1badd3e4089998c8d47fc10aa59ae5114319a",
     ),
 }
 

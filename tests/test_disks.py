@@ -17,7 +17,7 @@ from schottky.errors import CoefficientTooLarge, ConstantPolynomial
 from schottky.padic import NEG_INF, PrimeContext, abs_exponent
 from schottky.proj import INFINITY, Homography, ProjPoint, delta
 
-CTX = PrimeContext(5, 12)
+CTX = PrimeContext(5)
 P = 5
 
 

