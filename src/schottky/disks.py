@@ -12,10 +12,10 @@ center, and this makes semantic disk equality plain ``==``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from ._record import record
 from .errors import CoefficientTooLarge, ConstantPolynomial
 from .padic import NEG_INF, Exponent, PrimeContext, abs_exponent, valuation
 from .proj import Homography, ProjPoint, _new_point
@@ -38,7 +38,7 @@ def _canonical_center(num: int, den: int, min_valuation: int, p: int) -> Tuple[i
     return rep, -w
 
 
-@dataclass(frozen=True, slots=True)
+@record(hidden=("_m", "_pk", "_s"))
 class Disk:
     """An ultrametric disk in P^1 with exact p-power radius p**radius_exp;
     ``radius_exp`` is an ``int`` when integral, a ``Fraction`` otherwise.
@@ -54,15 +54,7 @@ class Disk:
     of sup max(1, |y|) over the bounded disk.
     """
 
-    bounded: bool
-    is_open: bool
-    _cn: int
-    _k: int
-    radius_exp: Exponent
-    p: int
-    _m: int = field(compare=False, repr=False)
-    _pk: int = field(compare=False, repr=False)
-    _s: Exponent = field(compare=False, repr=False)
+    __slots__ = ("bounded", "is_open", "_cn", "_k", "radius_exp", "p", "_m", "_pk", "_s")
 
     def __init__(self, bounded, is_open, center, radius_exp, p):
         # ints are kept as they are; anything else goes through Fraction
@@ -124,6 +116,17 @@ class Disk:
         x.num, x.den = self._cn, self._pk
         return x
 
+    # == and hash leave out the derived fields
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bounded, self.is_open, self._cn, self._k, self.radius_exp, self.p) == (
+                other.bounded, other.is_open, other._cn, other._k, other.radius_exp, other.p
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bounded, self.is_open, self._cn, self._k, self.radius_exp, self.p))
+
     def __str__(self):
         kind = "B" if self.is_open else "E"
         body = f"{kind}({self.center}, {self.p}^{self.radius_exp})"
@@ -134,7 +137,7 @@ _new_disk = object.__new__
 # The slots' own setters, which the frozen __setattr__ does not guard.
 (
     _set_bounded, _set_is_open, _set_cn, _set_k, _set_radius_exp, _set_p, _set_m, _set_pk, _set_s
-) = (vars(Disk)[f.name].__set__ for f in fields(Disk))
+) = (vars(Disk)[name].__set__ for name in Disk.__slots__)
 
 
 def _set_fields(D: Disk, bounded, is_open, cn, k, radius_exp, p, m, pk, s) -> Disk:
@@ -291,7 +294,7 @@ def poly_distance_exponent(
     return m, abs_exponent(m * coeffs[m], ctx.p)
 
 
-@dataclass(frozen=True)
+@record
 class Affinoid:
     """A closed disk (or all of P^1) minus finitely many open disks.
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import groups
+from ._record import record
 from .errors import CyclicLinks, InvalidArgument, SchottkyError
 from .groups import SchottkyGroup, _refuse_long_walk
 from .padic import valuation
@@ -23,17 +23,17 @@ from .proj import Homography, ProjPoint
 from .words import Word
 
 
-@dataclass(frozen=True)
+@record
 class Free:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Fixed:
     point: ProjPoint
 
 
-@dataclass(frozen=True)
+@record
 class Linked:
     source: int
     map: Homography
@@ -50,7 +50,7 @@ def _check_link_sources(coords: Tuple[CoordSpec, ...]):
             raise InvalidArgument(f"link source {c.source!r} is not in 0..{n - 1}")
 
 
-@dataclass(frozen=True)
+@record
 class FlatSpec:
     coords: Tuple[CoordSpec, ...]
     groups: Tuple[SchottkyGroup, ...]
@@ -68,7 +68,7 @@ class FlatSpec:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
+@record
 class NormalizedFlat:
     """Every link rewired directly to its free root; dimension = #free."""
 
@@ -136,7 +136,7 @@ def apply_flat(coords: Tuple[CoordSpec, ...], free_values) -> Tuple[ProjPoint, .
     )
 
 
-@dataclass(frozen=True)
+@record
 class StabilizerResult:
     word: Optional[Word]
     multiplier: Optional[Fraction]
@@ -203,7 +203,7 @@ class Verdict(enum.Enum):
     GROWING_NO_EVIDENCE = "GrowingNoEvidence"
 
 
-@dataclass(frozen=True)
+@record
 class CommensurabilityReport:
     depth: int
     coset_counts: Tuple[int, ...]  # forward scan, index = word length 0..depth
@@ -321,7 +321,7 @@ def double_coset_scan(
     )
 
 
-@dataclass(frozen=True)
+@record
 class GeodesicReport:
     depth: int
     pairs: Tuple[Tuple[int, int, CommensurabilityReport], ...]

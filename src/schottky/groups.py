@@ -24,13 +24,13 @@ h_v(K_l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 import math
 import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from ._record import record
 from .disks import (
     Affinoid,
     Disk,
@@ -84,14 +84,14 @@ def _refuse_long_walk(rank: int, depth: int):
         )
 
 
-@dataclass(frozen=True)
+@record
 class AxiomCheck:
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     checks: Tuple[AxiomCheck, ...]
 
@@ -112,7 +112,7 @@ class AxiomReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class LimitCover:
     """Closed word disks at a fixed word length; they cover the limit set."""
 
@@ -121,7 +121,7 @@ class LimitCover:
     max_radius_exponent: Exponent
 
 
-@dataclass(frozen=True)
+@record
 class DeltaGammaBound:
     """A certified interval around the chordal distance to the limit set.
 
@@ -139,7 +139,7 @@ class DeltaGammaBound:
     depth: int
 
 
-@dataclass(frozen=True)
+@record
 class Membership:
     member: bool
     word: Optional[Word]
@@ -148,7 +148,7 @@ class Membership:
         return self.member
 
 
-@dataclass(frozen=True)
+@record
 class ProperFit:
     """Envelope constants (a, b) with length <= a - b*log_p(delta) on all
     enumerated samples; exact rationals, empirical by construction."""
@@ -159,7 +159,7 @@ class ProperFit:
     sample_count: int
 
 
-@dataclass(frozen=True)
+@record
 class TranslateScan:
     """Words w up to the depth with w(A) meeting A2, plus an empirical
     completeness certificate from the envelope constants."""

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Dict, Iterable, Optional, Tuple
 
+from ._record import record
 from .errors import InvalidArgument
 from .proj import Homography
 from .words import count_words_up_to, walk
@@ -43,14 +43,14 @@ def growth_base(G) -> int:
     return 2 * max(height_matrix(g) for g in G.generators)
 
 
-@dataclass(frozen=True)
+@record
 class CountRow:
     length_exponent: int
     threshold: Optional[float]  # None when peak**(l/L) is beyond float range
     count: int
 
 
-@dataclass(frozen=True)
+@record(hidden=("bins",))
 class CountingScan:
     """Counts of positive words below height thresholds c**l.
 
@@ -73,7 +73,7 @@ class CountingScan:
     slope: float
     reference_exponent: float
     entries: Tuple[int, ...]
-    bins: Dict[int, int] = field(repr=False, compare=False)
+    bins: Dict[int, int]
 
     def threshold_bin(self, height: int) -> int:
         """The least l in 1 .. 4L with H**L <= peak**l, or -1 if none.

@@ -8,10 +8,10 @@ so ordinary comparisons and ``max``/``min`` do the right thing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import record
 from .errors import InvalidArgument, NotASquare
 
 POS_INF = float("inf")
@@ -55,7 +55,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class PrimeContext:
     """A certified prime p."""
 

@@ -8,11 +8,11 @@ equality of the entry tuples.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
+from ._record import record
 from .errors import NotASquare, NotASquareInQp, UnsupportedPrime
 from .padic import Exponent, PrimeContext, sqrt_mod_prime, unit_residue, valuation
 
@@ -91,11 +91,11 @@ _new_point = object.__new__
 INFINITY = ProjPoint.infinity()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Homography:
     """A PGL(2, Q) class in canonical integer form."""
 
-    entries: tuple  # (a, b, c, d)
+    __slots__ = ("entries",)  # (a, b, c, d)
 
     def __init__(self, a, b, c, d):
         _set_entries(self, _canonical_entries(a, b, c, d))
@@ -161,6 +161,16 @@ class Homography:
         a, b, c, d = self.entries
         x, y = point.num, point.den
         return _set_primitive(_new_point(ProjPoint), a * x + b * y, c * x + d * y)
+
+    # == and hash are those of the entries tuple, written out because
+    # products are hashed in the coset search
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     def __repr__(self):
         a, b, c, d = self.entries
@@ -263,7 +273,7 @@ def lipschitz_exponent(g: Homography, ctx: PrimeContext) -> Exponent:
     return valuation(g.det, ctx.p)
 
 
-@dataclass(frozen=True)
+@record
 class QuadPoint:
     """The point x + w of Q_p, for p odd, where w**2 = D is rational and a
     p-adic square but no rational square, and r (0 < r < p) is the unit
@@ -283,7 +293,7 @@ class QuadPoint:
 FixedPoint = Union[ProjPoint, QuadPoint]
 
 
-@dataclass(frozen=True)
+@record
 class FixedPointPair:
     """The two fixed points of a non-identity homography.
 

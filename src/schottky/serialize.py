@@ -6,7 +6,8 @@ points add "inf".  They load back as ``int`` when integral and as
 Group files carry the prime, generator matrices in row-major rational
 strings, and the two disk lists; the loader ignores a ``precision`` key,
 which older files carry.  The prime and a pair's depth are a JSON integer
-or integer text: a float or a boolean is refused, not truncated.
+or integer text in ASCII digits, as rationals are written: a float or a
+boolean is refused, not truncated.
 Serialization is canonical (sorted keys, exact strings), so
 parse-then-serialize is the identity on canonical files and outputs diff
 cleanly.
@@ -105,12 +106,17 @@ def parse_disk(data: dict, p: int, field: str = "disk") -> Disk:
 
 
 def _integer(value, field: str) -> int:
-    """A JSON integer or integer text as an int; a float or a boolean,
-    which int() would truncate, is a FormatError."""
-    if not isinstance(value, (bool, float)):
+    """A JSON integer, or integer text in the ASCII form of
+    ``parse_rational``, as an int; anything else is a FormatError: a float
+    or a boolean, which int() would truncate, and text such as "0_5" or
+    non-ASCII digits, which int() would read."""
+    if type(value) is int:
+        return value
+    match = _RATIONAL.fullmatch(value) if type(value) is str else None
+    if match and match.group(1) is None:
         try:
             return int(value)
-        except (TypeError, ValueError, OverflowError):
+        except ValueError:  # past int's digit limit
             pass
     raise FormatError(f"{field}: missing or not an integer")
 

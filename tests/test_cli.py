@@ -462,6 +462,30 @@ def test_float_or_boolean_pair_depth_is_an_error_line(capsys, g5_file, tmp_path,
     assert json.loads(out)["error"] == "pair.depth: missing or not an integer"
 
 
+@pytest.mark.parametrize("text", ("\u0665", "0_5"), ids=("arabic_indic_digit", "underscore"))
+def test_python_only_integer_text_is_an_error_line(capsys, g5, g5_file, tmp_path, text):
+    """A prime or a pair depth written as integer text that int() reads
+    but the ASCII grammar of the file does not is one error line, exit 2."""
+    from schottky.serialize import canonical_json, group_to_dict
+
+    data = group_to_dict(g5)
+    data["p"] = text
+    group = tmp_path / "bad_p.json"
+    group.write_text(canonical_json(data))
+    identity = [["1", "0"], ["0", "1"]]
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"gamma1": g5_file, "g": identity, "gamma2": g5_file, "depth": text}))
+    for argv, error in (
+        (["verify", str(group)], "group.p: missing or not an integer"),
+        (["geodesic-probe", str(pair)], "pair.depth: missing or not an integer"),
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert_single_error_line(code, out)
+        assert err == ""
+        assert json.loads(out)["error"] == error
+
+
 @pytest.mark.parametrize(
     "flags",
     (

@@ -10,7 +10,7 @@ Element classification, fixed points and the envelope fit are compared
 on random nonsingular integer matrices and random integer samples.
 """
 
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -204,14 +204,14 @@ def test_center_point(p, data):
 
 def _setattr_fill(D, *values):
     """The reference fill: each field in field order through object.__setattr__."""
-    for f, value in zip(fields(Disk), values):
-        object.__setattr__(D, f.name, value)
+    for name, value in zip(Disk.__slots__, values):
+        object.__setattr__(D, name, value)
     return D
 
 
 def all_fields(D: Disk) -> tuple:
     """Every field with its type, the derived _m, _pk and _s included."""
-    return tuple((type(v), v) for v in (getattr(D, f.name) for f in fields(Disk)))
+    return tuple((type(v), v) for v in (getattr(D, name) for name in Disk.__slots__))
 
 
 @given(m=matrices, p=primes, data=st.data())
@@ -234,9 +234,9 @@ def test_disk_fill_matches_setattr(m, p, data):
 
 def test_disk_fields_stay_frozen():
     D = Disk(False, True, Fraction(-7, 25), -1, 5)
-    for f in fields(Disk):
+    for name in Disk.__slots__:
         with pytest.raises(FrozenInstanceError):
-            setattr(D, f.name, getattr(D, f.name))
+            setattr(D, name, getattr(D, name))
 
 
 @given(p=primes, data=st.data())

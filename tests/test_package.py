@@ -96,3 +96,13 @@ def test_modules_are_attributes_after_a_bare_import():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [f"schottky.{name}" for name in sorted(EXPORTS)]
+
+
+@pytest.mark.parametrize("module", ("cli", "groups", "serialize", "geodesy", "heights"))
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # the record classes are built without them; each costs milliseconds to load
+    proc = run_child(
+        f"import schottky.{module}, sys; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -223,7 +223,9 @@ def test_precision_field_is_ignored(g5, precision):
     assert group_to_dict(G) == group_to_dict(g5)
 
 
-@pytest.mark.parametrize("p", (5.9, 5.0, True, 1e400, "5.0"))
+# "\u0665" (Arabic-Indic five) and "0_5" are integer text to int(), not to
+# the ASCII grammar that every rational of the file follows
+@pytest.mark.parametrize("p", (5.9, 5.0, True, 1e400, "5.0", "\u0665", "0_5"))
 def test_prime_must_be_an_integer(g5, p):
     d = group_to_dict(g5)
     d["p"] = p
@@ -238,7 +240,7 @@ def test_prime_loads_from_an_integer_or_integer_text(g5, p):
     assert group_from_dict(d).p == 5
 
 
-@pytest.mark.parametrize("depth", (2.9, 2.0, True, False, None, "2.9"))
+@pytest.mark.parametrize("depth", (2.9, 2.0, True, False, None, "2.9", "\u0662", "0_2"))
 def test_pair_depth_must_be_an_integer(g5, depth):
     identity = [["1", "0"], ["0", "1"]]
     pair = {"gamma1": group_to_dict(g5), "g": identity, "gamma2": group_to_dict(g5), "depth": depth}
