@@ -11,6 +11,7 @@ them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import SchottkyError
@@ -303,11 +304,20 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
     try:
+        args = build_parser(command).parse_args(argv)  # an argument error may meet a closed pipe
         return args.func(args)
     except (SchottkyError, OSError) as exc:
-        sys.stdout.write(canonical_json({"error": str(exc)}))
+        try:
+            sys.stdout.write(canonical_json({"error": str(exc)}))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout: end quietly, and send what is still
+            # buffered, at the interpreter's final flush, to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
         return 2
 
 

@@ -143,7 +143,8 @@ class StabilizerResult:
 
 
 def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
-    """The first word, in walk order, that fixes both points of the pair.
+    """The shortest word fixing both points of the pair, the first of its
+    length in lexicographic order.
 
     Stab(x) is trivial or cyclic.  Two hyperbolic elements with a common
     fixed point commute: conjugated to fix infinity they are affine, their
@@ -151,7 +152,8 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     has no parabolic elements.  Commuting elements of a free group lie in
     one cyclic group <gamma>, and with gamma = u c u^-1, c cyclically
     reduced, |gamma^k| = 2|u| + |k||c| > |gamma| for |k| >= 2.  So the
-    first word fixing x is gamma or gamma^-1, and it fixes y or none does.
+    shortest words fixing x are gamma and gamma^-1, and they fix y or none
+    does.
 
     gamma is read off the pull-back z_0 = x, z_k = generator(-l_k)(z_{k-1})
     of ``_pull_back``.  A z in the fundamental domain is off the limit set,

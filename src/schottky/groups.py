@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 import math
 import operator
+import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import record
@@ -61,10 +62,11 @@ from .words import (
 
 _COVER_CACHE_CAP = 1 << 15
 
-# A limit cover or an envelope fit holds about 0.7 KB per word up to its
-# depth (measured on rank-2 and rank-3 sample groups at depths 7 to 10:
-# 0.65-0.8 KB per word walked for a cover, 0.7 KB per word past the cover
-# cache's cap for a fit), so the largest admitted request needs about 0.4 GB.
+# A limit cover holds about 0.5 KB per word up to its depth, and an envelope
+# fit about 0.35 KB per word past the cover cache's cap (CLI peak RSS on
+# rank-2 sample groups at depths 9 to 11 and rank 3 at depth 7), so the
+# largest admitted request needs about 0.2 GB: 185 MB for a rank-2 cover at
+# depth 11, 162 MB for the fit.
 MAX_WALK_WORDS = 5 * 10**5
 
 # (letters, homography) of the identity, where a descent from the root starts
@@ -161,8 +163,9 @@ class ProperFit:
 
 @record
 class TranslateScan:
-    """Words w up to the depth with w(A) meeting A2, plus an empirical
-    completeness certificate from the envelope constants."""
+    """Words w up to the depth with w(A) meeting A2, the identity first
+    and then in the walk's preorder, plus an empirical completeness
+    certificate from the envelope constants."""
 
     words: Tuple[Word, ...]
     depth: int
@@ -300,7 +303,8 @@ class SchottkyGroup:
 
     def iter_words_with_matrices(self, max_length: int):
         """(length, word, homography) for all reduced words of length
-        1..max_length, by length then lexicographically, with incremental
+        1..max_length in the walk's preorder (each word before its
+        extensions, each length lexicographically), with incremental
         products.  A length with more than MAX_WALK_WORDS words up to it is
         refused with InvalidArgument at the call."""
         return ((length, Word(letters), h) for length, letters, h in self._walk(max_length))
@@ -320,7 +324,7 @@ class SchottkyGroup:
 
     def limit_cover(self, depth: int) -> LimitCover:
         """The closed word disks of the given length, 2r(2r-1)**(depth-1)
-        of them, by word in the walk's order; a depth with more than
+        of them, in lexicographic order of the words; a depth with more than
         MAX_WALK_WORDS words up to it is refused with InvalidArgument.
 
         The walk stops one letter short: the disk of v * l is h_v(K_l),
@@ -584,6 +588,8 @@ class SchottkyGroup:
 
         One sample per word up to the depth and per base point: infinity
         plus a point on each boundary circle, pushed around by the word.
+        The identity's samples come first, then the words' in the walk's
+        preorder.
         A sample's t is -upper_exponent of delta_to_limit at cover depth
         n + 1 for a word of length n and the point infinity, and at depth
         n + 2 for a boundary point, which sits inside a closed cover disk
@@ -700,6 +706,16 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
         raise InvalidArgument("multiplier exponent must be an even integer >= 2")
     k = multiplier_exponent // 2
     ctx = PrimeContext(p)
+    # a generator's primitive integer matrix N has trace(N)**2 / det(N) =
+    # (1 + p**e)**2 / p**e, so trace(N)**2 > p**e and an entry exceeds
+    # p**(e/2) / 2: past 2 * limit + 1 digits of p**e, refuse before forming it
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = InvalidArgument(
+        f"a generator entry has more than {digit_limit} decimal digits, the limit for"
+        " integer text; lower the multiplier exponent"
+    )
+    if digit_limit and multiplier_exponent * math.log10(p) > 2 * digit_limit + 1:
+        raise too_long
 
     centers = [(2 * i, 2 * i + 1) for i in range(rank)]
     flat = [c for pair in centers for c in pair]
@@ -726,6 +742,8 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
         generators.append(m * scaling * m.inverse())
         B.append(Disk.open_disk(alpha, -k, p))
         C.append(Disk.open_disk(beta, -k, p))
+    if digit_limit and max(abs(x) for g in generators for x in g.entries) >= 10**digit_limit:
+        raise too_long  # str() could not write the entry, nor int() reload it
     group = SchottkyGroup(ctx, generators, B, C)
     group.ensure_verified()
     return group

@@ -145,54 +145,53 @@ def extensions(letters) -> Dict[int, Tuple[int, ...]]:
 
 
 def walk(roots, step, max_length: int) -> Iterator[Tuple[int, Tuple[int, ...], object]]:
-    """Level-order walk of the word tree below the roots.
+    """Depth-first walk of the word tree below the roots, in preorder.
 
     ``roots`` are ``(letters, value)`` pairs of one nonempty length in
     lexicographic order; ``step`` maps the alphabet, in order, to right
     factors: the child by letter l has the value ``value * step[l]``.
-    Yields ``(length, letters, value)`` up to ``max_length``, by length,
-    then lexicographically.
+    Yields ``(length, letters, value)`` up to ``max_length``, each node
+    before its children and each length in lexicographic order.  It holds
+    the path, and the parent's length, value and next index for each level
+    with letters left to try: a path with no branches holds no ancestor.
     """
     max_length = operator.index(max_length)
     after = extensions(step)
-    level = list(roots)
-    length = len(level[0][0]) if level else 0
-    while level and length <= max_length:
-        for letters, value in level:
-            yield length, letters, value
-        if length == max_length:
+    for letters, value in roots:
+        length = len(letters)
+        if length > max_length:
             return
-        length += 1
-        level = [
-            (letters + (l,), value * step[l])
-            for letters, value in level
-            for l in after[letters[-1]]
-        ]
+        path = list(letters)
+        levels = []  # [length, value, children, next index]
+        while True:
+            yield length, tuple(path), value
+            if length < max_length:
+                levels.append([length, value, after[path[-1]], 0])
+            if not levels:
+                break
+            length, value, children, i = level = levels[-1]
+            if i + 1 < len(children):
+                level[3] = i + 1
+            else:
+                levels.pop()  # its last letter is taken
+            path[length:] = children[i : i + 1]
+            length += 1
+            value = value * step[children[i]]
 
 
 def reduced_words(rank: int, length: int) -> Iterator[Word]:
-    """All reduced words of the exact length, in lexicographic order,
-    streamed depth first: one path of the tree is held, never a level."""
+    """All reduced words of the exact length, in lexicographic order: the
+    nodes of that length of a walk over unit values, streamed."""
     length = operator.index(length)
     if length < 0:
         raise InvalidArgument("length must be >= 0")
     if length == 0:
         yield Word(())
         return
-    after = extensions(alphabet(rank))
-    prefix = ()
-    choices = [iter(after[0])]  # the letters still to try after each prefix
-    while choices:
-        for l in choices[-1]:
-            if len(prefix) + 1 == length:
-                yield Word(prefix + (l,))
-            else:
-                prefix += (l,)
-                choices.append(iter(after[l]))
-                break
-        else:
-            choices.pop()
-            prefix = prefix[:-1]
+    unit = dict.fromkeys(alphabet(rank), 1)
+    for n, letters, _ in walk([((l,), 1) for l in unit], unit, length):
+        if n == length:
+            yield _trusted_word(letters)
 
 
 def count_reduced_words(rank: int, length: int) -> int:

@@ -7,9 +7,10 @@ was read off the pull-back of x.
 ``pair_stabilizer`` scans every word up to the depth, conjugates each
 hit so the pair becomes (0, inf) through the Fraction conjugator, and
 keeps the hit with the least (|v_p(lambda)|, walk order).
-``walk_pair_stabilizer`` walks the word tree to the first word that
-fixes x, after a reduction of each point that skips the walk when the
-point reduces into the fundamental domain.
+``walk_pair_stabilizer`` walks the word tree by length, in the level
+order of ``walk_oracle``, to the first word that fixes x, after a
+reduction of each point that skips the walk when the point reduces into
+the fundamental domain.
 ``test_geodesy.py`` compares the library with all three, and
 ``test_subgroups.py`` with the walk.
 """
@@ -22,6 +23,7 @@ from schottky.groups import _refuse_long_walk
 from schottky.padic import valuation
 from schottky.proj import Homography
 from schottky.words import Word
+from walk_oracle import group_walk
 
 
 def apply_flat(coords, free_values):
@@ -102,7 +104,7 @@ def walk_pair_stabilizer(G, pair, depth):
         except MaxStepsExceeded:
             continue
         return StabilizerResult(None, None)
-    for _, letters, h in G._walk(depth):
+    for _, letters, h in group_walk(G, depth):
         if h.apply(x) == x:
             break
     else:

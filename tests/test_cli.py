@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -335,6 +336,91 @@ def test_enumerate_streams_words_past_the_recursion_limit(g5_file):
         proc.wait(timeout=30)
         proc.stdout.close()
     assert first == "*".join(["g1"] * 3000) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (["enumerate", "--length", "12"], ["limit-cover", "--depth", "9"]),
+    ids=("enumerate", "limit-cover"),
+)
+def test_closed_stdout_pipe_ends_quietly(g5_file, argv):
+    """A reader that takes one line and closes the pipe leaves the command
+    a nonzero exit and nothing on stderr: no traceback, no error line."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schottky.cli", argv[0], g5_file, *argv[1:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    assert first
+    assert err == b""
+    assert proc.returncode != 0
+
+
+@pytest.mark.parametrize(
+    "argv", (["enumerate", "--length", "x"], ["verify"]), ids=("argument-error", "verify")
+)
+def test_pipe_closed_before_the_first_line_ends_quietly(g5_file, argv):
+    # the reader is gone before the command writes its one line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schottky.cli", argv[0], g5_file, *argv[1:]],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode != 0
+
+
+def sample_group_process(exponent, *flags):
+    """``schottky sample-group --p 7 --rank 1`` at the exponent, in a child
+    with the default 4,300-digit limit for integer text."""
+    return subprocess.run(
+        [sys.executable, "-m", "schottky.cli", "sample-group", "--p", "7", "--rank", "1"]
+        + ["--multiplier-exponent", str(exponent), *flags],
+        capture_output=True,
+        text=True,
+        env={**child_env(), "PYTHONINTMAXSTRDIGITS": "4300"},
+        timeout=60,
+    )
+
+
+def test_sample_group_at_the_digit_limit_saves_and_verifies(tmp_path):
+    # 7**5088 has 4,300 digits, and every entry fits the limit
+    path = tmp_path / "g.json"
+    proc = sample_group_process(5088, "--out", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert load_group(path).verify().all_passed
+
+
+@pytest.mark.parametrize("exponent", (5090, 10**8))
+def test_sample_group_past_the_digit_limit_is_an_error_line(tmp_path, exponent):
+    """An entry past 4,300 digits could not be written or reloaded: one
+    error line, exit 2, no stderr and no file; 10**8 is refused before
+    p**e is formed."""
+    path = tmp_path / "g.json"
+    start = time.perf_counter()
+    proc = sample_group_process(exponent, "--out", str(path))
+    elapsed = time.perf_counter() - start
+    assert_single_error_line(proc.returncode, proc.stdout)
+    assert "more than 4300 decimal digits" in proc.stdout
+    assert proc.stderr == ""
+    assert not path.exists()
+    if exponent == 10**8:
+        assert elapsed < 1.0
 
 
 def assert_single_error_line(code, out):

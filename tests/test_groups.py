@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,33 @@ def test_sample_group_fractional_centers():
     G = sample_group(3, 2, multiplier_exponent=2)
     assert G.verify().all_passed
     assert any(D.center.denominator == 3 for D in G.B + G.C)
+
+
+@pytest.mark.parametrize("p, rank", [(7, 1), (5, 2), (3, 2)])
+def test_sample_group_refuses_entries_past_the_digit_limit(p, rank):
+    """A sample group is built exactly when str() can write every entry of
+    its generators under the interpreter's current limit, 0 meaning none,
+    and an exponent far past the limit is refused too."""
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        near = 2 * round(320 / math.log10(p))  # entries of about 640 digits
+        digits = {
+            e: max(len(str(abs(x))) for g in sample_group(p, rank, e).generators for x in g.entries)
+            for e in range(near - 20, near + 22, 2)
+        }
+        assert min(digits.values()) <= 640 < max(digits.values())
+        sys.set_int_max_str_digits(640)
+        for e, n in digits.items():
+            if n <= 640:
+                assert sample_group(p, rank, e).verify().all_passed
+            else:
+                with pytest.raises(InvalidArgument, match="^a generator entry has more than 640"):
+                    sample_group(p, rank, e)
+        with pytest.raises(InvalidArgument, match="^a generator entry has more than 640"):
+            sample_group(p, rank, 10**5)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_b_disk_base_cases(g5):
