@@ -185,7 +185,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         _emit({"error": message})
-        sys.exit(2)
+        self.exit(2)
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # in main's try, so a closed pipe ends there quietly
+        super().exit(status, message)
 
 
 def _arg(*flags, **options):
@@ -306,7 +310,9 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv)  # an argument error may meet a closed pipe
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # meet a closed pipe here, not at the interpreter's final flush
+        return code
     except (SchottkyError, OSError) as exc:
         try:
             sys.stdout.write(canonical_json({"error": str(exc)}))

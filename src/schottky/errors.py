@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the refusal of an
+integer too long for integer text."""
+
+import sys
 
 
 class SchottkyError(Exception):
@@ -51,3 +54,17 @@ class FormatError(SchottkyError):
 
 class InvalidArgument(SchottkyError, ValueError):
     """An argument outside its documented range (a depth or length)."""
+
+
+def integer_text_limit() -> int:
+    """The most decimal digits that str() writes of an int and int()
+    reads back: the interpreter's limit, 0 meaning none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def past_integer_text_limit(what: str, digit_limit: int, hint: str) -> InvalidArgument:
+    """The refusal of an integer with more than ``digit_limit`` decimal
+    digits, which could be neither printed nor reloaded."""
+    return InvalidArgument(
+        f"{what} has more than {digit_limit} decimal digits, the limit for integer text; {hint}"
+    )

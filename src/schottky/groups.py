@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import cached_property
 import math
 import operator
-import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import record
@@ -47,6 +46,8 @@ from .errors import (
     InvalidArgument,
     MaxStepsExceeded,
     PointNearLimitSet,
+    integer_text_limit,
+    past_integer_text_limit,
 )
 from .padic import NEG_INF, POS_INF, Exponent, PrimeContext, valuation
 from .proj import INFINITY, Homography, ProjPoint, delta
@@ -709,13 +710,10 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
     # a generator's primitive integer matrix N has trace(N)**2 / det(N) =
     # (1 + p**e)**2 / p**e, so trace(N)**2 > p**e and an entry exceeds
     # p**(e/2) / 2: past 2 * limit + 1 digits of p**e, refuse before forming it
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    too_long = InvalidArgument(
-        f"a generator entry has more than {digit_limit} decimal digits, the limit for"
-        " integer text; lower the multiplier exponent"
-    )
-    if digit_limit and multiplier_exponent * math.log10(p) > 2 * digit_limit + 1:
-        raise too_long
+    digit_limit = integer_text_limit()
+    hint = "lower the multiplier exponent"
+    if digit_limit and multiplier_exponent > (2 * digit_limit + 1) / math.log10(p):
+        raise past_integer_text_limit("a generator entry", digit_limit, hint)
 
     centers = [(2 * i, 2 * i + 1) for i in range(rank)]
     flat = [c for pair in centers for c in pair]
@@ -743,7 +741,7 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
         B.append(Disk.open_disk(alpha, -k, p))
         C.append(Disk.open_disk(beta, -k, p))
     if digit_limit and max(abs(x) for g in generators for x in g.entries) >= 10**digit_limit:
-        raise too_long  # str() could not write the entry, nor int() reload it
+        raise past_integer_text_limit("a generator entry", digit_limit, hint)
     group = SchottkyGroup(ctx, generators, B, C)
     group.ensure_verified()
     return group

@@ -9,14 +9,13 @@ reduction, and content reduction only shrinks the height.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
 from typing import Dict, Iterable, Optional, Tuple
 
 from ._record import record
-from .errors import InvalidArgument
+from .errors import InvalidArgument, integer_text_limit, past_integer_text_limit
 from .proj import Homography
 from .words import count_words_up_to, walk
 
@@ -117,11 +116,7 @@ def _positive_branch(generators, first: int, max_length: int, digit_limit: int):
     for length, _, h in walk([((first,), step[first])], step, max_length):
         height = height_matrix(h)
         if too_long is not None and height >= too_long:
-            # a height that str() cannot write could not be printed or reloaded either
-            raise InvalidArgument(
-                f"a height has more than {digit_limit} decimal digits, the limit for integer"
-                " text; lower max_length"
-            )
+            raise past_integer_text_limit("a height", digit_limit, "lower max_length")
         levels[length - 1].append(height)
     return levels
 
@@ -157,7 +152,7 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
             f"a scan to length {max_length} has more than {MAX_SCAN_WORDS} positive words;"
             " lower max_length"
         )
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digit_limit = integer_text_limit()
     if workers > 1 and q > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pooled scan
 
