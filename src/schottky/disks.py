@@ -21,12 +21,15 @@ from .padic import NEG_INF, Exponent, PrimeContext, abs_exponent, valuation
 from .proj import Homography, ProjPoint, _new_point
 
 
-def _canonical_center(num: int, den: int, min_valuation: int, p: int) -> Tuple[int, int]:
+def _canonical_center(
+    num: int, den: int, vd: int, min_valuation: int, p: int
+) -> Tuple[int, int]:
     """Smallest-|.|-representative cn / p**k of num / den (den != 0) modulo
-    {v >= min_valuation}."""
+    {v >= min_valuation}.  vd = v(den) comes from the caller, which has it
+    from valuations it takes anyway, so only v(num) is taken here."""
     if num == 0:
         return 0, 0
-    vn, vd = valuation(num, p), valuation(den, p)
+    vn = valuation(num, p)
     w = vn - vd
     if w >= min_valuation:
         return 0, 0
@@ -63,7 +66,8 @@ class Disk:
         if type(e) is not int:
             e = Fraction(e)
             e = e.numerator if e.denominator == 1 else e
-        _set_canonical(self, bool(bounded), bool(is_open), num, den, e, int(p))
+        p = int(p)
+        _set_canonical(self, bool(bounded), bool(is_open), num, den, valuation(den, p), e, p)
 
     @property
     def center(self) -> Fraction:
@@ -87,12 +91,26 @@ class Disk:
 
     def closure(self) -> "Disk":
         """The closed disk with the same points plus its boundary sphere;
-        the closure of P^1 - E(a, r) is P^1 - B(a, r)."""
+        the closure of P^1 - E(a, r) is P^1 - B(a, r).
+
+        A bounded open disk with an integral radius exponent e admits one
+        more valuation, v = -e, once closed, so its closed center is the
+        symmetric residue of cn modulo p**(k - e) over the same p**k: 0
+        when k <= e, and prime to p when k > 0.  No valuation or inverse
+        is needed, and _s = max(k, e) stays.  Other shapes are
+        canonicalized again.
+        """
         if not self.is_open:
             return self
-        return _set_canonical(
-            _new_disk(Disk), self.bounded, False, self._cn, self._pk, self.radius_exp, self.p
-        )
+        e, k, p = self.radius_exp, self._k, self.p
+        if not self.bounded or type(e) is not int:
+            return _set_canonical(_new_disk(Disk), self.bounded, False, self._cn, self._pk, k, e, p)
+        if k <= e:
+            return _set_fields(_new_disk(Disk), True, False, 0, 0, e, p, -e, 1, e)
+        m = p ** (k - e)
+        r = self._cn % m
+        cn = r if r <= m - r else r - m
+        return _set_fields(_new_disk(Disk), True, False, cn, k, e, p, -e, self._pk, k)
 
     def contains(self, x: ProjPoint) -> bool:
         y = x.den
@@ -155,16 +173,16 @@ def _set_fields(D: Disk, bounded, is_open, cn, k, radius_exp, p, m, pk, s) -> Di
 
 
 def _set_canonical(
-    D: Disk, bounded: bool, is_open: bool, num: int, den: int, e: Exponent, p: int
+    D: Disk, bounded: bool, is_open: bool, num: int, den: int, vd: int, e: Exponent, p: int
 ) -> Disk:
-    """Store the disk with raw center num / den (den != 0) and radius
-    exponent e, an int or a non-integral Fraction, in canonical form."""
+    """Store the disk with raw center num / den (den != 0, vd = v(den)) and
+    radius exponent e, an int or a non-integral Fraction, in canonical form."""
     # The admitted valuations v of x - center are those of the
     # (complementary) bounded disk, whose openness is is_open == bounded:
     # v > -e when it is open, v >= -e when it is closed.
     n, d = e.numerator, e.denominator
     m = -n // d + 1 if is_open == bounded or d != 1 else -n
-    cn, k = _canonical_center(num, den, m, p)
+    cn, k = _canonical_center(num, den, vd, m, p)
     return _set_fields(D, bounded, is_open, cn, k, e, p, m, p**k, k if k * d > n else e)
 
 
@@ -201,33 +219,39 @@ def image(g: Homography, D: Disk) -> Disk:
     g factors as affine maps and the inversion z -> 1/z; each piece sends
     disks to disks, preserving openness and strictness.  Any point of a
     disk is a valid center, so the pieces carry a raw center num / den
-    in integers and only the final disk is canonicalized.
+    in integers and only the final disk is canonicalized.  The valuation
+    of each denominator follows from those already taken: v(c * p^k) is
+    v(c) + k.
     """
     a, b, c, d = g.entries
     p = D.p
-    bounded, num, den, e = D.bounded, D._cn, D._pk, D.radius_exp
+    bounded, num, den, e, k = D.bounded, D._cn, D._pk, D.radius_exp, D._k
     if c == 0:
-        scale_exp = valuation(d, p) - valuation(a, p)
+        vd = valuation(d, p)
         return _set_canonical(
-            _new_disk(Disk), bounded, D.is_open, a * num + b * den, d * den, e + scale_exp, p
+            _new_disk(Disk), bounded, D.is_open, a * num + b * den, d * den, vd + k,
+            e + vd - valuation(a, p), p,
         )
     # (az + b)/(cz + d) = a/c - (det/c^2) / (z + d/c)
+    vc = valuation(c, p)
     num, den = c * num + d * den, c * den
     # Invert the bounded disk, or the complementary hole of an unbounded one.
     hole_open = D.is_open == bounded
-    ea = valuation(den, p) - valuation(num, p)  # |center|; -inf when num = 0
+    vn = valuation(num, p)
+    ea = vc + k - vn  # |center|; -inf when num = 0
     en, ed = e.numerator, e.denominator
     if ea * ed > en or (hole_open and ea * ed == en):
         # 0 is outside the hole and |z| = |center| on it: an isometry up to
         # the factor |center|^-2.
-        num, den, e = den, num, e - 2 * ea
+        num, den, vd, e = den, num, vn, e - 2 * ea
     else:
         # The hole is centered at 0; inversion swaps it with an unbounded disk.
-        bounded, num, den, e = not bounded, 0, 1, -e
+        bounded, num, den, vd, e = not bounded, 0, 1, 0, -e
     det = a * d - b * c
-    scale_exp = 2 * valuation(c, p) - valuation(det, p)
+    scale_exp = 2 * vc - valuation(det, p)
     return _set_canonical(
-        _new_disk(Disk), bounded, D.is_open, a * c * den - det * num, c * c * den, e + scale_exp, p
+        _new_disk(Disk), bounded, D.is_open, a * c * den - det * num, c * c * den, 2 * vc + vd,
+        e + scale_exp, p,
     )
 
 

@@ -9,6 +9,7 @@ so ordinary comparisons and ``max``/``min`` do the right thing.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from ._record import record
@@ -67,47 +68,43 @@ class PrimeContext:
 
 
 def valuation(x: Rational, p: int) -> Exponent:
-    """p-adic valuation of an exact rational; +inf for 0."""
+    """p-adic valuation of an exact rational; +inf for 0.
+
+    An integer prime to p costs one ``x % p``.  Otherwise one gcd with the
+    window p**W, the largest power of p below 2**30 (one digit of a Python
+    int), gives p**min(v, W), and a table reads off its exponent; while
+    p**W divides x, a loop divides it out and takes the gcd again.
+    """
     if type(x) is not int:
         x = Fraction(x)
         if x == 0:
             return POS_INF
         return valuation(x.numerator, p) - valuation(x.denominator, p)
+    if x % p:
+        return 0
     if x == 0:
         return POS_INF
+    window, width, exponents = _WINDOWS.get(p) or _window(p)
     v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-        if v == _PLAIN_STEPS:
-            return v + _deep_valuation(x, p)
-    return v
+    g = gcd(x, window)
+    while g == window:
+        x //= window
+        v += width
+        g = gcd(x, window)
+    return v + exponents[g]
 
 
-# Most valuations are small; past this many factors of p, dividing one at a
-# time costs O(v) divisions of a long x, so the rest is stripped by squares.
-_PLAIN_STEPS = 16
+_WINDOWS = {}
 
 
-def _deep_valuation(x: int, p: int) -> int:
-    """v_p(x) for x != 0: strip p, p^2, p^4, ... while they divide x, then
-    the same powers in decreasing order, which strips the remainder's
-    valuation (below the first power that failed) bit by bit."""
-    powers = [p]
-    v = 0
-    while True:
-        q, r = divmod(x, powers[-1])
-        if r:
-            break
-        x = q
-        v += 1 << (len(powers) - 1)
-        powers.append(powers[-1] * powers[-1])
-    for i in range(len(powers) - 2, -1, -1):
-        q, r = divmod(x, powers[i])
-        if not r:
-            x = q
-            v += 1 << i
-    return v
+def _window(p: int):
+    """(p**W, W, {p**j: j for j <= W}) for the largest W >= 1 with p**W
+    below 2**30, cached for p at first use."""
+    powers = [1, p]
+    while powers[-1] * p < 1 << 30:
+        powers.append(powers[-1] * p)
+    entry = _WINDOWS[p] = (powers[-1], len(powers) - 1, {q: j for j, q in enumerate(powers)})
+    return entry
 
 
 def abs_exponent(x: Rational, p: int) -> Exponent:

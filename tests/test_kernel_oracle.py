@@ -107,6 +107,13 @@ def disk_fields(D: Disk) -> tuple:
     return (D.bounded, D.is_open, D.center, D.radius_exp, D.p)
 
 
+def check_derived(D: Disk, O: oracle.Disk) -> None:
+    """The derived slots of D against the oracle disk with its fields."""
+    assert D._m == O.min_valuation()
+    assert D._pk == D.p**D._k
+    assert D._s == max(0, O.sup_abs_exponent())
+
+
 def coordinates(x: ProjPoint) -> tuple:
     """The rational coordinates, after checking the integer pair is primitive."""
     assert type(x.num) is int and type(x.den) is int
@@ -137,8 +144,8 @@ def test_homography_apply(m, p, data):
 def test_disk_construction(p, data):
     D, O = data.draw(disks(p))
     assert disk_fields(D) == O.fields()
-    assert D._m == O.min_valuation()
-    assert D.center == Fraction(D._cn, D._pk) and D._pk == p**D._k
+    check_derived(D, O)
+    assert D.center == Fraction(D._cn, D._pk)
 
 
 @given(p=primes, data=st.data())
@@ -153,8 +160,9 @@ def test_contains(p, data):
 def test_image(m, p, data):
     D, O = data.draw(disks(p))
     g = Homography(*m)
-    got = image(g, D)
-    assert disk_fields(got) == oracle.image(g.entries, O).fields()
+    got, want = image(g, D), oracle.image(g.entries, O)
+    assert disk_fields(got) == want.fields()
+    check_derived(got, want)
     # radius exponents are ints exactly when integral
     assert (type(got.radius_exp) is int) == (Fraction(got.radius_exp).denominator == 1)
     assert type(got.radius_exp) in (int, Fraction)
@@ -187,7 +195,7 @@ def test_closure_and_complement(p, data):
     D, O = data.draw(disks(p))
     for got, want in ((D.closure(), oracle.closure(O)), (D.complement(), O.complement())):
         assert disk_fields(got) == want.fields()
-        assert got._m == want.min_valuation()
+        check_derived(got, want)
         assert type(got.radius_exp) is type(D.radius_exp)
 
 

@@ -74,7 +74,8 @@ def test_large_prime_is_certified_fast_up_to_the_bound():
     sign=st.sampled_from([1, -1]),
 )
 def test_valuation_matches_repeated_division(p, v, unit, sign):
-    # past 16 factors of p the valuation strips squared powers of p
+    # past the window p**W, the largest power of p below 2**30, the
+    # valuation divides p**W out in a loop
     x = sign * unit * p**v
     assert valuation(x, p) == oracle._int_valuation(x, p)
 
