@@ -469,12 +469,14 @@ class SchottkyGroup:
             letters.append(letter)
             y = self._steps[-letter].apply(y)
 
-    def _reduce_with_matrix(
-        self, x: ProjPoint, max_steps: int
-    ) -> Tuple[Word, ProjPoint, Homography]:
-        """Reduce x in at most max_steps generator steps; a domain check
-        is not a step, so a point already in the domain needs none.  The
-        word's homography is composed once y has arrived."""
+    def reduce_point(self, x: ProjPoint, max_steps: int = 64) -> Tuple[Word, ProjPoint]:
+        """Ping-pong a point into the fundamental domain.
+
+        Returns (w, y) with x = w(y) and y in the domain; boundary circles
+        belong to the domain, so they are terminal.  The returned word is
+        reduced by construction, and unique whenever y is interior.  At
+        most max_steps generator steps are made; a domain check is not one.
+        """
         max_steps = operator.index(max_steps)
         if max_steps < 0:
             raise InvalidArgument("max_steps must be >= 0")
@@ -484,20 +486,11 @@ class SchottkyGroup:
             raise MaxStepsExceeded(
                 f"{x} did not reach the fundamental domain in {max_steps} steps"
             )
-        h = Homography.identity()
-        for letter in letters:
-            h = h * self._steps[letter]
-        return Word(letters), y, h
+        return Word(letters), y
 
-    def reduce_point(self, x: ProjPoint, max_steps: int = 64) -> Tuple[Word, ProjPoint]:
-        """Ping-pong a point into the fundamental domain.
-
-        Returns (w, y) with x = w(y) and y in the domain; boundary circles
-        belong to the domain, so they are terminal.  The returned word is
-        reduced by construction, and unique whenever y is interior.
-        """
-        word, y, _ = self._reduce_with_matrix(x, max_steps)
-        return word, y
+    # perfbench/tracer.py wraps this name as groups.reduce; ROADMAP item 1a
+    # deletes the alias
+    _reduce_with_matrix = reduce_point
 
     def boundary_letter(self, x: ProjPoint) -> Optional[int]:
         """The letter l with generator(l)(x) also in the domain, for x on a
@@ -516,12 +509,17 @@ class SchottkyGroup:
         """(m, key): the word m tiling g(infinity) into the fundamental domain
         and a canonical representative key of the coset G * g.
 
-        The key is m^-1 * g; a boundary landing at letter l has one other
-        tile, giving generator(l) * key, and the entrywise-smaller is kept.
+        The key is m^-1 * g: the pull-back applies generator(-l) for each
+        letter l of m in turn, and g is left-multiplied by the same steps
+        (products are canonical, so this is m.inverse() * g entry for entry).
+        A boundary landing at letter l has one other tile, giving
+        generator(l) * key, and the entrywise-smaller is kept.
         Two homographies lie in one coset exactly when their keys are equal.
         """
-        word, t, m = self._reduce_with_matrix(g.apply(INFINITY), max_steps)
-        key = m.inverse() * g
+        word, t = self.reduce_point(g.apply(INFINITY), max_steps)
+        key = g
+        for letter in word.letters:
+            key = self._steps[-letter] * key
         letter = self.boundary_letter(t)
         if letter is not None:
             alt = self.generator(letter) * key
@@ -559,14 +557,15 @@ class SchottkyGroup:
         """
         self.ensure_verified()
         word = prefix if prefix else Word((self.letters()[0],))
-        while True:
-            if contains_disk(U, self.b_disk(word).closure()):
-                h = self.word_homography(word)
-                hinv = h.inverse()
-                return word, tuple(h * g * hinv for g in self.generators)
+        last = word.letters[-1]
+        h = self.word_homography(word)
+        while not contains_disk(U, self._word_disk(h, last).closure()):
             if len(word) >= max_depth:
                 raise DepthExceeded(f"no word disk inside {U} up to length {max_depth}")
-            word = word.append(word.letters[-1])
+            word = word.append(last)
+            h = h * self._steps[last]
+        hinv = h.inverse()
+        return word, tuple(h * g * hinv for g in self.generators)
 
     # -- properness constants ------------------------------------------------
 
@@ -609,12 +608,12 @@ class SchottkyGroup:
         self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
-        _refuse_long_walk(self.rank, depth)
+        words = self.iter_words_with_matrices(depth)  # refuses a depth past the walk cap
         bases = self._envelope_base_points()
         # cover levels below the word: children for infinity, else grandchildren
         levels = [1 if x is INFINITY else 2 for x in bases]
         samples = [(0, -self.delta_to_limit(x, n).upper_exponent) for x, n in zip(bases, levels)]
-        for length, word, h in self.iter_words_with_matrices(depth):
+        for length, word, h in words:
             start = self._start(word.letters, h)
             for x, n in zip(bases, levels):
                 bound, _ = self._descend(h.apply(x), length + n, *start)

@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` patches entry points by identity and reads two
 group caches by attribute name, so a rename in the library would only
-show as a failed self-check of a traced benchmark run.  Two tests load
-the tracer from its file: one runs its hooks once, and one checks that
-the package's exported names follow its patches in and out.  The last
+show as a failed self-check of a traced benchmark run.  Three tests load
+the tracer from its file: one runs its hooks once, one counts the
+reductions it sees, and one checks that the package's exported names
+follow its patches in and out.  The last
 runs the benchmark's own self-test, which checks every workload's output.
 """
 
@@ -14,7 +15,9 @@ import sys
 from pathlib import Path
 
 import schottky
-from schottky.groups import sample_group
+from schottky.groups import SchottkyGroup, sample_group
+from schottky.proj import INFINITY
+from schottky.words import Word
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -37,6 +40,28 @@ def test_tracer_reaches_every_traced_name():
         tracer.uninstall()
     assert tracer.maxima["groups.cover_cache.entries"] == 0
     assert tracer.maxima["groups.bdisk_cache.entries"] == 0
+
+
+def test_tracer_counts_every_reduction():
+    # the traced name is an alias of the one reduction body, so calls from
+    # reduce_point, coset_key and is_member are all counted once
+    assert SchottkyGroup._reduce_with_matrix is SchottkyGroup.reduce_point
+    tracer_module = load_tracer_module()
+    tracer = tracer_module.Tracer()
+    G = sample_group(5, 2)
+    g = G.word_homography(Word((1, -2)))
+    try:
+        tracer_module.install(tracer)
+        tracer.active = True
+        G.reduce_point(g.apply(INFINITY))
+        G.coset_key(g)
+        G.is_member(g)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert tracer.calls["groups.reduce"] == 3
+    assert tracer.extra["groups.reduce.steps"] == 6
+    assert SchottkyGroup._reduce_with_matrix is SchottkyGroup.reduce_point
 
 
 def package_bindings():

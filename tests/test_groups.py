@@ -4,10 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, event, given, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import cover_oracle
 import floor_oracle
+import reduce_oracle
 from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate, drawn_groups
 from schottky.disks import Affinoid, Disk, contains_disk
 from schottky.errors import (
@@ -460,6 +461,54 @@ def test_coset_key_boundary_tie_break(p):
         assert G.coset_key(y)[1] == G.coset_key(G.generator(letter) * y)[1]
 
 
+def outcome(call):
+    """A call's result, or MaxStepsExceeded and the text it raised."""
+    try:
+        return call()
+    except MaxStepsExceeded as exc:
+        return MaxStepsExceeded, str(exc)
+
+
+@settings(max_examples=300)
+@given(G=drawn_groups((3, 5, 7)), data=st.data())
+def test_reduction_and_coset_key_match_the_composed_product(G, data):
+    # g is a word of up to 8 generators, times an integer matrix or a map
+    # sending infinity to a boundary point of F, possibly inverted; the
+    # budget is the default or small enough to run out
+    letters = data.draw(st.lists(st.sampled_from(G.letters()), max_size=8))
+    g = G.word_homography(Word.reduced(letters))
+    side = data.draw(st.sampled_from(("none", "matrix", "boundary")))
+    if side == "matrix":
+        entries = data.draw(st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+        assume(entries[0] * entries[3] != entries[1] * entries[2])
+        t = Homography(*entries)
+        g = g * t if data.draw(st.booleans()) else t * g
+    elif side == "boundary":
+        t = data.draw(st.sampled_from(G._envelope_base_points()[1:]))
+        g = g * Homography(t.num, 1, t.den, 0)
+    if data.draw(st.booleans()):
+        g = g.inverse()
+    steps = data.draw(st.one_of(st.none(), st.integers(0, 12)))
+    budget = () if steps is None else (steps,)
+
+    x = g.apply(INFINITY)
+    reduced = outcome(lambda: G.reduce_point(x, *budget))
+    want = outcome(lambda: reduce_oracle.reduce_with_matrix(G, x, 64 if steps is None else steps))
+    if reduced[0] is MaxStepsExceeded:
+        assert reduced == want
+        event("budget spent")
+    else:
+        assert reduced == want[:2]
+        event("boundary landing" if G.boundary_letter(reduced[1]) is not None else "interior")
+    key = outcome(lambda: G.coset_key(g, *budget))
+    want = outcome(lambda: reduce_oracle.coset_key(G, g, *budget))
+    assert key == want
+    if key[0] is not MaxStepsExceeded:
+        assert key[1].entries == want[1].entries
+    member = outcome(lambda: G.is_member(g, *budget))
+    assert member == outcome(lambda: reduce_oracle.is_member(G, g, *budget))
+
+
 def test_hyperbolicity_of_words(sample_groups):
     for G in sample_groups:
         for n in (1, 2, 3):
@@ -483,6 +532,31 @@ def test_localize_fundamental(g5):
     assert contains_disk(small, g5.b_disk(w2).closure())
     with pytest.raises(DepthExceeded):
         g5.localize_fundamental(Word((1,)), Disk.closed_disk(100, -1, 5), max_depth=6)
+
+
+def test_localize_fundamental_extends_one_product_per_letter(g5, monkeypatch):
+    # each extension multiplies the carried product by one generator, so a
+    # miss makes at most 2 * max_depth products, not one product per letter
+    # of every length tried
+    products = []
+    compose = Homography.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(Homography, "__mul__", counted)
+    for max_depth in (64, 300):
+        products.clear()
+        with pytest.raises(DepthExceeded):
+            g5.localize_fundamental(Word((1,)), Disk.closed_disk(100, -1, 5), max_depth)
+        assert len(products) <= 2 * max_depth
+    # a hit returns the word and the basis conjugated by its product
+    w = Word((-2, 1, 1, 1, 1))
+    got, basis = g5.localize_fundamental(Word((-2, 1)), g5.b_disk(w).closure())
+    assert got == w
+    h = g5.word_homography(w)
+    assert basis == tuple(h * g * h.inverse() for g in g5.generators)
 
 
 def test_fit_proper_constants_envelope(g5):
