@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import SchottkyError
+from .errors import AxiomViolation, SchottkyError
 from .groups import sample_group
 from .serialize import (
     canonical_json,
@@ -32,8 +32,10 @@ def _emit(obj):
 
 
 def cmd_verify(args) -> int:
-    G = load_group(args.group)
-    report = G.verify()
+    try:
+        report = load_group(args.group).verify()
+    except AxiomViolation as exc:  # a group that fails an axiom is not built
+        report = exc.report
     _emit(report.to_dict())
     return 0 if report.all_passed else 1
 

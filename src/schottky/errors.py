@@ -29,7 +29,12 @@ class CoefficientTooLarge(SchottkyError):
 
 
 class AxiomViolation(SchottkyError):
-    """A good-fundamental-domain axiom failed; message names the check."""
+    """A good-fundamental-domain axiom failed: the message names the first
+    failed check, and ``report`` holds the whole AxiomReport."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class MaxStepsExceeded(SchottkyError):

@@ -173,7 +173,6 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     InvalidArgument, as a walk of the word tree is: that keeps every CLI
     answer, and it bounds the pull-back of a point whose height grows.
     """
-    G.ensure_verified()
     x, y = pair
     if x == y:
         raise InvalidArgument("need two distinct points")
@@ -301,12 +300,14 @@ def double_coset_scan(
     Scans words of G1 against cosets of G2 (and symmetrically for the
     inverse); Stabilized means the cumulative coset counts are constant
     over the trailing window of at least one length (default: the last
-    third of depths).
+    third of depths).  A depth past MAX_WALK_WORDS is refused before any
+    key: each level of an open search adds a state, so it would pass the
+    state cap, and a closed search would only be padded to the depth.
     """
-    G1.ensure_verified()
-    G2.ensure_verified()
     if depth < 1:
         raise InvalidArgument("depth must be >= 1")
+    if depth > groups.MAX_WALK_WORDS:
+        raise InvalidArgument(f"depth must be <= {groups.MAX_WALK_WORDS}")
     if window is None:
         window = math.ceil(depth / 3)
     if window < 1:

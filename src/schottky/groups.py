@@ -3,8 +3,10 @@
 A group comes with bounded open disks B_1..B_g, C_1..C_g; verification
 checks, exactly, that the closed disks are pairwise disjoint and that
 each generator maps the complement of B_i onto the closure of C_i (and
-the complement of the closure onto C_i itself).  All further operations
-require a verified group.
+the complement of the closure onto C_i itself).  A group is verified when
+it is built: the constructor raises AxiomViolation, naming the first
+failed check and holding the whole report as ``report``, so every
+operation runs on a good fundamental domain.
 
 The word disk B(w) attached to a nonempty reduced word is the image of
 the complement of B_i^+ or C_i^+ (by the sign of the last letter) under
@@ -25,7 +27,6 @@ h_v(K_l).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 import math
 import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -49,7 +50,7 @@ from .errors import (
     integer_text_limit,
     past_integer_text_limit,
 )
-from .padic import NEG_INF, POS_INF, Exponent, PrimeContext, valuation
+from .padic import NEG_INF, POS_INF, Exponent, PrimeContext
 from .proj import INFINITY, Homography, ProjPoint, delta
 from .words import (
     Word,
@@ -98,7 +99,7 @@ class AxiomCheck:
 class AxiomReport:
     checks: Tuple[AxiomCheck, ...]
 
-    @cached_property
+    @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
@@ -201,7 +202,6 @@ class SchottkyGroup:
         self.generators = generators
         self.B = B
         self.C = C
-        self._report: Optional[AxiomReport] = None
         # letters -> (homography, closed word disk): the one word-disk memo
         self._cover_cache = {}
         # always empty; perfbench/tracer.py still reports its size
@@ -216,6 +216,10 @@ class SchottkyGroup:
         self._domain = tuple((-i, D, D.closure()) for i, D in enumerate(B, 1))
         self._domain += tuple((i, D, D.closure()) for i, D in enumerate(C, 1))
         self._base_complements = {-l: K.complement() for l, _, K in self._domain}
+        self._report = self._check_axioms()
+        if not self._report.all_passed:
+            first = self._report.failures[0]
+            raise AxiomViolation(f"{first.name}: {first.detail}", self._report)
 
     @property
     def rank(self) -> int:
@@ -239,9 +243,15 @@ class SchottkyGroup:
     # -- verification ---------------------------------------------------
 
     def verify(self) -> AxiomReport:
-        """Check the good-domain axioms exactly; the report is cached."""
-        if self._report is not None:
-            return self._report
+        """The good-domain axiom report; every check passed when the group was built."""
+        return self._report
+
+    def ensure_verified(self):
+        """Nothing: a group is verified when it is built.  perfbench/workloads.py
+        calls this name; ROADMAP item 1a deletes it."""
+
+    def _check_axioms(self) -> AxiomReport:
+        """Check the good-domain axioms exactly, in a fixed order."""
         checks: List[AxiomCheck] = []
         closed = [(f"B{-l}" if l < 0 else f"C{l}", K) for l, _, K in self._domain]
         for i in range(len(closed)):
@@ -249,39 +259,16 @@ class SchottkyGroup:
                 (n1, D1), (n2, D2) = closed[i], closed[j]
                 ok = disjoint(D1, D2)
                 checks.append(
-                    AxiomCheck(
-                        f"disjoint:{n1}+,{n2}+",
-                        ok,
-                        "" if ok else f"{D1} meets {D2}",
-                    )
+                    AxiomCheck(f"disjoint:{n1}+,{n2}+", ok, "" if ok else f"{D1} meets {D2}")
                 )
         for g, B, (l, C, K) in zip(self.generators, self.B, self._domain[self.rank :]):
-            got_closed = image(g, B.complement())
-            ok = got_closed == K
-            checks.append(
-                AxiomCheck(
-                    f"image:g{l}(P1-B{l})=C{l}+",
-                    ok,
-                    "" if ok else f"got {got_closed}, want {K}",
-                )
-            )
-            got_open = image(g, self._base_complements[l])
-            ok = got_open == C
-            checks.append(
-                AxiomCheck(
-                    f"image:g{l}(P1-B{l}+)=C{l}",
-                    ok,
-                    "" if ok else f"got {got_open}, want {C}",
-                )
-            )
-        self._report = AxiomReport(tuple(checks))
-        return self._report
-
-    def ensure_verified(self):
-        report = self.verify()
-        if not report.all_passed:
-            first = report.failures[0]
-            raise AxiomViolation(f"{first.name}: {first.detail}")
+            for name, got, want in (
+                (f"image:g{l}(P1-B{l})=C{l}+", image(g, B.complement()), K),
+                (f"image:g{l}(P1-B{l}+)=C{l}", image(g, self._base_complements[l]), C),
+            ):
+                ok = got == want
+                checks.append(AxiomCheck(name, ok, "" if ok else f"got {got}, want {want}"))
+        return AxiomReport(tuple(checks))
 
     # -- words ----------------------------------------------------------
 
@@ -318,7 +305,6 @@ class SchottkyGroup:
 
     def b_disk(self, word: Word) -> Disk:
         """The bounded open disk attached to a nonempty reduced word."""
-        self.ensure_verified()
         if not word:
             raise InvalidArgument("the identity has no word disk")
         return self._word_disk(self.word_homography(word), word.letters[-1])
@@ -335,7 +321,6 @@ class SchottkyGroup:
         docstring).  At depth 1 the parent is the identity and the disks
         are the K_l themselves.  The walk makes reduced letter tuples only,
         so their Words skip the checks of ``Word(...)``."""
-        self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         _refuse_long_walk(self.rank, depth)
@@ -396,7 +381,6 @@ class SchottkyGroup:
         children of the one of them that holds x when y lies on a boundary
         circle; those children all miss x.
         """
-        self.ensure_verified()
         depth = operator.index(depth)
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
@@ -480,7 +464,6 @@ class SchottkyGroup:
         max_steps = operator.index(max_steps)
         if max_steps < 0:
             raise InvalidArgument("max_steps must be >= 0")
-        self.ensure_verified()
         letters, y, letter = self._pull_back(x, max_steps)
         if letter is not None:
             raise MaxStepsExceeded(
@@ -555,7 +538,6 @@ class SchottkyGroup:
         w then lies inside U.  Extension repeats the last letter, staying
         in the prefix direction.
         """
-        self.ensure_verified()
         word = prefix if prefix else Word((self.letters()[0],))
         last = word.letters[-1]
         h = self.word_homography(word)
@@ -605,7 +587,6 @@ class SchottkyGroup:
         A depth with more than MAX_WALK_WORDS words up to it is refused
         with InvalidArgument before the walk starts.
         """
-        self.ensure_verified()
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         words = self.iter_words_with_matrices(depth)  # refuses a depth past the walk cap
@@ -670,7 +651,6 @@ class SchottkyGroup:
         depth, or one with more than MAX_WALK_WORDS words up to it, is
         refused; depth 0 scans the identity alone.
         """
-        self.ensure_verified()
         if depth < 0:
             raise InvalidArgument("depth must be >= 0")
         words = self.iter_words_with_matrices(depth)  # refuses a depth past the walk cap
@@ -715,14 +695,9 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
         raise past_integer_text_limit("a generator entry", digit_limit, hint)
 
     centers = [(2 * i, 2 * i + 1) for i in range(rank)]
-    flat = [c for pair in centers for c in pair]
-
-    def separated(cs):
-        return all(
-            valuation(a - b, p) < k for i, a in enumerate(cs) for b in cs[i + 1 :]
-        )
-
-    if not separated(flat):
+    # the integer centers differ by 1..2r-1, so no two of them lie in one
+    # closed disk of radius p^-k exactly when p^k > 2r - 1
+    if p**k <= 2 * rank - 1:
         per_layer = p // 2
         if per_layer < 1 or rank > per_layer * p:
             raise InvalidArgument(f"cannot place {rank} disk pairs at p = {p}")
@@ -741,6 +716,4 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
         C.append(Disk.open_disk(beta, -k, p))
     if digit_limit and max(abs(x) for g in generators for x in g.entries) >= 10**digit_limit:
         raise past_integer_text_limit("a generator entry", digit_limit, hint)
-    group = SchottkyGroup(ctx, generators, B, C)
-    group.ensure_verified()
-    return group
+    return SchottkyGroup(ctx, generators, B, C)

@@ -141,7 +141,6 @@ def upsilon_scan(G, max_length: int, workers: int = 1) -> CountingScan:
     MAX_SCAN_WORDS words, or with a height too long for integer text, is
     refused with InvalidArgument.
     """
-    G.ensure_verified()
     if max_length < 1:
         raise InvalidArgument("max_length must be >= 1")
     if workers < 1:

@@ -210,7 +210,8 @@ def canonical_json(obj) -> str:
 
 def _load_csv(path, kind, header, parse_row):
     """parse_row applied to the fields of each row of a CSV export; a row
-    that does not parse raises FormatError with the path and line."""
+    without exactly one field per column, or with a field that does not
+    parse, raises FormatError with the path and line."""
     import csv
 
     with open(path, newline="") as fh:
@@ -221,9 +222,13 @@ def _load_csv(path, kind, header, parse_row):
             rows = []
             for row in reader:
                 fields = [row[name] for name in header]
-                if None in fields:
+                # a short row leaves None in its last fields; DictReader files extras under None
+                if None in fields or None in row:
                     raise FormatError(f"{path}:{reader.line_num}: expected {len(header)} fields")
-                rows.append(parse_row(*fields))
+                try:
+                    rows.append(parse_row(*fields))
+                except FormatError as exc:  # a field's error, which names no line
+                    raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
             return rows
         except (csv.Error, ValueError) as exc:
             raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
@@ -250,6 +255,9 @@ def load_scan_csv(path):
         "scan",
         ["length", "word", "height", "threshold_bin"],
         lambda length, word, height, threshold_bin: (
-            int(length), Word.parse(word), int(height), int(threshold_bin)
+            _integer(length, f"length {length!r}"),
+            Word.parse(word),
+            _integer(height, f"height {height!r}"),
+            _integer(threshold_bin, f"threshold_bin {threshold_bin!r}"),
         ),
     )

@@ -9,7 +9,7 @@ from hypothesis import assume, event, settings, strategies as st
 import schottky
 from schottky import PrimeContext, sample_group
 from schottky.disks import image
-from schottky.errors import InvalidArgument
+from schottky.errors import AxiomViolation, InvalidArgument
 from schottky.groups import SchottkyGroup
 from schottky.proj import INFINITY, Homography, ProjPoint
 
@@ -82,15 +82,14 @@ def conjugate(G, name):
     s = conjugator(G.p, name)
     t = s.inverse()
     try:
-        H = SchottkyGroup(
+        return SchottkyGroup(
             G.ctx,
             [s * g * t for g in G.generators],
             [image(s, B) for B in G.B],
             [image(s, C) for C in G.C],
         )
-    except ValueError:
+    except (ValueError, AxiomViolation):
         return None
-    return H if H.verify().all_passed else None
 
 
 def permuted(G, order):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import axiom_oracle
 import csv_oracle
 from conftest import cached_sample_group, child_env, drawn_groups, permuted
 from schottky.cli import COMMANDS, build_parser, main
@@ -67,6 +68,40 @@ def test_verify_failure_exit_code(capsys, g5, tmp_path):
     code, out = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert json.loads(out)["all_passed"] is False
+
+
+def test_invalid_group_file(capsys, g5, tmp_path):
+    """verify prints the full report of a group file that fails an axiom,
+    with exit 1; every other command refuses the file with the line that
+    names its first failed check, with exit 2, enumerate included."""
+    from schottky.serialize import group_to_dict
+
+    data = group_to_dict(g5)
+    data["C"][1] = dict(data["B"][1])  # C2 replaced by B2
+    path = tmp_path / "bad.json"
+    path.write_text(canonical_json(data))
+    B, C = g5.B, (g5.C[0], g5.B[1])
+    report = axiom_oracle.verify(g5.ctx, g5.generators, B, C)
+    code, out = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (1, canonical_json(report.to_dict()))
+    first = report.failures[0]
+    error = canonical_json({"error": f"{first.name}: {first.detail}"})
+    pair = tmp_path / "pair.json"
+    identity = [["1", "0"], ["0", "1"]]
+    pair.write_text(
+        json.dumps({"gamma1": "bad.json", "g": identity, "gamma2": "bad.json", "depth": 2})
+    )
+    for argv in (
+        ["enumerate", str(path), "--length", "1"],
+        ["reduce", str(path), "--point", "inf"],
+        ["limit-cover", str(path), "--depth", "1"],
+        ["stabilizer", str(path), "--pair", "0,1", "--depth", "1"],
+        ["upsilon", str(path), "--max-length", "1"],
+        ["geodesic-probe", str(pair)],
+        # the group is reported before a bad argument
+        ["enumerate", str(path), "--length", "-3"],
+    ):
+        assert run_cli(capsys, *argv) == (2, error), argv
 
 
 def test_reduce_infinity(capsys, g5_file):
@@ -708,6 +743,8 @@ def _sweep_cases():
         yield f"{cmd}--depth=huge", argv
         # a rank-1 cover has two disks at every depth, but its walk has 2 * depth words
         yield f"{cmd}-rank-one-huge-depth", [cmd, "{rank1}", *argv[2:]]
+    # past the walk cap in levels, refused before any coset key
+    yield "geodesic-probe--depth=huge", with_flag(runs["geodesic-probe"], "--depth", "1000000000")
     # the first depth past the walk cap on rank 2: 1,062,880 words
     yield "stabilizer--depth=12-huge-walk", with_flag(runs["stabilizer"], "--depth", "12")
     yield "geodesic-probe--window=0", ["geodesic-probe", "{pair}", "--window", "0"]

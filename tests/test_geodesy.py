@@ -21,7 +21,7 @@ from schottky.geodesy import (
     normalize_flat,
     pair_stabilizer,
 )
-from schottky.groups import sample_group
+from schottky.groups import MAX_WALK_WORDS, SchottkyGroup, sample_group
 from schottky.padic import valuation
 from schottky.proj import INFINITY, Homography, ProjPoint
 from schottky.words import Word, alphabet
@@ -345,6 +345,21 @@ def test_double_coset_identity_pair(g5):
     assert report.coset_counts == (1,) * 6
     assert report.reverse_counts == (1,) * 6
     assert report.verdict is Verdict.STABILIZED
+
+
+def test_double_coset_depth_is_bounded_by_the_walk_cap(g5, monkeypatch):
+    """A closed search answers at depth MAX_WALK_WORDS, padded to it; one
+    depth more is refused before any coset key is computed."""
+    report = double_coset_scan(g5, Homography.identity(), g5, MAX_WALK_WORDS)
+    assert report.coset_counts == report.reverse_counts == (1,) * (MAX_WALK_WORDS + 1)
+    assert report.verdict is Verdict.STABILIZED
+
+    def no_key(*args):
+        raise AssertionError("a coset key was computed")
+
+    monkeypatch.setattr(SchottkyGroup, "coset_key", no_key)
+    with pytest.raises(InvalidArgument, match=f"^depth must be <= {MAX_WALK_WORDS}$"):
+        double_coset_scan(g5, Homography.identity(), g5, MAX_WALK_WORDS + 1)
 
 
 def test_double_coset_inner_twist(g5):

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+import axiom_oracle
 import cover_oracle
 import floor_oracle
 import reduce_oracle
-from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate, drawn_groups
-from schottky.disks import Affinoid, Disk, contains_disk
+from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate, conjugator, drawn_groups
+from schottky.disks import Affinoid, Disk, contains_disk, image
 from schottky.errors import (
     AxiomViolation,
     DepthExceeded,
@@ -20,7 +21,7 @@ from schottky.errors import (
 )
 from schottky.geodesy import pair_stabilizer
 from schottky.groups import MAX_WALK_WORDS, SchottkyGroup, sample_group
-from schottky.padic import NEG_INF
+from schottky.padic import NEG_INF, valuation
 from schottky.proj import INFINITY, ElementClass, Homography, ProjPoint, classify
 from schottky.words import Word, count_words_up_to, reduced_words
 
@@ -48,12 +49,71 @@ def test_axioms_by_point_sampling(g5):
 
 
 def test_duplicate_disk_fails_verification(g5):
-    bad = SchottkyGroup(g5.ctx, g5.generators, g5.B, [g5.C[0], Disk.open_disk(2, -1, 5)])
-    report = bad.verify()
+    with pytest.raises(AxiomViolation) as info:
+        SchottkyGroup(g5.ctx, g5.generators, g5.B, [g5.C[0], Disk.open_disk(2, -1, 5)])
+    report = info.value.report
     assert not report.all_passed
     assert any("disjoint" in c.name for c in report.failures)
-    with pytest.raises(AxiomViolation):
-        bad.ensure_verified()
+    first = report.failures[0]
+    assert str(info.value) == f"{first.name}: {first.detail}"
+
+
+@st.composite
+def candidate_domains(draw):
+    """(ctx, generators, B, C): a sample group of rank 1-3 at p in 2-7 with
+    multiplier exponent 2 or 4, possibly moved by a conftest conjugator,
+    then possibly with one disk or generator changed, so that many draws
+    fail the axioms, some of them several checks at once."""
+    rank = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    G = cached_sample_group(p, rank, draw(st.sampled_from((2, 4))))
+    assume(G is not None)
+    generators, B, C = list(G.generators), list(G.B), list(G.C)
+    name = draw(st.sampled_from((None,) + CONJUGATOR_NAMES))
+    if name is not None:
+        s = conjugator(p, name)
+        t = s.inverse()
+        generators = [s * g * t for g in generators]
+        B, C = [image(s, D) for D in B], [image(s, D) for D in C]
+        assume(all(D.bounded and D.is_open for D in B + C))
+    i = draw(st.integers(0, rank - 1))
+    disks = draw(st.sampled_from((B, C)))
+    D = disks[i]
+    change = draw(st.sampled_from(("none", "C=B", "radius", "center", "inverse", "swap")))
+    if change == "C=B":
+        C[i] = B[i]
+    elif change == "radius":
+        disks[i] = Disk.open_disk(D.center, D.radius_exp + draw(st.sampled_from((-1, 1))), p)
+    elif change == "center":
+        shift = Fraction(p) ** draw(st.integers(-3, 1))
+        disks[i] = Disk.open_disk(D.center + shift, D.radius_exp, p)
+    elif change == "inverse":
+        generators[i] = generators[i].inverse()
+    elif change == "swap":
+        B[i], C[i] = C[i], B[i]
+    event(f"{name or 'unconjugated'}, {change}")
+    return G.ctx, generators, B, C
+
+
+@settings(max_examples=300)
+@given(domain=candidate_domains())
+def test_construction_raises_exactly_when_the_reference_report_fails(domain):
+    """A group is built exactly when the parent's lazy check passes; a
+    failed build raises with that report, check for check, and names its
+    first failed check."""
+    reference = axiom_oracle.verify(*domain)
+    failed = len(reference.failures)
+    event(f"{failed if failed < 3 else '3 or more'} failed checks")
+    try:
+        G = SchottkyGroup(*domain)
+    except AxiomViolation as exc:
+        assert not reference.all_passed
+        assert exc.report == reference
+        first = reference.failures[0]
+        assert str(exc) == f"{first.name}: {first.detail}"
+    else:
+        assert reference.all_passed
+        assert G.verify() == reference
 
 
 def test_rank_one_group_verifies():
@@ -65,6 +125,32 @@ def test_rank_one_group_verifies():
 def test_sample_groups_verify(sample_groups):
     for G in sample_groups:
         assert G.verify().all_passed
+
+
+def test_sample_group_uses_integer_centers_exactly_when_they_are_separated():
+    """The integer centers 0..2r-1 lie in pairwise distinct closed disks of
+    radius p^-k exactly when p^k > 2r - 1, the comparison sample_group
+    makes; the pairwise valuations it replaced are the reference over p up
+    to 13, k = 1-4 and rank 1-59.  The groups are built at ranks 1-4 and on
+    both sides of each boundary rank p^k // 2 in the grid."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 5):
+            boundary = p**k // 2  # the largest rank with p^k > 2r - 1
+            for rank in range(1, 60):
+                flat = range(2 * rank)
+                separated = all(
+                    valuation(a - b, p) < k for i, a in enumerate(flat) for b in flat[i + 1 :]
+                )
+                assert separated == (p**k > 2 * rank - 1)
+                if rank > 4 and rank not in (boundary, boundary + 1):
+                    continue
+                try:
+                    G = sample_group(p, rank, 2 * k)
+                except InvalidArgument:  # no room for the offset centers either
+                    assert not separated
+                    continue
+                integral = all(Fraction(D.center).denominator == 1 for D in G.B + G.C)
+                assert integral == separated, (p, k, rank)
 
 
 def test_sample_group_fractional_centers():
@@ -605,9 +691,9 @@ def test_intersecting_translates_disjoint_branches(g5):
 
 
 def test_unverified_group_rejects_operations(g5):
-    bad = SchottkyGroup(g5.ctx, g5.generators, g5.B, [g5.C[0], g5.B[1]])
-    with pytest.raises(AxiomViolation):
-        bad.reduce_point(INFINITY)
+    # a group that fails an axiom is never built, so no operation runs on one
+    with pytest.raises(AxiomViolation, match=r"^disjoint:B2\+,C2\+: "):
+        SchottkyGroup(g5.ctx, g5.generators, g5.B, [g5.C[0], g5.B[1]])
 
 
 def test_invalid_arguments_raise_invalid_argument(g5):

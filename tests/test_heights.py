@@ -280,13 +280,10 @@ def test_threshold_bin_matches_the_oracle(p, rank, data):
 class _HeightsAbovePeak:
     """A rank-1 stand-in for a group, never verified: the powers of its
     generator have heights 5, 5, 15, 6, so a scan to length 4 has a height
-    above its peak.  upsilon_scan reads only these three names."""
+    above its peak.  upsilon_scan reads only these two names."""
 
     rank = 1
     generators = (Homography(-5, -5, 2, 0),)
-
-    def ensure_verified(self):
-        pass
 
 
 def test_threshold_bin_of_a_scan_height_above_the_peak():

@@ -260,10 +260,17 @@ def test_pair_depth_must_be_an_integer(g5, depth):
         (load_cover_csv, "word,center,radius_exp\ng1\n", "3 fields"),
         (load_scan_csv, "length,word,height,threshold_bin\n1,g\u0661,5,1\n", "not a letter"),
         (load_cover_csv, "word,center,radius_exp\ng01,1,-1\n", "not a letter"),
+        # int() reads "1_0" and non-ASCII digits, which no CLI export writes
+        (load_scan_csv, "length,word,height,threshold_bin\n1_0,g1,5,1\n", "length '1_0'"),
+        (load_scan_csv, "length,word,height,threshold_bin\n1,g1,\u0665\u0665,1\n", "height"),
+        # csv.DictReader files extra fields under the key None
+        (load_cover_csv, "word,center,radius_exp\ng1,0,2,EXTRA,MORE\n", "3 fields"),
+        (load_cover_csv, "word,center,radius_exp\ng1,1_0,2\n", "center: cannot parse"),
     ),
     ids=(
         "scan_bad_int", "scan_bad_word", "scan_short_row", "cover_bad_word", "cover_short_row",
-        "scan_non_ascii_digit", "cover_leading_zero",
+        "scan_non_ascii_digit", "cover_leading_zero", "scan_underscore_int",
+        "scan_non_ascii_int", "cover_long_row", "cover_bad_center",
     ),
 )
 def test_csv_row_errors_name_path_and_line(tmp_path, loader, text, needle):
