@@ -16,9 +16,8 @@ from typing import List, Optional, Tuple, Union
 
 from . import groups
 from ._record import record
-from .errors import CyclicLinks, InvalidArgument, SchottkyError
+from .errors import CyclicLinks, InvalidArgument
 from .groups import SchottkyGroup, _refuse_long_walk
-from .padic import valuation
 from .proj import Homography, ProjPoint
 from .words import Word
 
@@ -165,13 +164,14 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     i + j.  A stabilizer u c u^-1 makes the pull-back repeat by step
     |u| + |c|, so depth steps, one word product and no walk decide it.
 
-    The integer conjugator s = (x.den, -x.num; y.den, -y.num) sends x to
-    0 and y to infinity, so s h s^-1 is z -> lambda z for the word h
-    found; lambda is taken with archimedean size >= 1, and its p-adic
-    size is never 1, since stabilizing elements are hyperbolic.  A depth
-    with more than MAX_WALK_WORDS words up to it is refused with
-    InvalidArgument, as a walk of the word tree is: that keeps every CLI
-    answer, and it bounds the pull-back of a point whose height grows.
+    The multiplier is the eigenvalue ratio (tr + s) / (tr - s) of h, the
+    word's matrix, of archimedean size >= 1: s**2 = tr^2 - 4 det is a
+    rational square, as h fixes the distinct rational points x and y, and
+    (tr + s)(tr - s) = 4 det != 0.  h is hyperbolic, as a group is verified
+    when it is built, so the p-adic size is not 1.  A depth with more than
+    MAX_WALK_WORDS words up to it is refused with InvalidArgument, as a
+    walk of the word tree is: that keeps every CLI answer, and it bounds
+    the pull-back of a point whose height grows.
     """
     x, y = pair
     if x == y:
@@ -191,11 +191,8 @@ def pair_stabilizer(G: SchottkyGroup, pair, depth: int) -> StabilizerResult:
     h = G.word_homography(word)
     if not word or len(word) > depth or h.apply(y) != y:
         return StabilizerResult(None, None)
-    conj = Homography(x.den, -x.num, y.den, -y.num)
-    d = conj * h * conj.inverse()  # fixes 0 and infinity, so diagonal
-    lam = Fraction(d.a, d.d)
-    if valuation(lam, G.p) == 0:
-        raise SchottkyError(f"stabilizer {word} has |multiplier| = 1; group is not Schottky")
+    s = math.isqrt(h.trace**2 - 4 * h.det)
+    lam = Fraction(h.trace + s, h.trace - s)
     return StabilizerResult(word, lam if abs(lam) >= 1 else 1 / lam)
 
 

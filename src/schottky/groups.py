@@ -88,6 +88,12 @@ def _refuse_long_walk(rank: int, depth: int):
         )
 
 
+def _refuse_large_rank(rank: int):
+    """InvalidArgument if the 2r^2 + r axiom checks of rank r are more than MAX_WALK_WORDS."""
+    if 2 * rank * rank + rank > MAX_WALK_WORDS:
+        raise InvalidArgument(f"rank {rank} needs more than {MAX_WALK_WORDS} axiom checks")
+
+
 @record
 class AxiomCheck:
     name: str
@@ -192,6 +198,7 @@ class SchottkyGroup:
             raise ValueError("need at least one generator")
         if not (len(generators) == len(B) == len(C)):
             raise ValueError("generators, B and C must have equal lengths")
+        _refuse_large_rank(len(generators))
         for D in B + C:
             if not (D.bounded and D.is_open and D.p == ctx.p):
                 raise ValueError("B_i and C_i must be bounded open disks at the group prime")
@@ -682,6 +689,7 @@ def sample_group(p: int, rank: int, multiplier_exponent: int = 2) -> SchottkyGro
     """
     if rank < 1:
         raise InvalidArgument("rank must be >= 1")
+    _refuse_large_rank(rank)
     if multiplier_exponent < 2 or multiplier_exponent % 2 != 0:
         raise InvalidArgument("multiplier exponent must be an even integer >= 2")
     k = multiplier_exponent // 2

@@ -311,14 +311,18 @@ class FixedPointPair:
 def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     """Solve c z^2 + (d - a) z - b = 0 in P^1.
 
-    The roots are z+- = (a - d +- s) / (2c) with s**2 = disc = tr^2 - 4 det.
-    They are ``ProjPoint``s when disc is a rational square, and otherwise
-    ``QuadPoint(x, D, r, p)`` with x = (a - d) / 2c and D = disc / 4c^2
-    when disc is a p-adic square (NotASquareInQp when it is not: the fixed
-    points then lie in a quadratic extension, which only happens for
-    non-hyperbolic elements).  Write rho for the unit part modulo p, which
-    is multiplicative.  The root s is the one with rho(s) in 1..(p-1)/2,
-    and z+- = x +- s/2c carry the digits r = +-rho(s) / rho(2c) mod p.
+    The roots are z+- = (a - d +- s : 2c), s**2 = disc = tr^2 - 4 det, with
+    s = a - d when c = 0, which puts infinity first.  Where that vector is
+    (0 : 0), which needs c = 0, z+- is (-2b : a - d -+ s), the same point
+    as (a - d + s)(a - d - s) = -4bc; one of the two is nonzero unless g
+    is the identity.  The roots are ``ProjPoint``s when disc is a rational
+    square, as it is when c = 0, and otherwise ``QuadPoint(x, D, r, p)``
+    with x = (a - d) / 2c and D = disc / 4c^2 when disc is a p-adic square
+    (NotASquareInQp when it is not: the fixed points then lie in a
+    quadratic extension, which only happens for non-hyperbolic elements).
+    Write rho for the unit part modulo p, which is multiplicative.  The
+    root s is the one with rho(s) in 1..(p-1)/2, and z+- = x +- s/2c carry
+    the digits r = +-rho(s) / rho(2c) mod p.
 
     z+ attracts iff v(tr + s) < v(tr - s), the eigenvalues being
     (tr +- s) / 2.  For hyperbolic g, v(tr^2) < v(det), so v(s) = v(tr) = t,
@@ -335,26 +339,13 @@ def fixed_points(g: Homography, ctx: PrimeContext) -> FixedPointPair:
     cls = classify(g, ctx)
     p = ctx.p
 
-    if c == 0:
-        if a == d:
-            return FixedPointPair((INFINITY, INFINITY), cls)
-        finite = ProjPoint(b, d - a)
-        # eigenvalue a belongs to infinity, eigenvalue d to the finite point
-        if cls.is_hyperbolic:
-            if valuation(a, p) < valuation(d, p):
-                return FixedPointPair((INFINITY, finite), cls, INFINITY, finite)
-            return FixedPointPair((finite, INFINITY), cls, finite, INFINITY)
-        return FixedPointPair((INFINITY, finite), cls)
-
     disc = (d - a) ** 2 + 4 * b * c  # = tr^2 - 4 det
-    if disc == 0:
-        z = ProjPoint(a - d, 2 * c)
-        return FixedPointPair((z, z), cls)
-
-    s = isqrt(max(disc, 0))
+    s = a - d if c == 0 else isqrt(max(disc, 0))
     if s * s == disc:
-        z_plus = ProjPoint(a - d + s, 2 * c)
-        z_minus = ProjPoint(a - d - s, 2 * c)
+        z_plus, z_minus = (
+            ProjPoint(a - d + e, 2 * c) if a - d + e or c else ProjPoint(-2 * b, a - d - e)
+            for e in (s, -s)
+        )
         plus_attracts = cls.is_hyperbolic and valuation(a + d + s, p) < valuation(a + d - s, p)
     else:
         if p == 2:

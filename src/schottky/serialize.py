@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Tuple, Union
 
 from .disks import Disk
-from .errors import FormatError
+from .errors import AxiomViolation, FormatError
 from .groups import SchottkyGroup
 from .padic import PrimeContext
 from .proj import Homography, ProjPoint
@@ -180,7 +180,9 @@ def pair_from_dict(data: dict, base_dir=None) -> Tuple[SchottkyGroup, Homography
         raise FormatError("pair: expected a JSON object")
 
     def resolve_group(value, field):
-        if isinstance(value, str):
+        try:
+            if not isinstance(value, str):
+                return group_from_dict(value, field)
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
@@ -188,7 +190,8 @@ def pair_from_dict(data: dict, base_dir=None) -> Tuple[SchottkyGroup, Homography
                 return load_group(path)
             except (OSError, FormatError) as exc:
                 raise FormatError(f"{field}: {exc}") from exc
-        return group_from_dict(value, field)
+        except AxiomViolation as exc:
+            raise AxiomViolation(f"{field}: {exc}", exc.report) from exc
 
     for key in ("gamma1", "g", "gamma2", "depth"):
         if key not in data:

@@ -11,8 +11,12 @@ keeps the hit with the least (|v_p(lambda)|, walk order).
 order of ``walk_oracle``, to the first word that fixes x, after a
 reduction of each point that skips the walk when the point reduces into
 the fundamental domain.
-``test_geodesy.py`` compares the library with all three, and
-``test_subgroups.py`` with the walk.
+``multiplier`` is the rule by which both took lambda before the
+library read it off the eigenvalues: the integer conjugator
+(x.den, -x.num; y.den, -y.num) sends x to 0 and y to infinity, so it
+conjugates h to z -> lambda z.
+``test_geodesy.py`` compares the library with all of them, and
+``test_subgroups.py`` with the walk and the conjugator.
 """
 
 from fractions import Fraction
@@ -87,6 +91,15 @@ def pair_stabilizer(G, pair, depth):
     return StabilizerResult(best[1], best[2])
 
 
+def multiplier(h, x, y):
+    """lambda of h, which fixes the distinct points x and y, taken with
+    archimedean size >= 1: h conjugated to fix 0 and infinity."""
+    conj = Homography(x.den, -x.num, y.den, -y.num)
+    d = conj * h * conj.inverse()  # fixes 0 and infinity, so diagonal
+    lam = Fraction(d.a, d.d)
+    return lam if abs(lam) >= 1 else 1 / lam
+
+
 def walk_pair_stabilizer(G, pair, depth):
     """The library's ``pair_stabilizer`` when it walked the word tree: the
     first word, by length then lexicographically, that fixes x, kept if
@@ -111,10 +124,8 @@ def walk_pair_stabilizer(G, pair, depth):
         return StabilizerResult(None, None)
     if h.apply(y) != y:
         return StabilizerResult(None, None)
-    conj = Homography(x.den, -x.num, y.den, -y.num)
-    d = conj * h * conj.inverse()  # fixes 0 and infinity, so diagonal
-    lam = Fraction(d.a, d.d)
+    lam = multiplier(h, x, y)
     word = Word(letters)
     if valuation(lam, G.p) == 0:
         raise SchottkyError(f"stabilizer {word} has |multiplier| = 1; group is not Schottky")
-    return StabilizerResult(word, lam if abs(lam) >= 1 else 1 / lam)
+    return StabilizerResult(word, lam)

@@ -21,7 +21,7 @@ from schottky.cli import COMMANDS, build_parser, main
 from schottky.errors import SchottkyError
 from schottky.groups import sample_group
 from schottky.heights import height_matrix, upsilon_scan
-from schottky.serialize import canonical_json, load_group, save_group
+from schottky.serialize import canonical_json, group_to_dict, load_group, save_group
 from schottky.words import Word
 
 
@@ -97,11 +97,29 @@ def test_invalid_group_file(capsys, g5, tmp_path):
         ["limit-cover", str(path), "--depth", "1"],
         ["stabilizer", str(path), "--pair", "0,1", "--depth", "1"],
         ["upsilon", str(path), "--max-length", "1"],
-        ["geodesic-probe", str(pair)],
         # the group is reported before a bad argument
         ["enumerate", str(path), "--length", "-3"],
     ):
         assert run_cli(capsys, *argv) == (2, error), argv
+    pair_error = canonical_json({"error": f"pair.gamma1: {first.name}: {first.detail}"})
+    assert run_cli(capsys, "geodesic-probe", str(pair)) == (2, pair_error)
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("file", "inline"))
+def test_pair_names_the_group_that_fails_an_axiom(capsys, g5, tmp_path, inline):
+    """A pair whose gamma2 alone fails an axiom, as a file or inline, is
+    refused with the line that names the field and the first failed check."""
+    data = group_to_dict(g5)
+    (tmp_path / "g.json").write_text(canonical_json(data))
+    data["C"][1] = dict(data["B"][1])  # C2 replaced by B2
+    (tmp_path / "bad.json").write_text(canonical_json(data))
+    first = axiom_oracle.verify(g5.ctx, g5.generators, g5.B, (g5.C[0], g5.B[1])).failures[0]
+    pair = tmp_path / "pair.json"
+    identity = [["1", "0"], ["0", "1"]]
+    gamma2 = data if inline else "bad.json"
+    pair.write_text(json.dumps({"gamma1": "g.json", "g": identity, "gamma2": gamma2, "depth": 2}))
+    error = canonical_json({"error": f"pair.gamma2: {first.name}: {first.detail}"})
+    assert run_cli(capsys, "geodesic-probe", str(pair)) == (2, error)
 
 
 def test_reduce_infinity(capsys, g5_file):
@@ -750,6 +768,9 @@ def _sweep_cases():
     yield "geodesic-probe--window=0", ["geodesic-probe", "{pair}", "--window", "0"]
     yield "sample-group--p=4", ["sample-group", "--p", "4", "--rank", "2"]
     yield "sample-group--rank=0", ["sample-group", "--p", "5", "--rank", "0"]
+    # 2r^2 + r axiom checks pass the walk cap from rank 500 on
+    yield "sample-group--rank=huge", ["sample-group", "--p", "1009", "--rank", "500"]
+    yield "verify-rank-500-file-huge", ["verify", "{rank500}"]
     yield "sample-group--multiplier-exponent=3", [
         "sample-group", "--p", "5", "--rank", "2", "--multiplier-exponent", "3"
     ]
@@ -771,6 +792,11 @@ def _sweep_argv(argv, g5_file, tmp_path):
     if "{big}" in argv:
         names["big"] = str(tmp_path / "big.json")
         save_group(sample_group(5, 1, multiplier_exponent=40), names["big"])
+    if "{rank500}" in argv:
+        names["rank500"] = str(tmp_path / "rank500.json")
+        data = group_to_dict(sample_group(5, 1))
+        data.update({key: data[key] * 500 for key in ("generators", "B", "C")})
+        Path(names["rank500"]).write_text(canonical_json(data))
     if "{rank1}" in argv:
         names["rank1"] = str(tmp_path / "rank1.json")
         save_group(sample_group(5, 1), names["rank1"])

@@ -340,6 +340,74 @@ def test_pair_stabilizer_finds_only_powers(g5):
         assert set(w.letters) in ({1}, {-1})
 
 
+def _stabilizer_depth(G):
+    """9 below rank 3, where u w u^-1 of ``conjugate_fixed_pairs`` fits,
+    and 7 at rank 3, the deepest walk under the cap."""
+    return 9 if G.rank < 3 else 7
+
+
+@settings(max_examples=300)
+@given(conjugate_fixed_pairs())
+def test_multiplier_matches_the_conjugator(case):
+    """The eigenvalue ratio of the stabilizer is the lambda of the
+    integer conjugator that sends the pair to (0, infinity)."""
+    G, (x, y) = case
+    got = pair_stabilizer(G, (x, y), _stabilizer_depth(G))
+    event("hit" if got.word else "no hit")
+    if got.word:
+        assert got.multiplier == flat_oracle.multiplier(G.word_homography(got.word), x, y)
+
+
+@settings(max_examples=300)
+@given(conjugate_fixed_pairs())
+def test_stabilizer_multipliers_are_not_p_adic_units(case):
+    """A group is verified when it is built, so every stabilizer found is
+    hyperbolic and |lambda|_p != 1."""
+    G, pair = case
+    got = pair_stabilizer(G, pair, _stabilizer_depth(G))
+    event(f"rank {G.rank}, {'hit' if got.word else 'no hit'}")
+    if got.word:
+        assert valuation(got.multiplier, G.p) != 0
+
+
+class _OneLetterGroup:
+    """What ``pair_stabilizer`` reads of a group, for a group of rank 1
+    with g1 = h whose pull-back of x repeats at its first step: the
+    stabilizer found is g1 or g1^-1, and its multiplier that of h."""
+
+    rank = 1
+
+    def __init__(self, h):
+        self.h = h
+
+    def _pull_back(self, z, max_steps):
+        return [1], z, 1
+
+    def word_homography(self, word):
+        return self.h if word == Word((1,)) else self.h.inverse()
+
+
+_eigenvalues = st.integers(-(10**4), 10**4).filter(bool)
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(_points, min_size=2, max_size=2, unique=True).map(tuple),
+    st.lists(_eigenvalues, min_size=2, max_size=2, unique=True),
+)
+def test_multiplier_of_an_integer_matrix_matches_the_conjugator(pair, eigenvalues):
+    """h = s diag(l1, l2) s^-1, with s sending infinity to x and 0 to y,
+    fixes x and y; the eigenvalue ratio is the conjugator's lambda,
+    whatever the sign of det h and with infinity on either side."""
+    x, y = pair
+    s = Homography(x.num, y.num, x.den, y.den)
+    h = s * Homography(eigenvalues[0], 0, 0, eigenvalues[1]) * s.inverse()
+    event("det < 0" if h.det < 0 else "det > 0")
+    event("infinity in the pair" if INFINITY in pair else "finite pair")
+    got = pair_stabilizer(_OneLetterGroup(h), pair, 1)
+    assert got.multiplier == flat_oracle.multiplier(h, x, y)
+
+
 def test_double_coset_identity_pair(g5):
     report = double_coset_scan(g5, Homography.identity(), g5, 5)
     assert report.coset_counts == (1,) * 6

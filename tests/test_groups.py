@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from schottky.errors import (
     PointNearLimitSet,
 )
 from schottky.geodesy import pair_stabilizer
-from schottky.groups import MAX_WALK_WORDS, SchottkyGroup, sample_group
+from schottky.groups import MAX_WALK_WORDS, SchottkyGroup, _refuse_large_rank, sample_group
 from schottky.padic import NEG_INF, valuation
 from schottky.proj import INFINITY, ElementClass, Homography, ProjPoint, classify
 from schottky.words import Word, count_words_up_to, reduced_words
@@ -151,6 +152,26 @@ def test_sample_group_uses_integer_centers_exactly_when_they_are_separated():
                     continue
                 integral = all(Fraction(D.center).denominator == 1 for D in G.B + G.C)
                 assert integral == separated, (p, k, rank)
+
+
+def test_rank_is_refused_past_the_axiom_check_bound():
+    """A rank-r report holds 2r^2 + r checks, so the largest admitted rank
+    is 499; sample_group and the constructor refuse rank 500 at once."""
+    for rank in (1, 2, 3, 4):
+        assert len(sample_group(5, rank).verify().checks) == 2 * rank * rank + rank
+    assert 2 * 499**2 + 499 <= MAX_WALK_WORDS < 2 * 500**2 + 500
+    _refuse_large_rank(499)
+    with pytest.raises(InvalidArgument, match="rank 500 needs more than 500000 axiom checks"):
+        _refuse_large_rank(500)
+    G = sample_group(5, 1)
+    for build in (
+        lambda: sample_group(1009, 500),
+        lambda: SchottkyGroup(G.ctx, G.generators * 500, G.B * 500, G.C * 500),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgument, match="rank 500"):
+            build()
+        assert time.perf_counter() - start < 1
 
 
 def test_sample_group_fractional_centers():

@@ -6,8 +6,9 @@ from math import isqrt
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
+import fixed_point_oracle
 import hensel_oracle
-from schottky.errors import NotASquareInQp, UnsupportedPrime
+from schottky.errors import NotASquareInQp, SchottkyError, UnsupportedPrime
 from schottky.padic import NEG_INF, PrimeContext, valuation
 from schottky.proj import (
     INFINITY,
@@ -301,3 +302,58 @@ def test_fixed_points_of_the_inverse_swap_their_tags(case):
 def test_fixed_points_identity_rejected():
     with pytest.raises(ValueError):
         fixed_points(Homography.identity(), CTX)
+
+
+@st.composite
+def root_formula_cases(draw):
+    """(g, p) at p in {2, 3, 5, 7, 11}: g upper triangular (c = 0, with
+    a = d a third of the time), parabolic (disc = 0, fixing infinity when
+    v = 0), conjugated from diag(l1, l2) so that its fixed points are
+    rational (infinity among them when y1 = 0), or random."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+
+    def entry(zero=True):
+        n = draw(st.integers(0 if zero else 1, 30)) * draw(st.sampled_from([1, -1]))
+        return n * p ** draw(st.integers(0, 3))
+
+    kind = draw(st.sampled_from(["c = 0"] * 3 + ["parabolic", "rational pair", "random"]))
+    if kind == "c = 0":
+        a, b = entry(False), entry()
+        g = Homography(a, b, 0, a if draw(st.integers(0, 2)) == 0 else entry(False))
+    elif kind == "parabolic":
+        u, v, k = entry(), entry(), entry(False)
+        assume(u or v)
+        g = Homography(1 + k * u * v, -k * u * u, k * v * v, 1 - k * u * v)
+    elif kind == "rational pair":
+        x1, x2, y1, y2 = entry(), entry(), entry(), entry()
+        assume(x1 * y2 != x2 * y1)
+        s = Homography(x1, x2, y1, y2)
+        g = s * Homography(entry(False), 0, 0, entry(False)) * s.inverse()
+    else:
+        a, b, c, d = entry(), entry(), entry(), entry()
+        assume(a * d != b * c)
+        g = Homography(a, b, c, d)
+    a, b, c, d = g.entries
+    event("c = 0" if c == 0 else "c != 0")
+    event(f"disc {'= 0' if (d - a) ** 2 + 4 * b * c == 0 else '!= 0'}")
+    return g, p
+
+
+def _fixed_point_outcome(solve, g, p):
+    """The FixedPointPair of g at p, or the type and text of the error."""
+    try:
+        return solve(g, PrimeContext(p))
+    except (SchottkyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600)
+@given(case=root_formula_cases())
+def test_fixed_points_match_the_branched_reference(case):
+    """One root formula gives the points, order, tags and errors that the
+    affine, double-root and root-formula branches gave."""
+    g, p = case
+    got = _fixed_point_outcome(fixed_points, g, p)
+    want = _fixed_point_outcome(fixed_point_oracle.fixed_points, g, p)
+    event(got[0].__name__ if isinstance(got, tuple) else got.element_class.value)
+    assert got == want

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import fraction_oracle as oracle
 from conftest import conjugate
 from schottky.disks import Disk
-from schottky.errors import FormatError
+from schottky.errors import AxiomViolation, FormatError
 from schottky.groups import sample_group
 from schottky.proj import INFINITY, Homography, ProjPoint
 from schottky.serialize import (
@@ -210,6 +210,25 @@ def test_pair_errors_name_the_group(g5, tmp_path):
     pair["gamma2"] = "broken.json"
     with pytest.raises(FormatError, match=r"^pair\.gamma2: .*broken\.json:1:"):
         pair_from_dict(pair, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("field", ("gamma1", "gamma2"))
+@pytest.mark.parametrize("inline", (False, True), ids=("file", "inline"))
+def test_pair_axiom_failures_name_the_group(g5, tmp_path, field, inline):
+    """An AxiomViolation from either group of a pair names its field and
+    keeps the group's whole report."""
+    bad = group_to_dict(g5)
+    bad["C"][1] = dict(bad["B"][1])  # C2 replaced by B2
+    (tmp_path / "bad.json").write_text(canonical_json(bad))
+    with pytest.raises(AxiomViolation) as plain:
+        group_from_dict(bad)
+    pair = {"gamma1": group_to_dict(g5), "g": [["1", "0"], ["0", "1"]], "depth": 3}
+    pair["gamma2"] = group_to_dict(g5)
+    pair[field] = bad if inline else "bad.json"
+    with pytest.raises(AxiomViolation) as exc:
+        pair_from_dict(pair, base_dir=tmp_path)
+    assert str(exc.value) == f"pair.{field}: {plain.value}"
+    assert exc.value.report == plain.value.report and not exc.value.report.all_passed
 
 
 @pytest.mark.parametrize("precision", (64, 0, "x", [1], None))

@@ -1,11 +1,15 @@
 """Known answers from finite-index subgroups (``subgroups.py``)."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flat_oracle
 from conftest import rational_fixed_pairs
 from schottky.geodesy import StabilizerResult, pair_stabilizer
 from schottky.groups import sample_group
+from schottky.padic import valuation
 from schottky.proj import ProjPoint
 from subgroups import Subgroup, orbit_length
 
@@ -17,6 +21,7 @@ ACTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def subgroup(p, action):
     return Subgroup(sample_group(p, 2), ACTIONS[action])
 
@@ -84,3 +89,16 @@ def test_subgroup_stabilizers_are_known(p, action):
                         S.group, pair, 3
                     )
     assert 0 < hits < 17 * len(rational_fixed_pairs(G))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((3, 5, 7)), st.sampled_from(list(ACTIONS)), st.data())
+def test_subgroup_multipliers_match_the_conjugator(p, action, data):
+    """Every rational fixed pair of a word of H up to length 3 has a
+    stabilizer within length 3, whose eigenvalue ratio is the integer
+    conjugator's lambda and is no p-adic unit."""
+    H = subgroup(p, action).group
+    x, y = data.draw(st.sampled_from(rational_fixed_pairs(H)))
+    got = pair_stabilizer(H, (x, y), 3)
+    assert got.multiplier == flat_oracle.multiplier(H.word_homography(got.word), x, y)
+    assert valuation(got.multiplier, p) != 0
