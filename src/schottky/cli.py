@@ -287,31 +287,44 @@ COMMANDS = {
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command in ``COMMANDS``, or of the named one only.
+    """The parser of every command in ``COMMANDS``, or the named command's own.
 
-    A request names its command first, and parsing it needs no other
-    subparser; the full parser serves help, a missing or unknown command
-    and a leading option.
+    A request names its command first, and ``main`` parses the rest of it
+    with that command's parser alone; the full parser serves help, a
+    missing or unknown command and a leading option.  A command's own
+    parser has the prog "schottky NAME" that argparse gives its subparser,
+    so help, usage and error lines are the same bytes either way.
     """
+    if command is not None:
+        return _fill(_Parser(prog=f"schottky {command}"), command)
     parser = _Parser(
         prog="schottky",
         description="Exact calculus for p-adic Schottky groups with good fundamental domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_, arguments) in COMMANDS.items():
-        if command is None or name == command:
-            s = sub.add_parser(name, help=help_)
-            for flags, options in arguments:
-                s.add_argument(*flags, **options)
-            s.set_defaults(func=func)
+    for name, (_, help_, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_), name)
+    return parser
+
+
+def _fill(parser, command):
+    func, _, arguments = COMMANDS[command]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if argv and argv[0] in COMMANDS:
+        # the full parser hands every token after the command to its
+        # subparser unchanged, so parsing them alone gives the same result
+        parser, argv = build_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
-        args = build_parser(command).parse_args(argv)  # an argument error may meet a closed pipe
+        args = parser.parse_args(argv)  # an argument error may meet a closed pipe
         code = args.func(args)
         sys.stdout.flush()  # meet a closed pipe here, not at the interpreter's final flush
         return code

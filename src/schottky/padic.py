@@ -99,7 +99,11 @@ _WINDOWS = {}
 
 def _window(p: int):
     """(p**W, W, {p**j: j for j <= W}) for the largest W >= 1 with p**W
-    below 2**30, cached for p at first use."""
+    below 2**30, cached for p at first use; InvalidArgument unless p is
+    prime (for p = 1 the powers never grow, and a composite's gcds miss
+    the table)."""
+    if not is_prime(p):
+        raise InvalidArgument(f"p = {p} is not prime")
     powers = [1, p]
     while powers[-1] * p < 1 << 30:
         powers.append(powers[-1] * p)

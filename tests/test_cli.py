@@ -863,19 +863,19 @@ def test_main_matches_the_full_parser(capsys, g5_file, tmp_path, case, argv):
     assert _run(capsys, main, argv) == _run(capsys, _full_parser_main, argv)
 
 
-def _subparsers(parser):
-    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
 def test_each_command_parser_matches_the_full_parser():
-    full = _subparsers(build_parser())
+    """``build_parser(name)`` is the subparser that the full parser builds
+    for ``name``, with no top-level parser around it."""
+    (action,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    full = action.choices
     assert list(full) == list(COMMANDS)
     for name in COMMANDS:
-        alone = _subparsers(build_parser(name))
-        assert list(alone) == [name]
-        assert alone[name].format_help() == full[name].format_help()
-        assert alone[name].get_default("func") is full[name].get_default("func")
+        alone = build_parser(name)
+        assert alone.prog == full[name].prog == f"schottky {name}"
+        assert alone.format_help() == full[name].format_help()
+        assert alone.get_default("func") is full[name].get_default("func")
 
 
 def test_delta_at_depth_1000_finishes(capsys, g5_file):
@@ -969,6 +969,18 @@ def argv_files(tmp_path_factory):
     return names
 
 
+def _call(entry, argv):
+    """(exit code, stdout, stderr) of one call of a CLI entry point, for
+    hypothesis tests, which cannot take the capsys fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=400)
 @given(argv=command_argv())
 def test_drawn_argv_exits_cleanly(argv_files, argv):
@@ -976,17 +988,12 @@ def test_drawn_argv_exits_cleanly(argv_files, argv):
     and exits 2 (1 for a group that fails verify); no other exception
     escapes, and usage errors exit through SystemExit(2)."""
     argv = [arg.format(**argv_files) for arg in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = _call(main, argv)
     event(f"{argv[0]} exit {code}")
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 0:
         return
-    lines = out.getvalue().splitlines()
+    lines = out.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
     if code == 1:
@@ -994,3 +1001,39 @@ def test_drawn_argv_exits_cleanly(argv_files, argv):
     else:
         assert code == 2
         assert list(result) == ["error"] and isinstance(result["error"], str)
+
+
+@st.composite
+def argv_with_strays(draw):
+    """A drawn command argv with one to three stray tokens put after the
+    command: ``--``, ``-h``, an extra positional, a repeated option and an
+    option abbreviated to a unique prefix of its flag."""
+    argv = draw(command_argv())
+    name = argv[0]
+    flags = ["--help"] + [f[0] for f, _ in COMMANDS[name][2] if f[0].startswith("-")]
+    strays = ["--", "-h", "extra"]
+    options = [token for token in argv[1:] if token.startswith("--")]
+    if options:
+        option = draw(st.sampled_from(options))
+        strays.append(option)
+        flag, _, value = option.partition("=")
+        shortest = next(
+            k for k in range(3, len(flag) + 1) if sum(f.startswith(flag[:k]) for f in flags) == 1
+        )
+        prefix = flag[: draw(st.integers(shortest, max(shortest, len(flag) - 1)))]
+        strays.append(f"{prefix}={value}")
+    for stray in draw(st.lists(st.sampled_from(strays), min_size=1, max_size=3)):
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=argv_with_strays())
+def test_drawn_argv_matches_the_full_parser(argv_files, argv):
+    """A drawn call through its command's own parser prints the same
+    stdout and stderr and exits with the same code as one through the
+    parser of all commands, stray tokens included."""
+    argv = [arg.format(**argv_files) for arg in argv]
+    got = _call(main, argv)
+    event(f"exit {got[0]}")
+    assert got == _call(_full_parser_main, argv)

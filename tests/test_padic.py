@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import event, example, given, strategies as st
 
 import fraction_oracle as oracle
+from conftest import child_env
 from hensel_oracle import OddValuation, PadicApprox, PrecisionExhausted, hensel_sqrt, quotient
 from schottky.errors import InvalidArgument, NotASquare, UnsupportedPrime
 from schottky.padic import (
@@ -97,6 +100,39 @@ def test_valuation_ultrametric(x, y):
     assert vs >= min(vx, vy)
     if vx != vy:
         assert vs == min(vx, vy)
+
+
+# p = 1 (or True) gave a window of powers that never grew, so these calls
+# never returned; a composite or negative p missed the window's table
+@pytest.mark.parametrize(
+    "call, p",
+    [
+        ("valuation(10, 1)", 1),
+        ("valuation(10, True)", True),
+        ("abs_exponent(10, 1)", 1),
+        ("Disk.open_disk(0, 0, 1)", 1),
+        ("valuation(8, 4)", 4),
+        ("valuation(10, -5)", -5),
+    ],
+)
+def test_a_p_that_is_not_prime_is_refused(call, p):
+    """Run in a child with 512 MB of address space and 5 s, so a call that
+    loops ends the test quickly."""
+    code = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from schottky.disks import Disk
+from schottky.errors import InvalidArgument
+from schottky.padic import abs_exponent, valuation
+try:
+    {call}
+except InvalidArgument as exc:
+    print(exc)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=5
+    )
+    assert (result.returncode, result.stdout) == (0, f"p = {p} is not prime\n"), result.stderr
 
 
 @given(x=rationals.filter(bool), p=st.sampled_from([2, 3, 5, 7]), k=st.integers(1, 8))

@@ -1,12 +1,14 @@
 """Known answers from finite-index subgroups (``subgroups.py``)."""
 
 import functools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import flat_oracle
-from conftest import rational_fixed_pairs
+from conftest import cached_sample_group, rational_fixed_pairs
+from schottky.errors import PointNearLimitSet
 from schottky.geodesy import StabilizerResult, pair_stabilizer
 from schottky.groups import sample_group
 from schottky.padic import valuation
@@ -102,3 +104,32 @@ def test_subgroup_multipliers_match_the_conjugator(p, action, data):
     got = pair_stabilizer(H, (x, y), 3)
     assert got.multiplier == flat_oracle.multiplier(H.word_homography(got.word), x, y)
     assert valuation(got.multiplier, p) != 0
+
+
+def _delta(G, x, depth):
+    try:
+        bound = G.delta_to_limit(x, depth)
+    except PointNearLimitSet:
+        return None
+    return bound.lower_exponent, bound.upper_exponent
+
+
+@settings(max_examples=500)
+@given(
+    p=st.sampled_from((3, 5, 7)),
+    center=st.integers(-1, 4),
+    unit=st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=10**4),
+    k=st.integers(-3, 45),
+)
+def test_subgroup_distance_to_the_limit_set_is_the_groups(p, center, unit, k):
+    """A finite-index subgroup H has the limit set of G, so
+    delta(x, Lambda(H)) = delta(x, Lambda(G)) at every x where neither
+    depth-40 cover holds x.  The points c + u p^k come within p^-k of the
+    integer centers of G's disks, near limit points for large k."""
+    x = ProjPoint(center + unit * Fraction(p) ** k)
+    want = _delta(cached_sample_group(p, 2), x, 40)
+    for action in ACTIONS:
+        got = _delta(subgroup(p, action).group, x, 40)
+        event("compared" if None not in (want, got) else "near the limit set")
+        if None not in (want, got):
+            assert got == want, action
