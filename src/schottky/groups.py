@@ -71,7 +71,7 @@ _COVER_CACHE_CAP = 1 << 15
 # depth 11, 162 MB for the fit.
 MAX_WALK_WORDS = 5 * 10**5
 
-# (letters, homography) of the identity, where a descent from the root starts
+# (letters, homography) of the identity, the root of every walk and descent
 _ROOT = (), Homography.identity()
 
 
@@ -171,9 +171,9 @@ class ProperFit:
 
 @record
 class TranslateScan:
-    """Words w up to the depth with w(A) meeting A2, the identity first
-    and then in the walk's preorder, plus an empirical completeness
-    certificate from the envelope constants."""
+    """Words w up to the depth with w(A) meeting A2, in the walk's preorder
+    from the identity, plus an empirical completeness certificate from the
+    envelope constants."""
 
     words: Tuple[Word, ...]
     depth: int
@@ -291,10 +291,11 @@ class SchottkyGroup:
         return h
 
     def _walk(self, max_length: int):
-        """``iter_words_with_matrices`` over letter tuples, building no words;
-        a length past the walk cap is refused at the call, before any word."""
+        """(length, letters, homography) from ``_ROOT``, the identity, to
+        max_length in the walk's preorder, building no words; a length past
+        the walk cap is refused at the call, before any node."""
         _refuse_long_walk(self.rank, max_length)
-        return walk([((l,), g) for l, g in self._steps.items()], self._steps, max_length)
+        return walk(_ROOT, self._steps, max_length)
 
     def iter_words_with_matrices(self, max_length: int):
         """(length, word, homography) for all reduced words of length
@@ -302,7 +303,9 @@ class SchottkyGroup:
         extensions, each length lexicographically), with incremental
         products.  A length with more than MAX_WALK_WORDS words up to it is
         refused with InvalidArgument at the call."""
-        return ((length, Word(letters), h) for length, letters, h in self._walk(max_length))
+        nodes = self._walk(max_length)
+        next(nodes)  # the identity
+        return ((length, Word(letters), h) for length, letters, h in nodes)
 
     # -- word disks and covers -------------------------------------------
 
@@ -325,22 +328,19 @@ class SchottkyGroup:
         the closed domain disk of l imaged by the parent's homography,
         which is the closure of the open word disk h_v(D_l) because the
         pole of h_v lies in a domain disk apart from K_l (see the module
-        docstring).  At depth 1 the parent is the identity and the disks
-        are the K_l themselves.  The walk makes reduced letter tuples only,
-        so their Words skip the checks of ``Word(...)``."""
+        docstring).  At depth 1 the parent is the walk's root, the identity,
+        and the disks are the K_l themselves.  The walk makes reduced letter
+        tuples only, so their Words skip the checks of ``Word(...)``."""
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         _refuse_long_walk(self.rank, depth)
         closed = {l: K for l, _, K in self._domain}
-        if depth == 1:
-            entries = [(_trusted_word((l,)), closed[l]) for l in self._after[0]]
-        else:
-            entries = [
-                (_trusted_word(letters + (l,)), image(h, closed[l]))
-                for length, letters, h in self._walk(depth - 1)
-                if length == depth - 1
-                for l in self._after[letters[-1]]
-            ]
+        entries = [
+            (_trusted_word(letters + (l,)), image(h, closed[l]))
+            for length, letters, h in self._walk(depth - 1)
+            if length == depth - 1
+            for l in self._after[letters[-1] if letters else 0]
+        ]
         max_exp = max(disk.radius_exp for _, disk in entries)
         return LimitCover(depth, tuple(entries), max_exp)
 
@@ -660,13 +660,11 @@ class SchottkyGroup:
         """
         if depth < 0:
             raise InvalidArgument("depth must be >= 0")
-        words = self.iter_words_with_matrices(depth)  # refuses a depth past the walk cap
-        hits = []
-        if A.intersects(A2):
-            hits.append(Word(()))
-        for _, word, h in words:
-            if A.transform(h).intersects(A2):
-                hits.append(word)
+        hits = [
+            Word(letters)
+            for _, letters, h in self._walk(depth)  # refuses a depth past the walk cap
+            if A.transform(h).intersects(A2)
+        ]
         floor = self._delta_floor(A2, 2)
         length_bound = None
         certified = False

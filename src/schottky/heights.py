@@ -113,7 +113,7 @@ def _positive_branch(generators, first: int, max_length: int, digit_limit: int):
     step = {i: g for i, g in enumerate(generators, 1)}
     too_long = 10**digit_limit if digit_limit else None
     levels = [[] for _ in range(max_length)]
-    for length, _, h in walk([((first,), step[first])], step, max_length):
+    for length, _, h in walk(((first,), step[first]), step, max_length):
         height = height_matrix(h)
         if too_long is not None and height >= too_long:
             raise past_integer_text_limit("a height", digit_limit, "lower max_length")

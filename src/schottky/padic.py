@@ -70,21 +70,24 @@ class PrimeContext:
 def valuation(x: Rational, p: int) -> Exponent:
     """p-adic valuation of an exact rational; +inf for 0.
 
-    An integer prime to p costs one ``x % p``.  Otherwise one gcd with the
-    window p**W, the largest power of p below 2**30 (one digit of a Python
-    int), gives p**min(v, W), and a table reads off its exponent; while
-    p**W divides x, a loop divides it out and takes the gcd again.
+    The window p**W is looked up first, so a p that is not prime is always
+    refused.  An integer prime to p then costs one ``x % p``.  Otherwise
+    one gcd with p**W, the largest power of p below 2**30 (one digit of a
+    Python int), gives p**min(v, W), and a table reads off its exponent;
+    while p**W divides x, a loop divides it out and takes the gcd again.
     """
     if type(x) is not int:
         x = Fraction(x)
         if x == 0:
             return POS_INF
         return valuation(x.numerator, p) - valuation(x.denominator, p)
+    if p not in _WINDOWS:
+        _window(p)
     if x % p:
         return 0
     if x == 0:
         return POS_INF
-    window, width, exponents = _WINDOWS.get(p) or _window(p)
+    window, width, exponents = _WINDOWS[p]
     v = 0
     g = gcd(x, window)
     while g == window:
@@ -98,17 +101,16 @@ _WINDOWS = {}
 
 
 def _window(p: int):
-    """(p**W, W, {p**j: j for j <= W}) for the largest W >= 1 with p**W
-    below 2**30, cached for p at first use; InvalidArgument unless p is
-    prime (for p = 1 the powers never grow, and a composite's gcds miss
-    the table)."""
+    """Cache (p**W, W, {p**j: j for j <= W}) for the largest W >= 1 with
+    p**W below 2**30 as ``_WINDOWS[p]``; InvalidArgument unless p is prime
+    (for p = 1 the powers never grow, and a composite's gcds miss the
+    table)."""
     if not is_prime(p):
         raise InvalidArgument(f"p = {p} is not prime")
     powers = [1, p]
     while powers[-1] * p < 1 << 30:
         powers.append(powers[-1] * p)
-    entry = _WINDOWS[p] = (powers[-1], len(powers) - 1, {q: j for j, q in enumerate(powers)})
-    return entry
+    _WINDOWS[p] = (powers[-1], len(powers) - 1, {q: j for j, q in enumerate(powers)})
 
 
 def abs_exponent(x: Rational, p: int) -> Exponent:

@@ -144,52 +144,50 @@ def extensions(letters) -> Dict[int, Tuple[int, ...]]:
     return table
 
 
-def walk(roots, step, max_length: int) -> Iterator[Tuple[int, Tuple[int, ...], object]]:
-    """Depth-first walk of the word tree below the roots, in preorder.
+def walk(root, step, max_length: int) -> Iterator[Tuple[int, Tuple[int, ...], object]]:
+    """Depth-first walk of the word tree below one node, in preorder.
 
-    ``roots`` are ``(letters, value)`` pairs of one nonempty length in
-    lexicographic order; ``step`` maps the alphabet, in order, to right
-    factors: the child by letter l has the value ``value * step[l]``.
-    Yields ``(length, letters, value)`` up to ``max_length``, each node
-    before its children and each length in lexicographic order.  It holds
-    the path, and the parent's length, value and next index for each level
-    with letters left to try: a path with no branches holds no ancestor.
+    ``root`` is a ``(letters, value)`` node, the identity ``((), value)``
+    included; ``step`` maps the alphabet, in order, to right factors: the
+    child by letter l has the value ``value * step[l]``.  Yields ``(length,
+    letters, value)`` for the root and then its descendants up to
+    ``max_length``, each node before its children and each length in
+    lexicographic order.  It holds the path, and the parent's length,
+    value and next index for each level with letters left to try: a path
+    with no branches holds no ancestor.
     """
     max_length = operator.index(max_length)
     after = extensions(step)
-    for letters, value in roots:
-        length = len(letters)
-        if length > max_length:
+    letters, value = root
+    length = len(letters)
+    path = list(letters)
+    levels = []  # [length, value, children, next index]
+    while True:
+        yield length, tuple(path), value
+        if length < max_length:
+            children = after[path[-1] if path else 0]
+            if children:  # the identity of rank 0 has none
+                levels.append([length, value, children, 0])
+        if not levels:
             return
-        path = list(letters)
-        levels = []  # [length, value, children, next index]
-        while True:
-            yield length, tuple(path), value
-            if length < max_length:
-                levels.append([length, value, after[path[-1]], 0])
-            if not levels:
-                break
-            length, value, children, i = level = levels[-1]
-            if i + 1 < len(children):
-                level[3] = i + 1
-            else:
-                levels.pop()  # its last letter is taken
-            path[length:] = children[i : i + 1]
-            length += 1
-            value = value * step[children[i]]
+        length, value, children, i = level = levels[-1]
+        if i + 1 < len(children):
+            level[3] = i + 1
+        else:
+            levels.pop()  # its last letter is taken
+        path[length:] = children[i : i + 1]
+        length += 1
+        value = value * step[children[i]]
 
 
 def reduced_words(rank: int, length: int) -> Iterator[Word]:
     """All reduced words of the exact length, in lexicographic order: the
-    nodes of that length of a walk over unit values, streamed."""
+    nodes of that length of a walk from the identity over unit values."""
     length = operator.index(length)
     if length < 0:
         raise InvalidArgument("length must be >= 0")
-    if length == 0:
-        yield Word(())
-        return
     unit = dict.fromkeys(alphabet(rank), 1)
-    for n, letters, _ in walk([((l,), 1) for l in unit], unit, length):
+    for n, letters, _ in walk(((), 1), unit, length):
         if n == length:
             yield _trusted_word(letters)
 

@@ -255,6 +255,16 @@ def _disk_fields(D):
     return (D, type(D.radius_exp), D._m, D._pk, D._s)
 
 
+@given(G=drawn_groups((2, 3, 5, 7)))
+def test_limit_cover_at_depth_one_is_the_closed_domain_disks(G):
+    """Depth 1 images each K_l by the identity, the walk's root: the
+    entries are (l, K_l) in alphabet order, field by field."""
+    want = [(Word((l,)), (G.C[l - 1] if l > 0 else G.B[-l - 1]).closure()) for l in G.letters()]
+    got = G.limit_cover(1).entries
+    assert [w for w, _ in got] == [w for w, _ in want]
+    assert [_disk_fields(D) for _, D in got] == [_disk_fields(D) for _, D in want]
+
+
 @given(G=drawn_groups((2, 3, 5, 7)), depth=st.integers(1, 5))
 def test_limit_cover_matches_the_closed_leaf_disks(G, depth):
     """Each cover disk, imaged from the closed domain disk by the parent
@@ -709,6 +719,24 @@ def test_intersecting_translates_disjoint_branches(g5):
     assert scan.words == ()
     connect = Word((2, 1)) * Word((1, 2)).inverse()
     assert connect in g5.intersecting_translates(A, A2, 4).words
+
+
+@settings(max_examples=60)
+@given(
+    disks=st.lists(
+        st.tuples(st.integers(-30, 30), st.integers(0, 2), st.integers(-3, 1)),
+        min_size=2,
+        max_size=2,
+    )
+)
+def test_depth_zero_translates_are_the_identity_when_the_sets_meet(disks):
+    """The walk's root decides depth 0: the identity when A meets A2,
+    nothing otherwise."""
+    G = cached_sample_group(5, 2)
+    A, A2 = (Affinoid(Disk.closed_disk(Fraction(n, 5**k), e, 5), ()) for n, k, e in disks)
+    meets = A.intersects(A2)
+    event("A meets A2" if meets else "A misses A2")
+    assert G.intersecting_translates(A, A2, 0).words == ((Word(()),) if meets else ())
 
 
 def test_unverified_group_rejects_operations(g5):

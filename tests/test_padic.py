@@ -103,7 +103,8 @@ def test_valuation_ultrametric(x, y):
 
 
 # p = 1 (or True) gave a window of powers that never grew, so these calls
-# never returned; a composite or negative p missed the window's table
+# never returned; a composite or negative p missed the window's table, and
+# answered 0 for an x it does not divide
 @pytest.mark.parametrize(
     "call, p",
     [
@@ -113,6 +114,8 @@ def test_valuation_ultrametric(x, y):
         ("Disk.open_disk(0, 0, 1)", 1),
         ("valuation(8, 4)", 4),
         ("valuation(10, -5)", -5),
+        ("valuation(9, 4)", 4),
+        ("valuation(7, -5)", -5),
     ],
 )
 def test_a_p_that_is_not_prime_is_refused(call, p):

@@ -23,10 +23,11 @@ import walk_oracle
 from conftest import CONJUGATOR_NAMES, conjugate, drawn_groups, permuted
 from schottky import INFINITY, PointNearLimitSet, ProjPoint, Word, sample_group
 from schottky.disks import point_to_disk_delta
+from schottky.groups import MAX_WALK_WORDS
 from schottky.heights import height_matrix, upsilon_scan
 from schottky.padic import NEG_INF, POS_INF
-from schottky.proj import delta
-from schottky.words import extensions, reduced_words, walk
+from schottky.proj import Homography, delta
+from schottky.words import count_words_up_to, extensions, reduced_words, walk
 
 GROUPS = {rank: sample_group(5, rank) for rank in (1, 2, 3)}
 PRIMES = (2, 3, 5, 7)
@@ -69,23 +70,32 @@ def test_walk_matches_reduced_words_and_products(rank):
     assert list(G.iter_words_with_matrices(0)) == []
 
 
+@pytest.mark.parametrize("rank", (1, 2, 3))
+def test_group_walk_is_the_identity_and_the_capped_count(rank):
+    """The walk from the identity has one node more than the count that
+    its cap refuses by."""
+    G = GROUPS[rank]
+    for depth in range(6):
+        nodes = list(G._walk(depth))
+        assert nodes[0] == (0, (), Homography.identity())
+        assert len(nodes) == 1 + count_words_up_to(2 * rank, 2 * rank - 1, depth, MAX_WALK_WORDS)
+
+
 @st.composite
 def walk_cases(draw):
-    """(roots, step, max_length): the reduced or the positive step of a
-    drawn group, a sublist of the nodes of length 1 or 2 as roots, and a
-    length up to 7."""
+    """(root, step, max_length): the reduced or the positive step of a
+    drawn group, one node of length 0, 1 or 2 as the root, the identity
+    included, and a length from the root's up to 7."""
     G = draw(drawn_groups((3, 5, 7)))
     if draw(st.booleans()):
         step = G._steps
     else:
         step = {i: g for i, g in enumerate(G.generators, 1)}  # as the height scan
-    max_length = draw(st.integers(0, 7))
-    root_length = draw(st.integers(1, 2))
-    nodes = walk_oracle.walk([((l,), g) for l, g in step.items()], step, root_length)
-    level = [(letters, h) for n, letters, h in nodes if n == root_length]
-    keep = draw(st.lists(st.booleans(), min_size=len(level), max_size=len(level)))
-    event(f"{'reduced' if step is G._steps else 'positive'}, roots of length {root_length}")
-    return [node for node, kept in zip(level, keep) if kept], step, max_length
+    root_length = draw(st.integers(0, 2))
+    nodes = walk_oracle.walk([((), Homography.identity())], step, root_length)
+    root = draw(st.sampled_from([(letters, h) for n, letters, h in nodes if n == root_length]))
+    event(f"{'reduced' if step is G._steps else 'positive'}, a root of length {root_length}")
+    return root, step, draw(st.integers(root_length, 7))
 
 
 @settings(max_examples=150)
@@ -93,16 +103,16 @@ def walk_cases(draw):
 def test_walk_is_the_reference_in_preorder(case):
     """The same nodes and products as the level-order reference; each
     length in lexicographic order, and each node after its parent."""
-    roots, step, max_length = case
-    want = list(walk_oracle.walk(roots, step, max_length))
-    got = list(walk(roots, step, max_length))
+    root, step, max_length = case
+    want = list(walk_oracle.walk([root], step, max_length))
+    got = list(walk(root, step, max_length))
     assert got == sorted(want, key=preorder)
     for n in range(max_length + 1):
         assert [node for node in got if node[0] == n] == [node for node in want if node[0] == n]
-    root_letters = {letters for letters, _ in roots}
-    seen = set()
-    for _, letters, _ in got:
-        assert letters in root_letters or letters[:-1] in seen
+    assert got[0][1] == root[0]
+    seen = {root[0]}
+    for _, letters, _ in got[1:]:
+        assert letters[:-1] in seen
         seen.add(letters)
 
 

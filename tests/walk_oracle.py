@@ -22,9 +22,10 @@ from schottky.words import Word, alphabet, extensions
 def walk(roots, step, max_length: int) -> Iterator[Tuple[int, Tuple[int, ...], object]]:
     """Level-order walk of the word tree below the roots.
 
-    ``roots`` are ``(letters, value)`` pairs of one nonempty length in
-    lexicographic order; ``step`` maps the alphabet, in order, to right
-    factors: the child by letter l has the value ``value * step[l]``.
+    ``roots`` are ``(letters, value)`` pairs of one length, the identity
+    ``((), value)`` included, in lexicographic order; ``step`` maps the
+    alphabet, in order, to right factors: the child by letter l has the
+    value ``value * step[l]``.
     Yields ``(length, letters, value)`` up to ``max_length``, by length,
     then lexicographically.
     """
@@ -41,7 +42,7 @@ def walk(roots, step, max_length: int) -> Iterator[Tuple[int, Tuple[int, ...], o
         level = [
             (letters + (l,), value * step[l])
             for letters, value in level
-            for l in after[letters[-1]]
+            for l in after[letters[-1] if letters else 0]
         ]
 
 
@@ -71,6 +72,7 @@ def reduced_words(rank: int, length: int) -> Iterator[Word]:
 
 
 def group_walk(G, max_length: int):
-    """``G._walk(max_length)`` in level order, with its walk-cap refusal."""
+    """``G._walk(max_length)`` without its identity node, in level order,
+    with its walk-cap refusal."""
     _refuse_long_walk(G.rank, max_length)
     return walk([((l,), g) for l, g in G._steps.items()], G._steps, max_length)
