@@ -139,10 +139,12 @@ class DeltaGammaBound:
     whose points all lie at one distance from the query point, limit
     points among them: the lower and upper exponents are equal, and they
     are the exponent of delta(x, Lambda) itself, the same at every depth
-    from the first one that answers.  ``delta_to_limit`` starts its
-    descent at the point's reduction word when that word's closed cover
-    disk is a chordal ball, so it costs the word's pull-back steps and at
-    most 4r - 1 cover nodes."""
+    from the first one that answers.  The upper exponent is read at the
+    center of that disk, or of the open word disk B(u) when the point
+    lies on the boundary sphere of the cover disk E(u).
+    ``delta_to_limit`` starts its descent at the point's reduction word
+    when that word's closed cover disk is a chordal ball, so it costs the
+    word's pull-back steps and at most 2r cover nodes."""
 
     lower_exponent: Exponent
     upper_exponent: Exponent
@@ -209,7 +211,8 @@ class SchottkyGroup:
         self.generators = generators
         self.B = B
         self.C = C
-        # letters -> (homography, closed word disk): the one word-disk memo
+        # letters -> (homography, closed word disk, open word disk): the one
+        # word-disk memo
         self._cover_cache = {}
         # always empty; perfbench/tracer.py still reports its size
         self._bdisk_cache = {}
@@ -345,9 +348,10 @@ class SchottkyGroup:
         return LimitCover(depth, tuple(entries), max_exp)
 
     def _cover_node(self, letters, h: Homography):
-        """Compute and memoize (homography, closed word disk) for the word
-        with these letters and homography h."""
-        node = (h, self._word_disk(h, letters[-1]).closure())
+        """Compute and memoize (homography, closed word disk, open word
+        disk) for the word with these letters and homography h."""
+        open_disk = self._word_disk(h, letters[-1])
+        node = (h, open_disk.closure(), open_disk)
         if len(self._cover_cache) >= _COVER_CACHE_CAP:
             self._cover_cache.clear()  # values are deterministic, recompute freely
         self._cover_cache[letters] = node
@@ -383,10 +387,12 @@ class SchottkyGroup:
         one that answers.
 
         The cost is |w| pull-back steps and, when the descent starts at w
-        or w is empty, at most 4r - 1 cover nodes (7 at rank 2): E(w) and
-        its 2r - 1 children, or the 2r letter disks, and then the 2r - 1
-        children of the one of them that holds x when y lies on a boundary
-        circle; those children all miss x.
+        or w is empty, at most 2r cover nodes (4 at rank 2): E(w) and its
+        2r - 1 children, or the 2r letter disks.  When y lies on a
+        boundary circle, x lies on the boundary sphere of the one of them
+        that holds it, and the descent answers there (the sphere rule of
+        ``_descend``, with the open word disk as the disk), so none of
+        that disk's children is imaged.
         """
         depth = operator.index(depth)
         if depth < 1:
@@ -402,12 +408,13 @@ class SchottkyGroup:
         """The node where a descent for a point in the closed cover disk of
         the nonempty word (letters, h) starts: the word when that disk is
         a chordal ball (``in_residue_disk``), the identity otherwise."""
-        _, disk = self._cover_cache.get(letters) or self._cover_node(letters, h)
+        disk = (self._cover_cache.get(letters) or self._cover_node(letters, h))[1]
         return (letters, h) if disk.in_residue_disk else _ROOT
 
     def _descend(self, x: ProjPoint, depth: int, letters, h: Homography):
         """(exponent, disk): the exponent of the distance from x to the
-        cover of the given depth, and a cover disk at that distance.  The
+        cover of the given depth, and a disk at that distance, a cover
+        disk or, by the sphere rule below, an open word disk.  The
         node (letters, h) is the identity or a word whose closed cover
         disk is a chordal ball containing x.
 
@@ -421,6 +428,23 @@ class SchottkyGroup:
         it, another sibling is missed, and every point outside it is
         strictly nearer to x.  Raises PointNearLimitSet if x still lies in
         a cover disk at the depth.
+
+        The sphere rule: the walk stops at the child u that the chain
+        enters when |u| < depth, E(u) is a chordal ball and x lies on its
+        boundary sphere, in E(u) but outside the open word disk B(u).  It
+        returns the exponent of x against B(u), with B(u) as the disk, and
+        images none of u's children.  Write l for u's last letter.
+          - Every cover disk below u lies in B(u) = h_u(P1 - K_-l), since
+            the closed domain disks of the letters after l miss K_-l.
+          - E(u) is a chordal ball of radius r around x, so every point of
+            B(u) lies at |.|-distance exactly r from x and has the same
+            max(1, |.|) as x: all of them lie at the returned exponent.
+          - Every missed sibling, at this level or above, is disjoint from
+            E(u), so each lies strictly farther from x.
+          - B(u) holds limit points, so the answer is delta(x, Lambda) at
+            every depth past |u|.
+        The disk must be B(u), whose center lies in B(u): the canonical
+        center of E(u) can lie on the sphere, as near to x as it likes.
         """
         cache = self._cover_cache
         lower, nearest = POS_INF, None
@@ -428,15 +452,19 @@ class SchottkyGroup:
             inside = None
             for l in self._after[letters[-1] if letters else 0]:
                 child = letters + (l,)
-                h2, disk = cache.get(child) or self._cover_node(child, h * self._steps[l])
-                bound = point_to_disk_delta(x, disk)
+                node = cache.get(child) or self._cover_node(child, h * self._steps[l])
+                bound = point_to_disk_delta(x, node[1])
                 if bound == NEG_INF:
-                    inside = child, h2
+                    inside = child, node
                 elif bound < lower:
-                    lower, nearest = bound, disk
+                    lower, nearest = bound, node[1]
             if inside is None:
                 return lower, nearest
-            letters, h = inside
+            letters, (h, disk, open_disk) = inside
+            if len(letters) < depth and disk.in_residue_disk:
+                bound = point_to_disk_delta(x, open_disk)
+                if bound != NEG_INF:  # x lies on the sphere of E(u)
+                    return bound, open_disk
         raise _near_limit(x, depth, letters)
 
     # -- reduction and membership ------------------------------------------
@@ -582,8 +610,11 @@ class SchottkyGroup:
         A sample's t is -upper_exponent of delta_to_limit at cover depth
         n + 1 for a word of length n and the point infinity, and at depth
         n + 2 for a boundary point, which sits inside a closed cover disk
-        one level deeper than the word.  The lower and upper bounds
-        coincide, so t is read from the exponent ``_descend`` returns.
+        one level deeper than the word, on its boundary sphere, or on the
+        sphere of E(w) itself.  The lower and upper bounds coincide, so t
+        is read from the exponent ``_descend`` returns; its sphere rule
+        answers a boundary point at that disk, so a sample images no node
+        longer than n + 1.
 
         A base point lies outside every open domain disk, so y = w(x)
         lies in the closed cover disk E(w) of a nonempty word w.  When

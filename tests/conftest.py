@@ -92,6 +92,20 @@ def conjugate(G, name):
         return None
 
 
+def count_cover_nodes(G):
+    """The list, filled as G runs, of the words whose cover nodes G
+    computes: G._cover_node is wrapped on the instance."""
+    computed = []
+    cover_node = G._cover_node
+
+    def counted(letters, h):
+        computed.append(letters)
+        return cover_node(letters, h)
+
+    G._cover_node = counted
+    return computed
+
+
 def permuted(G, order):
     """G with its generators, and their disks, taken in the given order."""
     return SchottkyGroup(

@@ -3,13 +3,16 @@
 This is the branch-and-bound search that ``SchottkyGroup.delta_to_limit``
 ran before it became one descent down the chain of cover disks that
 contain the point.  It expands word-tree nodes in order of their
-point-to-disk bound, reading the group's memoized cover nodes, until no
-open node can beat the best center distance found at the depth.
+point-to-disk bound until no open node can beat the best center distance
+found at the depth.  It builds each node itself, by the rule of
+``cover_oracle.closed_word_disk``, and reads nothing from the group's
+cover memo, so it shares no cached node with the descent it checks.
 ``envelope_oracle.py`` and the tests compare the library with it.
 """
 
 import heapq
 
+from cover_oracle import closed_word_disk
 from schottky.disks import point_to_disk_delta
 from schottky.errors import PointNearLimitSet
 from schottky.groups import DeltaGammaBound
@@ -25,14 +28,15 @@ def delta_to_limit(G, x, depth):
     one depth are disjoint, so the result, and the word named when x lies
     in a cover disk, do not depend on how ties are popped.
     """
-    G.ensure_verified()
-
     heap = []
 
     def push_children(letters, h):
-        for l in G._after[letters[-1] if letters else 0]:
+        for l in G.letters():
+            if letters and l == -letters[-1]:
+                continue
             child = letters + (l,)
-            h2, d2 = G._cover_cache.get(child) or G._cover_node(child, h * G._steps[l])
+            h2 = h * G.generator(l)
+            d2 = closed_word_disk(G, child, h2)
             heapq.heappush(heap, (point_to_disk_delta(x, d2), child, h2, d2))
 
     push_children((), Homography.identity())

@@ -8,7 +8,9 @@ cover.  Both must give the same exponents, or the same PointNearLimitSet
 text, on drawn groups (the x/p^3 conjugates included, whose word disks
 need not be chordal balls), for points w(x0) with x0 inside F or on a
 boundary circle, and for rational fixed points of words up to length 3
-and their images, at depths 1 to 16.
+and their images, at depths 1 to 16.  A point on the boundary sphere of
+a cover disk gets its own test: the descent answers there, and imaging
+that disk's children would prove nothing.
 """
 
 from fractions import Fraction
@@ -17,8 +19,16 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import search_oracle
-from conftest import cached_sample_group, conjugate, drawn_groups, rational_fixed_pairs
-from schottky import INFINITY, PointNearLimitSet, ProjPoint
+from conftest import (
+    cached_sample_group,
+    conjugate,
+    count_cover_nodes,
+    drawn_groups,
+    rational_fixed_pairs,
+)
+from cover_oracle import closed_word_disk
+from schottky import INFINITY, PointNearLimitSet, ProjPoint, Word
+from schottky.groups import SchottkyGroup
 
 
 def _units(p):
@@ -26,6 +36,16 @@ def _units(p):
     residues = st.integers(1, p - 1)
     prime_to_p = st.builds(lambda q, r: q * p + r, st.integers(-10**3, 10**3), residues)
     return st.builds(Fraction, prime_to_p, prime_to_p)
+
+
+@st.composite
+def reduced_letters(draw, G, max_length):
+    """The letters of a reduced word of G of length at most max_length."""
+    letters = []
+    for _ in range(draw(st.integers(0, max_length))):
+        choices = [l for l in G.letters() if not (letters and l == -letters[-1])]
+        letters.append(draw(st.sampled_from(choices)))
+    return tuple(letters)
 
 
 @st.composite
@@ -46,12 +66,8 @@ def delta_cases(draw):
         x0 = ProjPoint(D.center + draw(_units(G.p)) * Fraction(G.p) ** -D.radius_exp)
     else:
         x0 = draw(st.sampled_from([x for pair in rational_fixed_pairs(G) for x in pair]))
-    letters = []
-    for _ in range(draw(st.integers(0, 14))):
-        choices = [l for l in G.letters() if not (letters and l == -letters[-1])]
-        letters.append(draw(st.sampled_from(choices)))
     event(kind)
-    return G, x0, tuple(letters)
+    return G, x0, draw(reduced_letters(G, 14))
 
 
 def _outcome(search, G, x, depth):
@@ -78,3 +94,42 @@ def test_delta_to_limit_matches_the_best_first_search(case, depth):
     got = _outcome(type(G).delta_to_limit, G, x, depth)
     event("near the limit set" if isinstance(got, str) else "answered")
     assert got == _outcome(search_oracle.delta_to_limit, G, x, depth)
+
+
+def _fresh_outcome(G, x, depth):
+    """The outcome of delta_to_limit(x, depth) on a copy of G with an
+    empty cover memo, and the number of cover nodes it imaged."""
+    H = SchottkyGroup(G.ctx, G.generators, G.B, G.C)
+    imaged = count_cover_nodes(H)
+    return _outcome(SchottkyGroup.delta_to_limit, H, x, depth), len(imaged)
+
+
+def _is_ball(G, letters):
+    return closed_word_disk(G, letters, G.word_homography(letters)).in_residue_disk
+
+
+@settings(max_examples=200)
+@given(drawn_groups((2, 3, 5, 7)), st.data())
+def test_a_point_on_a_cover_sphere_is_answered_there(G, data):
+    """x = w(x0) with x0 on the boundary circle of the open domain disk
+    D_j lies on the sphere of E(u): u = w * j, or w itself when j is the
+    inverse of w's last letter.  The descent agrees with the best-first
+    search at depths |w| + 1 to |w| + 3, and when it starts at a chordal
+    ball, or at the identity, and E(u) is a chordal ball, a fresh group
+    images at most 2r nodes: the start and its 2r - 1 children."""
+    letters = data.draw(reduced_letters(G, 10))
+    h = G.word_homography(letters)
+    for j, D, _ in G._domain:
+        unit = data.draw(_units(G.p))
+        x = h.apply(ProjPoint(D.center + unit * Fraction(G.p) ** -D.radius_exp))
+        u = letters if letters and j == -letters[-1] else letters + (j,)
+        assert closed_word_disk(G, u, G.word_homography(u)).contains(x)
+        assert not G.b_disk(Word(u)).contains(x)
+        start = G.reduce_point(x)[0].letters
+        sphere_rule = _is_ball(G, u) and (not start or _is_ball(G, start))
+        event("chordal start and sphere" if sphere_rule else "not both chordal balls")
+        for depth in range(len(letters) + 1, len(letters) + 4):
+            got, imaged = _fresh_outcome(G, x, depth)
+            assert got == _outcome(search_oracle.delta_to_limit, G, x, depth)
+            if sphere_rule:
+                assert imaged <= 2 * G.rank

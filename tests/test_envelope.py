@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import envelope_oracle as oracle
-from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate
+from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate, count_cover_nodes
 from schottky.groups import sample_group
 
 
@@ -53,6 +53,21 @@ def test_samples_match_the_search_on_conjugated_groups(p, rank, exponent, name, 
     H = conjugate(G, name)
     assume(H is not None)
     assert H.envelope_samples(depth) == oracle.envelope_samples(H, depth)
+
+
+def test_criterion_8_sequence_images_each_node_once():
+    """Criterion 8 fits at depth 6, lists the depth-6 samples and refits at
+    depth 7 on one group.  The descents stop at the sphere that holds each
+    boundary sample, so the sequence needs the cover nodes up to length 8,
+    13,120 of them, below the cache cap: each is computed once, and no
+    wholesale clear drops one that a later sample needs."""
+    G = sample_group(5, 2)
+    computed = count_cover_nodes(G)
+    G.fit_proper_constants(6)
+    G.envelope_samples(6)
+    G.fit_proper_constants(7)
+    assert len(computed) == len(set(computed)) == 13_120
+    assert max(map(len, computed)) == 8
 
 
 def test_conjugates_include_disks_outside_one_residue_disk():

@@ -11,7 +11,14 @@ import axiom_oracle
 import cover_oracle
 import floor_oracle
 import reduce_oracle
-from conftest import CONJUGATOR_NAMES, cached_sample_group, conjugate, conjugator, drawn_groups
+from conftest import (
+    CONJUGATOR_NAMES,
+    cached_sample_group,
+    conjugate,
+    conjugator,
+    count_cover_nodes,
+    drawn_groups,
+)
 from schottky.disks import Affinoid, Disk, contains_disk, image
 from schottky.errors import (
     AxiomViolation,
@@ -335,14 +342,7 @@ def test_delta_to_limit_distortion_bounded(g5):
 def test_delta_to_limit_computes_one_level_for_a_point_off_the_cover():
     # infinity misses every letter disk, so no deeper cover node is needed
     G = sample_group(5, 2)
-    computed = []
-    cover_node = G._cover_node
-
-    def counted(letters, h):
-        computed.append(letters)
-        return cover_node(letters, h)
-
-    G._cover_node = counted
+    computed = count_cover_nodes(G)
     bound = G.delta_to_limit(INFINITY, 1000)
     assert bound.lower_exponent == bound.upper_exponent == 0
     assert len(computed) <= 4
@@ -354,7 +354,7 @@ def test_delta_to_limit_computes_one_level_for_a_point_off_the_cover():
     computed.clear()
     G._cover_cache.clear()
     bound = G.delta_to_limit(x, 32)
-    assert len(computed) <= 7
+    assert len(computed) <= 4
     want, _ = G._descend(x, 32, (), Homography.identity())
     assert bound.lower_exponent == bound.upper_exponent == want == -24
     # a reduction word as long as the depth names its depth-long prefix
