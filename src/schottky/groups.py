@@ -62,13 +62,11 @@ from .words import (
     walk,
 )
 
-_COVER_CACHE_CAP = 1 << 15
-
 # A limit cover holds about 0.5 KB per word up to its depth, and an envelope
-# fit about 0.35 KB per word past the cover cache's cap (CLI peak RSS on
-# rank-2 sample groups at depths 9 to 11 and rank 3 at depth 7), so the
-# largest admitted request needs about 0.2 GB: 185 MB for a rank-2 cover at
-# depth 11, 162 MB for the fit.
+# fit 0.07 KB per sample, 2r + 1 per word (CLI peak RSS on rank-2 sample
+# groups at depths 9 to 11 and rank 3 at depth 7), so the largest admitted
+# request needs about 0.2 GB: 185 MB for a rank-2 cover at depth 11, 138 MB
+# for the fit.
 MAX_WALK_WORDS = 5 * 10**5
 
 # (letters, homography) of the identity, the root of every walk and descent
@@ -134,17 +132,9 @@ class LimitCover:
 @record
 class DeltaGammaBound:
     """A certified interval around the chordal distance to the limit set.
-
-    The cover is ultrametric, so a nearest cover disk is a chordal ball
-    whose points all lie at one distance from the query point, limit
-    points among them: the lower and upper exponents are equal, and they
-    are the exponent of delta(x, Lambda) itself, the same at every depth
-    from the first one that answers.  The upper exponent is read at the
-    center of that disk, or of the open word disk B(u) when the point
-    lies on the boundary sphere of the cover disk E(u).
-    ``delta_to_limit`` starts its descent at the point's reduction word
-    when that word's closed cover disk is a chordal ball, so it costs the
-    word's pull-back steps and at most 2r cover nodes."""
+    ``delta_to_limit`` returns equal lower and upper exponents: the
+    exponent of delta(x, Lambda) itself, the same at every depth from the
+    first one that answers."""
 
     lower_exponent: Exponent
     upper_exponent: Exponent
@@ -211,11 +201,8 @@ class SchottkyGroup:
         self.generators = generators
         self.B = B
         self.C = C
-        # letters -> (homography, closed word disk, open word disk): the one
-        # word-disk memo
-        self._cover_cache = {}
-        # always empty; perfbench/tracer.py still reports its size
-        self._bdisk_cache = {}
+        # always empty; perfbench/tracer.py still reports their sizes
+        self._cover_cache = self._bdisk_cache = {}
         # letter -> generator or inverse, in alphabet order: the step of every walk
         self._steps = {}
         for i, g in enumerate(generators, 1):
@@ -226,6 +213,9 @@ class SchottkyGroup:
         self._domain = tuple((-i, D, D.closure()) for i, D in enumerate(B, 1))
         self._domain += tuple((i, D, D.closure()) for i, D in enumerate(C, 1))
         self._base_complements = {-l: K.complement() for l, _, K in self._domain}
+        # letter -> (closed, open) domain disk in alphabet order: the identity's children
+        disks = {l: (K, D) for l, D, K in self._domain}
+        self._letter_level = {l: disks[l] for l in self._after[0]}
         self._report = self._check_axioms()
         if not self._report.all_passed:
             first = self._report.failures[0]
@@ -327,13 +317,10 @@ class SchottkyGroup:
         of them, in lexicographic order of the words; a depth with more than
         MAX_WALK_WORDS words up to it is refused with InvalidArgument.
 
-        The walk stops one letter short: the disk of v * l is h_v(K_l),
-        the closed domain disk of l imaged by the parent's homography,
-        which is the closure of the open word disk h_v(D_l) because the
-        pole of h_v lies in a domain disk apart from K_l (see the module
-        docstring).  At depth 1 the parent is the walk's root, the identity,
-        and the disks are the K_l themselves.  The walk makes reduced letter
-        tuples only, so their Words skip the checks of ``Word(...)``."""
+        The walk stops one letter short: the disk of v * l is h_v(K_l), the
+        parent's image of the closed domain disk of l (see the module
+        docstring), and at depth 1 the K_l themselves.  The walk makes reduced
+        letter tuples only, so their Words skip the checks of ``Word(...)``."""
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         _refuse_long_walk(self.rank, depth)
@@ -347,15 +334,11 @@ class SchottkyGroup:
         max_exp = max(disk.radius_exp for _, disk in entries)
         return LimitCover(depth, tuple(entries), max_exp)
 
-    def _cover_node(self, letters, h: Homography):
-        """Compute and memoize (homography, closed word disk, open word
-        disk) for the word with these letters and homography h."""
-        open_disk = self._word_disk(h, letters[-1])
-        node = (h, open_disk.closure(), open_disk)
-        if len(self._cover_cache) >= _COVER_CACHE_CAP:
-            self._cover_cache.clear()  # values are deterministic, recompute freely
-        self._cover_cache[letters] = node
-        return node
+    def _cover_node(self, h: Homography, letter: int):
+        """(closed, open) cover disks of the word v * letter from the homography
+        h of its parent v: B(v * l) = h(D_l), and E(v * l) is its closure."""
+        open_disk = image(h, self._letter_level[letter][1])
+        return open_disk.closure(), open_disk
 
     # -- distance to the limit set ----------------------------------------
 
@@ -386,9 +369,9 @@ class SchottkyGroup:
         center), and the answer is the same at every depth from the first
         one that answers.
 
-        The cost is |w| pull-back steps and, when the descent starts at w
-        or w is empty, at most 2r cover nodes (4 at rank 2): E(w) and its
-        2r - 1 children, or the 2r letter disks.  When y lies on a
+        The cost is |w| pull-back steps and at most 2r cover nodes, with no
+        memo: E(w), imaged by w's parent, and its 2r - 1 children, or the
+        children of the letter disk that holds x.  When y lies on a
         boundary circle, x lies on the boundary sphere of the one of them
         that holds it, and the descent answers there (the sphere rule of
         ``_descend``, with the open word disk as the disk), so none of
@@ -400,18 +383,21 @@ class SchottkyGroup:
         letters = tuple(self._pull_back(x, depth)[0])
         if len(letters) == depth:
             raise _near_limit(x, depth, letters)
-        start = self._start(letters, self.word_homography(letters)) if letters else _ROOT
-        lower, disk = self._descend(x, depth, *start)
+        start = _ROOT
+        if letters:
+            parent = self.word_homography(letters[:-1])
+            disk, _ = self._cover_node(parent, letters[-1])
+            start = self._start(letters, parent * self._steps[letters[-1]], disk)
+        lower, disk = self._descend(x, depth, *start, (self._letter_level,))
         return DeltaGammaBound(lower, delta(x, disk.center_point(), self.ctx), depth)
 
-    def _start(self, letters, h: Homography):
-        """The node where a descent for a point in the closed cover disk of
-        the nonempty word (letters, h) starts: the word when that disk is
-        a chordal ball (``in_residue_disk``), the identity otherwise."""
-        disk = (self._cover_cache.get(letters) or self._cover_node(letters, h))[1]
+    def _start(self, letters, h: Homography, disk: Disk):
+        """The node where a descent for a point in the closed cover disk
+        of the nonempty word (letters, h) starts: the word when that disk
+        is a chordal ball (``in_residue_disk``), the identity otherwise."""
         return (letters, h) if disk.in_residue_disk else _ROOT
 
-    def _descend(self, x: ProjPoint, depth: int, letters, h: Homography):
+    def _descend(self, x: ProjPoint, depth: int, letters, h: Homography, store):
         """(exponent, disk): the exponent of the distance from x to the
         cover of the given depth, and a disk at that distance, a cover
         disk or, by the sphere rule below, an open word disk.  The
@@ -428,6 +414,11 @@ class SchottkyGroup:
         it, another sibling is missed, and every point outside it is
         strictly nearer to x.  Raises PointNearLimitSet if x still lies in
         a cover disk at the depth.
+
+        A level is read from ``store`` while the chain follows it: entry k
+        holds the children's cover nodes of the chain's node of length k,
+        the letter disks at k = 0, or nothing.  Elsewhere the descent images
+        the level from the node's homography, composed as it enters the node.
 
         The sphere rule: the walk stops at the child u that the chain
         enters when |u| < depth, E(u) is a chordal ball and x lies on its
@@ -446,25 +437,27 @@ class SchottkyGroup:
         The disk must be B(u), whose center lies in B(u): the canonical
         center of E(u) can lie on the sphere, as near to x as it likes.
         """
-        cache = self._cover_cache
         lower, nearest = POS_INF, None
         while len(letters) < depth:
+            level = store[len(letters)] if len(letters) < len(store) else None
+            if not level:
+                level = {l: self._cover_node(h, l) for l in self._after[letters[-1]]}
             inside = None
-            for l in self._after[letters[-1] if letters else 0]:
-                child = letters + (l,)
-                node = cache.get(child) or self._cover_node(child, h * self._steps[l])
-                bound = point_to_disk_delta(x, node[1])
+            for l, (disk, open_disk) in level.items():
+                bound = point_to_disk_delta(x, disk)
                 if bound == NEG_INF:
-                    inside = child, node
+                    inside = l, disk, open_disk
                 elif bound < lower:
-                    lower, nearest = bound, node[1]
+                    lower, nearest = bound, disk
             if inside is None:
                 return lower, nearest
-            letters, (h, disk, open_disk) = inside
+            l, disk, open_disk = inside
+            letters += (l,)
             if len(letters) < depth and disk.in_residue_disk:
                 bound = point_to_disk_delta(x, open_disk)
                 if bound != NEG_INF:  # x lies on the sphere of E(u)
                     return bound, open_disk
+            h = h * self._steps[l]
         raise _near_limit(x, depth, letters)
 
     # -- reduction and membership ------------------------------------------
@@ -606,36 +599,42 @@ class SchottkyGroup:
         One sample per word up to the depth and per base point: infinity
         plus a point on each boundary circle, pushed around by the word.
         The identity's samples come first, then the words' in the walk's
-        preorder.
-        A sample's t is -upper_exponent of delta_to_limit at cover depth
-        n + 1 for a word of length n and the point infinity, and at depth
-        n + 2 for a boundary point, which sits inside a closed cover disk
-        one level deeper than the word, on its boundary sphere, or on the
-        sphere of E(w) itself.  The lower and upper bounds coincide, so t
-        is read from the exponent ``_descend`` returns; its sphere rule
-        answers a boundary point at that disk, so a sample images no node
-        longer than n + 1.
+        preorder.  A sample's t is -upper_exponent of delta_to_limit at
+        cover depth n + 1 for a word of length n and the point infinity,
+        and at depth n + 2 for a boundary point, which lies on the sphere
+        of E(w) or of a child's E; t is read from the exponent ``_descend``
+        returns, and its sphere rule images no node longer than n + 1.
 
-        A base point lies outside every open domain disk, so y = w(x)
-        lies in the closed cover disk E(w) of a nonempty word w.  When
-        E(w) is a chordal ball (``in_residue_disk``), every point outside
-        it is farther from y than any point inside it, and the cover disks
-        of w's subtree lie inside it; so the descent for y starts at w
-        rather than at the identity.  Otherwise it starts at the identity.
-        A depth with more than MAX_WALK_WORDS words up to it is refused
-        with InvalidArgument before the walk starts.
+        A base point lies in no open domain disk, so y = w(x) lies in E(v)
+        for every prefix v of w, and y's descent starts at w or at the
+        identity by the start rule of ``delta_to_limit`` (``_start``).
+        There is no memo: a path store's entry k holds the cover nodes of
+        the children of the walk's node of length k (the letter disks at
+        k = 0), which each descent reads while its chain follows the path.
+        Entering w cuts the store back to w's prefixes, reads E(w) from its
+        parent's entry and images w's children by h_w; entering a word's
+        last child empties the word's entry, which no later word reads, so
+        between samples the store holds at most (2r - 1) * depth imaged
+        nodes, and 1 at rank 1.  A depth with more than MAX_WALK_WORDS
+        words up to it is refused with InvalidArgument before the walk.
         """
         if depth < 1:
             raise InvalidArgument("depth must be >= 1")
         words = self.iter_words_with_matrices(depth)  # refuses a depth past the walk cap
         bases = self._envelope_base_points()
         # cover levels below the word: children for infinity, else grandchildren
-        levels = [1 if x is INFINITY else 2 for x in bases]
-        samples = [(0, -self.delta_to_limit(x, n).upper_exponent) for x, n in zip(bases, levels)]
+        below = [1 if x is INFINITY else 2 for x in bases]
+        samples = [(0, -self.delta_to_limit(x, n).upper_exponent) for x, n in zip(bases, below)]
+        store = [self._letter_level]
         for length, word, h in words:
-            start = self._start(word.letters, h)
-            for x, n in zip(bases, levels):
-                bound, _ = self._descend(h.apply(x), length + n, *start)
+            last = word.letters[-1]
+            del store[length:]
+            start = self._start(word.letters, h, store[-1][last][0])
+            if length > 1 and last == next(reversed(store[-1])):
+                store[-1] = {}
+            store.append({l: self._cover_node(h, l) for l in self._after[last]})
+            for x, n in zip(bases, below):
+                bound, _ = self._descend(h.apply(x), length + n, *start, store)
                 samples.append((length, -bound))
         return samples
 

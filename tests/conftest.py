@@ -93,14 +93,15 @@ def conjugate(G, name):
 
 
 def count_cover_nodes(G):
-    """The list, filled as G runs, of the words whose cover nodes G
-    computes: G._cover_node is wrapped on the instance."""
+    """The list, filled as G runs, of the cover nodes G images, each as
+    the (parent's homography, last letter) pair that ``G._cover_node``
+    takes: the one node builder is wrapped on the instance."""
     computed = []
     cover_node = G._cover_node
 
-    def counted(letters, h):
-        computed.append(letters)
-        return cover_node(letters, h)
+    def counted(h, letter):
+        computed.append((h, letter))
+        return cover_node(h, letter)
 
     G._cover_node = counted
     return computed

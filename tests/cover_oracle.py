@@ -4,8 +4,9 @@ This is the rule ``SchottkyGroup.limit_cover`` followed before it imaged
 the closed domain disks by the parent word: walk the word tree to the
 depth and close the image of P^1 - K_-l under the homography of the whole
 word w * l, where K_-l is the closed domain disk of the inverse of the
-last letter.  ``_cover_node`` still builds its disks this way, and
-``search_oracle.py`` builds its nodes with ``closed_word_disk``.
+last letter.  ``memo_oracle.py`` and ``search_oracle.py`` build their
+nodes with ``closed_word_disk``; the library's ``_cover_node`` images
+the open domain disk by the parent word.
 ``test_groups.py`` compares the library with it.
 """
 

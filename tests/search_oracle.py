@@ -5,8 +5,8 @@ ran before it became one descent down the chain of cover disks that
 contain the point.  It expands word-tree nodes in order of their
 point-to-disk bound until no open node can beat the best center distance
 found at the depth.  It builds each node itself, by the rule of
-``cover_oracle.closed_word_disk``, and reads nothing from the group's
-cover memo, so it shares no cached node with the descent it checks.
+``cover_oracle.closed_word_disk`` (the closure of the word's own open
+disk), so it shares no node builder with the descent it checks.
 ``envelope_oracle.py`` and the tests compare the library with it.
 """
 

@@ -97,8 +97,8 @@ def test_delta_to_limit_matches_the_best_first_search(case, depth):
 
 
 def _fresh_outcome(G, x, depth):
-    """The outcome of delta_to_limit(x, depth) on a copy of G with an
-    empty cover memo, and the number of cover nodes it imaged."""
+    """The outcome of delta_to_limit(x, depth) on a copy of G, whose node
+    builder is wrapped to count, and the number of cover nodes it imaged."""
     H = SchottkyGroup(G.ctx, G.generators, G.B, G.C)
     imaged = count_cover_nodes(H)
     return _outcome(SchottkyGroup.delta_to_limit, H, x, depth), len(imaged)

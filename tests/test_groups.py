@@ -276,15 +276,17 @@ def test_limit_cover_at_depth_one_is_the_closed_domain_disks(G):
 def test_limit_cover_matches_the_closed_leaf_disks(G, depth):
     """Each cover disk, imaged from the closed domain disk by the parent
     word, equals the closure of the leaf word's open disk, field by field,
-    and the disk ``_cover_node`` memoizes for the same word."""
+    and the closed disk ``_cover_node`` images from the open domain disk
+    by the parent word."""
     got = G.limit_cover(depth)
     want = cover_oracle.limit_cover(G, depth)
     assert [w for w, _ in got.entries] == [w for w, _ in want.entries]
     assert [_disk_fields(D) for _, D in got.entries] == [_disk_fields(D) for _, D in want.entries]
     assert got.max_radius_exponent == want.max_radius_exponent
     assert type(got.max_radius_exponent) is type(want.max_radius_exponent)
-    for letters, h, D in cover_oracle.leaves(G, depth):
-        assert _disk_fields(G._cover_node(letters, h)[1]) == _disk_fields(D)
+    for letters, _, D in cover_oracle.leaves(G, depth):
+        parent = G.word_homography(letters[:-1])
+        assert _disk_fields(G._cover_node(parent, letters[-1])[0]) == _disk_fields(D)
 
 
 @pytest.mark.parametrize("rank", (1, 2, 3))
@@ -347,15 +349,14 @@ def test_delta_to_limit_computes_one_level_for_a_point_off_the_cover():
     assert bound.lower_exponent == bound.upper_exponent == 0
     assert len(computed) <= 4
     # x = w(7/3) with 7/3 inside F: the descent starts at w, whose closed
-    # cover disk is a chordal ball (a descent from the identity computes 40)
+    # cover disk is a chordal ball (a descent from the identity images 36)
     x0 = ProjPoint(7, 3)
     letters = (1, 2, -1, -2) * 3
     x = G.word_homography(letters).apply(x0)
     computed.clear()
-    G._cover_cache.clear()
     bound = G.delta_to_limit(x, 32)
     assert len(computed) <= 4
-    want, _ = G._descend(x, 32, (), Homography.identity())
+    want, _ = G._descend(x, 32, (), Homography.identity(), (G._letter_level,))
     assert bound.lower_exponent == bound.upper_exponent == want == -24
     # a reduction word as long as the depth names its depth-long prefix
     # and images no disk
